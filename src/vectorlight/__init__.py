@@ -20,9 +20,6 @@ from .special import (
     hermite,
     laguerre,
     rotation_matrix,
-    wigner_D_matrix,
-    wigner_d_matrix,
-    wigner_small_d,
 )
 from .beams import (
     BeamSpec,
@@ -31,14 +28,8 @@ from .beams import (
     LGMode,
     ModeTerm,
     field_components,
-    field_hessian,
-    field_jacobian,
-    field_sample,
     field_sample_upto,
-    hg_mode,
-    lg_mode,
     make_radial_azimuthal,
-    vector_field,
 )
 from .coupling import (
     CouplingCoefficients,

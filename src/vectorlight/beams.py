@@ -8,8 +8,7 @@ the focusing parameter 1/(k w0)).
 
 Scalar profiles are evaluated as truncated Taylor jets (see `jets`), which
 makes analytic spatial derivatives of the full vector field available up to
-the second order needed by gradient-coupled transitions and sidebands.  A
-finite-difference backend cross-checks the jet path.
+the second order needed by gradient-coupled transitions and sidebands.
 """
 
 from __future__ import annotations
@@ -30,13 +29,7 @@ __all__ = [
     "ModeTerm",
     "BeamSpec",
     "FieldSample",
-    "lg_mode",
-    "hg_mode",
-    "vector_field",
     "field_components",
-    "field_jacobian",
-    "field_hessian",
-    "field_sample",
     "field_sample_upto",
     "make_radial_azimuthal",
 ]
@@ -152,6 +145,10 @@ class FieldSample:
     electric: np.ndarray
     jacobian: np.ndarray
     hessian: np.ndarray
+
+    def block(self, order: int) -> np.ndarray:
+        """Derivative block of the given order: 0 electric, 1 jacobian, 2 hessian."""
+        return (self.electric, self.jacobian, self.hessian)[order]
 
 
 def _radial_term(sign: float) -> Tuple[Tuple[complex, ModeTerm], ...]:
@@ -296,20 +293,6 @@ def _as_points(point) -> Tuple[np.ndarray, bool]:
     return (pts[None, :] if single else pts), single
 
 
-def lg_mode(l: int, p: int, waist: float, k: float, point) -> np.ndarray:
-    """Scalar Laguerre-Gaussian profile value(s); no plane-wave factor."""
-    pts, single = _as_points(point)
-    val = _lg_jet(LGMode(l, p), waist, k, pts, 0).val
-    return val[0] if single else val
-
-
-def hg_mode(m: int, n: int, waist: float, k: float, point) -> np.ndarray:
-    """Scalar Hermite-Gaussian profile value(s); no plane-wave factor."""
-    pts, single = _as_points(point)
-    val = _hg_jet(HGMode(m, n), waist, k, pts, 0).val
-    return val[0] if single else val
-
-
 # ---------------------------------------------------------------------------
 # vector field assembly
 
@@ -320,8 +303,6 @@ def _field_jets(spec: BeamSpec, points: np.ndarray, order: int) -> Tuple[Jet, Je
     The longitudinal part consumes one derivative of the scalar profile, so
     profiles are expanded one order deeper than the field jets returned.
     """
-    if order > 2:
-        raise ValueError("field derivatives available up to second order")
     k = spec.wavenumber
     # the traveling-wave factor enters here, once per term, never inside
     # the scalar profiles
@@ -348,24 +329,14 @@ def _field_jets(spec: BeamSpec, points: np.ndarray, order: int) -> Tuple[Jet, Je
     return ex, ey, ez
 
 
-def _stack_values(jets) -> np.ndarray:
-    return np.stack([j.val for j in jets], axis=-1)
-
-
-def _stack_grad(jets) -> np.ndarray:
-    # component j varies along the last axis, derivative index i before it
-    return np.stack([j.g for j in jets], axis=-1)
-
-
-def _stack_hess(jets) -> np.ndarray:
-    return np.stack([j.h for j in jets], axis=-1)
-
-
-def vector_field(spec: BeamSpec, point) -> np.ndarray:
-    """Complex field E (..., 3) of the beam at the given point(s)."""
-    pts, single = _as_points(point)
-    e = _stack_values(_field_jets(spec, pts, 0))
-    return e[0] if single else e
+def _circular(e: np.ndarray) -> Dict[str, np.ndarray]:
+    """Circular projections E_x -/+ i E_y and the longitudinal E_z of E (..., 3)."""
+    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
+    return {
+        "sigma_plus": ex - 1.0j * ey,
+        "sigma_minus": ex + 1.0j * ey,
+        "z": ez,
+    }
 
 
 def field_components(spec: BeamSpec, point) -> Dict[str, np.ndarray]:
@@ -375,106 +346,24 @@ def field_components(spec: BeamSpec, point) -> Dict[str, np.ndarray]:
     E_sigma = E_x - i sigma E_y, so a pure sigma=+1 transverse field shows
     up only in 'sigma_plus'.
     """
-    e = vector_field(spec, point)
-    ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
-    return {
-        "sigma_plus": ex - 1.0j * ey,
-        "sigma_minus": ex + 1.0j * ey,
-        "z": ez,
-    }
+    return _circular(field_sample_upto(spec, point, 0).electric)
 
 
-_FD_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
-_FD_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
-
-
-def _fd_shifted(points: np.ndarray, h: float) -> np.ndarray:
-    """Stencil points, shape (4, 3, N, 3): offset s along coordinate axis i."""
-    eye = np.eye(3)
-    shifts = np.asarray(_FD_OFFSETS)[:, None, None] * h * eye[None, :, :]
-    return points[None, None, :, :] + shifts[:, :, None, :]
-
-
-def _fd_jacobian(spec: BeamSpec, points: np.ndarray, h: float) -> np.ndarray:
-    big = _fd_shifted(points, h)
-    e = vector_field(spec, big.reshape(-1, 3)).reshape(big.shape)
-    w = np.asarray(_FD_WEIGHTS) / (12.0 * h)
-    return np.einsum("s,si...j->...ij", w, e)
-
-
-def _fd_hessian(spec: BeamSpec, points: np.ndarray, h: float) -> np.ndarray:
-    big = _fd_shifted(points, h)
-    jac = _fd_jacobian(spec, big.reshape(-1, 3), h).reshape(big.shape + (3,))
-    w = np.asarray(_FD_WEIGHTS) / (12.0 * h)
-    hess = np.einsum("s,sp...ij->...pij", w, jac)
-    # enforce the symmetry the analytic path has by construction
-    return 0.5 * (hess + np.swapaxes(hess, -3, -2))
-
-
-def _check_backend(backend: str):
-    if backend not in ("analytic", "fd"):
-        raise ConfigurationError(
-            f"unknown derivative backend {backend!r}; use 'analytic' or 'fd'")
-
-
-def field_jacobian(spec: BeamSpec, point, backend: str = "analytic",
-                   fd_step: float = None) -> np.ndarray:
-    """Spatial derivatives d_i E_j as (..., 3, 3)."""
-    _check_backend(backend)
-    pts, single = _as_points(point)
-    if backend == "analytic":
-        jac = _stack_grad(_field_jets(spec, pts, 1))
-    else:
-        jac = _fd_jacobian(spec, pts, fd_step or 1e-4 * spec.wavelength)
-    return jac[0] if single else jac
-
-
-def field_hessian(spec: BeamSpec, point, backend: str = "analytic",
-                  fd_step: float = None) -> np.ndarray:
-    """Second spatial derivatives d_p d_i E_j as (..., 3, 3, 3)."""
-    _check_backend(backend)
-    pts, single = _as_points(point)
-    if backend == "analytic":
-        hess = _stack_hess(_field_jets(spec, pts, 2))
-    else:
-        hess = _fd_hessian(spec, pts, fd_step or 1e-4 * spec.wavelength)
-    return hess[0] if single else hess
-
-
-def field_sample_upto(spec: BeamSpec, point, order: int,
-                      backend: str = "analytic",
-                      fd_step: float = None) -> FieldSample:
+def field_sample_upto(spec: BeamSpec, point, order: int) -> FieldSample:
     """Field plus derivatives up to `order` (0..2); deeper blocks are None.
 
     Evaluating only the depth actually consumed keeps large scans cheap:
     each extra derivative order roughly doubles the work per point.
     """
-    _check_backend(backend)
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     pts, single = _as_points(point)
-    jac = hess = None
-    if backend == "analytic":
-        jets = _field_jets(spec, pts, order)
-        e = _stack_values(jets)
-        if order >= 1:
-            jac = _stack_grad(jets)
-        if order >= 2:
-            hess = _stack_hess(jets)
-    else:
-        h = fd_step or 1e-4 * spec.wavelength
-        e = vector_field(spec, pts)
-        if order >= 1:
-            jac = _fd_jacobian(spec, pts, h)
-        if order >= 2:
-            hess = _fd_hessian(spec, pts, h)
+    jets = _field_jets(spec, pts, order)
+    # component j varies along the last axis, derivative indices before it
+    e = np.stack([j.val for j in jets], axis=-1)
+    jac = np.stack([j.g for j in jets], axis=-1) if order >= 1 else None
+    hess = np.stack([j.h for j in jets], axis=-1) if order >= 2 else None
     if single:
         return FieldSample(e[0], None if jac is None else jac[0],
                            None if hess is None else hess[0])
     return FieldSample(e, jac, hess)
-
-
-def field_sample(spec: BeamSpec, point, backend: str = "analytic",
-                 fd_step: float = None) -> FieldSample:
-    """Field, jacobian, and hessian in one evaluation."""
-    return field_sample_upto(spec, point, 2, backend, fd_step)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .beams import BeamSpec, field_components, field_sample_upto, make_radial_azimuthal
+from .beams import BeamSpec, _circular, field_sample_upto, make_radial_azimuthal
 from .coupling import Geometry, Multipole, TransitionSpec, relative_strength
 from .errors import ConfigurationError, NumericalError
 from .motion import SidebandRequest, TrapSpec, sideband_strength_at
@@ -335,7 +335,6 @@ def load_map_csv(path: str) -> MapDataset:
         z_plane=z_plane,
         observable_name=meta.get("observable", "unknown"),
         config=None,
-        provenance={"tool_version": meta.get("tool_version", "")},
     )
 
 
@@ -526,7 +525,7 @@ def cmd_point(args) -> int:
     point = np.array([float(v) * UM for v in pos_um])
 
     sample = field_sample_upto(beam, point, 2)
-    comps = field_components(beam, point)
+    comps = _circular(sample.electric)
     mu: Dict[str, List[float]] = {}
     for dm in _allowed_dm(doc):
         trans = _build_transition(tdoc, dm)

@@ -51,8 +51,10 @@ class Multipole(enum.Enum):
         return 2 if self is Multipole.E2_DJ2 else 1
 
     @property
-    def uses_gradient(self) -> bool:
-        return self is not Multipole.E1
+    def field_order(self) -> int:
+        """Derivative order of the field block the tables contract: E for E1,
+        the jacobian d_i E_j for E2.  The strength's gradient needs one more."""
+        return 0 if self is Multipole.E1 else 1
 
     @classmethod
     def parse(cls, text: str) -> "Multipole":
@@ -227,6 +229,24 @@ def _selection(trans: TransitionSpec):
     return cg, dmi
 
 
+def _contract(block: np.ndarray, trans: TransitionSpec, geom: Geometry,
+              free: str) -> np.ndarray:
+    """CG-weighted contraction of a field block with the dm table.
+
+    `free` names the leading derivative slots of `block` left uncontracted:
+    '' for mu itself, 'p' for its gradient.
+    """
+    rank = trans.multipole.field_order + 1
+    sel = _selection(trans)
+    if sel is None:
+        shape = block.shape[:block.ndim - len(free) - rank]
+        return np.zeros(shape + (3,) * len(free), dtype=complex)
+    cg, dmi = sel
+    table = rotate_coefficients(coefficients_for(trans.multipole), geom)[dmi]
+    slots = "ij"[2 - rank:]  # j over E_j, or ij over d_i E_j
+    return cg * np.einsum(f"...{free}{slots},{slots}->...{free}", block, table)
+
+
 def relative_strength(sample: FieldSample, trans: TransitionSpec,
                       geom: Geometry = None) -> np.ndarray:
     """Relative transition strength mu at the sampled point(s).
@@ -235,33 +255,15 @@ def relative_strength(sample: FieldSample, trans: TransitionSpec,
     restricts it to the single channel dm = m2 - m1; selection-rule failures
     return exact zeros.
     """
-    geom = geom or Geometry()
-    data = sample.jacobian if trans.multipole.uses_gradient else sample.electric
-    sel = _selection(trans)
-    if sel is None:
-        shape = data.shape[:-2] if trans.multipole.uses_gradient else data.shape[:-1]
-        return np.zeros(shape, dtype=complex)
-    cg, dmi = sel
-    table = rotate_coefficients(coefficients_for(trans.multipole), geom)[dmi]
-    if trans.multipole.uses_gradient:
-        return cg * np.einsum("...ij,ij->...", data, table)
-    return cg * np.einsum("...j,j->...", data, table)
+    block = sample.block(trans.multipole.field_order)
+    return _contract(block, trans, geom or Geometry(), "")
 
 
 def strength_gradient(sample: FieldSample, trans: TransitionSpec,
                       geom: Geometry = None) -> np.ndarray:
     """Spatial gradient of mu, shape (..., 3); needs one extra field order."""
-    geom = geom or Geometry()
-    data = sample.hessian if trans.multipole.uses_gradient else sample.jacobian
-    sel = _selection(trans)
-    if sel is None:
-        extra = 2 if trans.multipole.uses_gradient else 1
-        return np.zeros(data.shape[:-extra - 1] + (3,), dtype=complex)
-    cg, dmi = sel
-    table = rotate_coefficients(coefficients_for(trans.multipole), geom)[dmi]
-    if trans.multipole.uses_gradient:
-        return cg * np.einsum("...pij,ij->...p", data, table)
-    return cg * np.einsum("...pj,j->...p", data, table)
+    block = sample.block(trans.multipole.field_order + 1)
+    return _contract(block, trans, geom or Geometry(), "p")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +289,8 @@ def _quadrature_strengths(spec: BeamSpec, center, widths, trans: TransitionSpec,
     w3 = (weights[:, None, None] * weights[None, :, None]
           * weights[None, None, :]).ravel() * math.pi ** -1.5
     pts = np.asarray(center, dtype=float) + offs
-    order = 1 if trans.multipole.uses_gradient else 0
-    mu = relative_strength(field_sample_upto(spec, pts, order), trans, geom)
+    fs = field_sample_upto(spec, pts, trans.multipole.field_order)
+    mu = relative_strength(fs, trans, geom)
     return w3, mu
 
 

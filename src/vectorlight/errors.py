@@ -8,7 +8,7 @@ the CLI maps to distinct exit codes.
 
 class ConfigurationError(Exception):
     """Invalid run configuration: unknown keys, inconsistent observables,
-    unsupported backend requests.  CLI exit code 2."""
+    unsupported mode types.  CLI exit code 2."""
 
 
 class NumericalError(Exception):

@@ -9,13 +9,14 @@ zero-point length of that mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .beams import BeamSpec, field_sample_upto
+from .beams import BeamSpec, FieldSample, field_sample_upto
 from .constants import ATOMIC_MASS, HBAR
 from .coupling import Geometry, TransitionSpec, relative_strength, strength_gradient
 
@@ -131,9 +132,8 @@ def mu_derivative(spec: BeamSpec, center, direction, trans: TransitionSpec,
         raise ValueError("direction must be a 3-vector")
     if abs(np.linalg.norm(d) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    order = 2 if trans.multipole.uses_gradient else 1
-    grad = strength_gradient(field_sample_upto(spec, center, order), trans, geom)
-    return grad @ d
+    fs = field_sample_upto(spec, center, trans.multipole.field_order + 1)
+    return strength_gradient(fs, trans, geom) @ d
 
 
 def _ladder_factor(req: SidebandRequest) -> float:
@@ -142,24 +142,40 @@ def _ladder_factor(req: SidebandRequest) -> float:
     return math.sqrt(float(req.n))
 
 
+def _line_strength(sample: Callable[[np.ndarray, int], FieldSample],
+                   points: np.ndarray, trap: TrapSpec, req: SidebandRequest,
+                   trans: TransitionSpec, geom: Geometry):
+    """Carrier or sideband strength at `points`, plus its reference scale.
+
+    `sample(points, order)` supplies the field samples, so the point and map
+    paths share this one formula.  The reference is the peak modulus of the
+    field block contracted, carried through the same factors as the values;
+    a strength far below it is cancellation residue.
+    """
+    order = trans.multipole.field_order
+    if req.branch == "carrier":
+        fs = sample(points, order)
+        vals = relative_strength(fs, trans, geom)
+        return vals, float(np.max(np.abs(fs.block(order))))
+    factor = _ladder_factor(req)
+    if factor == 0.0:
+        # red sideband from the motional ground state: no lower state
+        return np.zeros(points.shape[:-1], dtype=complex), 1.0
+    idx = trap.mode_index(req.mode)
+    z0 = zero_point_length(trap.mass, trap.frequencies[idx])
+    fs = sample(points, order + 1)
+    grad = strength_gradient(fs, trans, geom)
+    vals = (grad @ trap.axes[idx]) * (z0 * factor)
+    return vals, float(np.max(np.abs(fs.block(order + 1)))) * z0 * factor
+
+
 def sideband_strength_at(spec: BeamSpec, trap: TrapSpec, req: SidebandRequest,
                          trans: TransitionSpec, centers,
                          geom: Geometry = None) -> np.ndarray:
     """Carrier or sideband strength with the trap centered at each point."""
     pts = np.asarray(centers, dtype=float)
-    grad_order = 2 if trans.multipole.uses_gradient else 1
-    if req.branch == "carrier":
-        fs = field_sample_upto(spec, pts, grad_order - 1)
-        return relative_strength(fs, trans, geom)
-    factor = _ladder_factor(req)
-    if factor == 0.0:
-        # red sideband from the motional ground state: no lower state
-        shape = pts.shape[:-1]
-        return np.zeros(shape, dtype=complex)
-    idx = trap.mode_index(req.mode)
-    z0 = zero_point_length(trap.mass, trap.frequencies[idx])
-    grad = strength_gradient(field_sample_upto(spec, pts, grad_order), trans, geom)
-    return (grad @ trap.axes[idx]) * (z0 * factor)
+    sample = functools.partial(field_sample_upto, spec)
+    return _line_strength(sample, pts, trap, req, trans, geom)[0]
 
 
 def sideband_strength(spec: BeamSpec, trap: TrapSpec, req: SidebandRequest,

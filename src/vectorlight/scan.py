@@ -10,7 +10,7 @@ beam) is stored as an exact zero map with scale factor 0.
 
 from __future__ import annotations
 
-import datetime
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -18,17 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__ as _tool_version
-from .beams import BeamSpec, _check_backend, field_sample_upto
-from .coupling import Geometry, TransitionSpec, relative_strength, strength_gradient
+from .beams import BeamSpec, _circular, field_sample_upto
+from .coupling import Geometry, TransitionSpec, relative_strength
 from .errors import ConfigurationError, NumericalError
-from .motion import (
-    SidebandRequest,
-    TrapSpec,
-    _ladder_factor,
-    lamb_dicke,
-    zero_point_length,
-)
+from .motion import SidebandRequest, TrapSpec, _line_strength, lamb_dicke
 
 __all__ = [
     "FieldComponentObservable",
@@ -62,13 +55,12 @@ class _ChunkSampleCache:
         self._capacity = capacity
         self._store = {}
 
-    def sample(self, beam: BeamSpec, pts: np.ndarray, order: int,
-               backend: str, fd_step):
-        key = (id(beam), order, backend, fd_step)
+    def sample(self, beam: BeamSpec, pts: np.ndarray, order: int):
+        key = (id(beam), order)
         hit = self._store.get(key)
         if hit is not None and hit[0] is pts:
             return hit[1]
-        fs = field_sample_upto(beam, pts, order, backend, fd_step)
+        fs = field_sample_upto(beam, pts, order)
         if len(self._store) >= self._capacity:
             self._store.pop(next(iter(self._store)))
         self._store[key] = (pts, fs)
@@ -76,11 +68,10 @@ class _ChunkSampleCache:
 
 
 def _sample(cache: Optional[_ChunkSampleCache], beam: BeamSpec,
-            pts: np.ndarray, order: int, backend: str = "analytic",
-            fd_step: float = None):
+            pts: np.ndarray, order: int):
     if cache is None:
-        return field_sample_upto(beam, pts, order, backend, fd_step)
-    return cache.sample(beam, pts, order, backend, fd_step)
+        return field_sample_upto(beam, pts, order)
+    return cache.sample(beam, pts, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +96,7 @@ class FieldComponentObservable:
                  cache: Optional[_ChunkSampleCache] = None
                  ) -> Tuple[np.ndarray, float]:
         e = _sample(cache, self.beam, points, 0).electric
-        ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
-        picked = {"sigma_plus": ex - 1.0j * ey,
-                  "sigma_minus": ex + 1.0j * ey,
-                  "z": ez}[self.component]
-        return picked, float(np.max(np.abs(e)))
+        return _circular(e)[self.component], float(np.max(np.abs(e)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,15 +106,12 @@ class TransitionObservable:
     beam: BeamSpec
     transition: TransitionSpec
     geometry: Geometry = None
-    backend: str = "analytic"
-    fd_step: float = None
 
     def __post_init__(self):
         if not isinstance(self.beam, BeamSpec):
             raise ConfigurationError("transition observable needs a BeamSpec")
         if not isinstance(self.transition, TransitionSpec):
             raise ConfigurationError("transition observable needs a TransitionSpec")
-        _check_backend(self.backend)
         if self.geometry is None:
             object.__setattr__(self, "geometry", Geometry())
 
@@ -139,13 +123,12 @@ class TransitionObservable:
     def evaluate(self, points: np.ndarray,
                  cache: Optional[_ChunkSampleCache] = None
                  ) -> Tuple[np.ndarray, float]:
-        order = 1 if self.transition.multipole.uses_gradient else 0
-        fs = _sample(cache, self.beam, points, order, self.backend, self.fd_step)
+        order = self.transition.multipole.field_order
+        fs = _sample(cache, self.beam, points, order)
         mu = relative_strength(fs, self.transition, self.geometry)
-        data = fs.jacobian if order else fs.electric
         # scale of the raw field data entering the contraction; a peak far
         # below it can only be cancellation residue
-        return mu, float(np.max(np.abs(data)))
+        return mu, float(np.max(np.abs(fs.block(order))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,26 +176,10 @@ class SidebandObservable:
     def evaluate(self, points: np.ndarray,
                  cache: Optional[_ChunkSampleCache] = None
                  ) -> Tuple[np.ndarray, float]:
-        trans = self.transition
-        grad_order = 2 if trans.multipole.uses_gradient else 1
-        req = self.request
-        if req.branch == "carrier":
-            fs = _sample(cache, self.beam, points, grad_order - 1)
-            vals = relative_strength(fs, trans, self.geometry)
-            data = fs.jacobian if grad_order - 1 else fs.electric
-            return vals, float(np.max(np.abs(data)))
-        # mirrors the point evaluator so map pixels match it bit for bit
-        factor = _ladder_factor(req)
-        if factor == 0.0:
-            return np.zeros(points.shape[:-1], dtype=complex), 1.0
-        idx = self.trap.mode_index(req.mode)
-        z0 = zero_point_length(self.trap.mass, self.trap.frequencies[idx])
-        fs = _sample(cache, self.beam, points, grad_order)
-        grad = strength_gradient(fs, trans, self.geometry)
-        vals = (grad @ self.trap.axes[idx]) * (z0 * factor)
-        data = fs.hessian if grad_order == 2 else fs.jacobian
-        ref = float(np.max(np.abs(data))) * z0 * factor
-        if self.eta_rescale:
+        sample = functools.partial(_sample, cache, self.beam)
+        vals, ref = _line_strength(sample, points, self.trap, self.request,
+                                   self.transition, self.geometry)
+        if self.eta_rescale and self.request.branch != "carrier":
             eta = self._eta()
             vals = vals / eta
             ref = ref / eta
@@ -285,18 +252,12 @@ class MapDataset:
     z_plane: float
     observable_name: str
     config: ScanConfig
-    provenance: Dict[str, str]
 
     def same_grid(self, other: "MapDataset") -> bool:
         return (self.values.shape == other.values.shape
                 and np.array_equal(self.x_centers, other.x_centers)
                 and np.array_equal(self.y_centers, other.y_centers)
                 and self.z_plane == other.z_plane)
-
-
-def _provenance() -> Dict[str, str]:
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return {"tool_version": _tool_version, "timestamp": stamp}
 
 
 def _finalize(config: ScanConfig, vals: np.ndarray, reference: float) -> MapDataset:
@@ -322,7 +283,6 @@ def _finalize(config: ScanConfig, vals: np.ndarray, reference: float) -> MapData
         z_plane=config.z_plane,
         observable_name=getattr(config.observable, "name", "observable"),
         config=config,
-        provenance=_provenance(),
     )
 
 

@@ -1,9 +1,9 @@
 """Exact small-quantum-number angular momentum algebra and orthogonal polynomials.
 
-Clebsch-Gordan coefficients and Wigner rotation matrices are evaluated from
-closed-form factorial sums with exact integer arithmetic (Fractions), so the
-results are correct to floating-point rounding for the small j used here.
-Condon-Shortley phase conventions throughout.
+Clebsch-Gordan coefficients are evaluated from Racah's closed-form factorial
+sum with exact integer arithmetic (Fractions), so the results are correct to
+floating-point rounding for the small j used here.  Condon-Shortley phase
+conventions throughout.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ __all__ = [
     "laguerre",
     "hermite",
     "clebsch_gordan",
-    "wigner_small_d",
-    "wigner_d_matrix",
     "rotation_matrix",
-    "euler_zyz",
-    "wigner_D_matrix",
 ]
 
 
@@ -201,58 +197,6 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
     return float(total) * math.sqrt(float(pref2))
 
 
-def wigner_small_d(j, m_out, m_in, theta: float) -> float:
-    """Wigner small-d matrix element d^j_{m_out, m_in}(theta).
-
-    Convention d^j_{m', m}(theta) = <j m'| exp(-i theta J_y) |j m>, evaluated
-    from the explicit factorial sum.
-    """
-    tj = halfint(j).twice
-    tmo = halfint(m_out).twice
-    tmi = halfint(m_in).twice
-    _check_jm(tj, tmo, "(j, m_out)")
-    _check_jm(tj, tmi, "(j, m_in)")
-
-    pref = math.sqrt(
-        _fact((tj + tmo) // 2)
-        * _fact((tj - tmo) // 2)
-        * _fact((tj + tmi) // 2)
-        * _fact((tj - tmi) // 2)
-    )
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    dm = (tmo - tmi) // 2  # m_out - m_in, always an integer
-    k_min = max(0, -dm)
-    k_max = min((tj + tmi) // 2, (tj - tmo) // 2)
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        den = (
-            _fact((tj + tmi) // 2 - k)
-            * _fact(k)
-            * _fact(dm + k)
-            * _fact((tj - tmo) // 2 - k)
-        )
-        sign = -1.0 if (dm + k) % 2 else 1.0
-        total += sign * c ** (tj - dm - 2 * k) * s ** (dm + 2 * k) / den
-    return pref * total
-
-
-def _m_values(tj: int):
-    """Magnetic quantum numbers for total j, ordered m = +j ... -j (twice-values)."""
-    return list(range(tj, -tj - 1, -2))
-
-
-def wigner_d_matrix(j, theta: float) -> np.ndarray:
-    """Real (2j+1)x(2j+1) matrix of d^j_{m', m}(theta), rows/cols ordered +j..-j."""
-    tj = halfint(j).twice
-    ms = _m_values(tj)
-    out = np.empty((len(ms), len(ms)))
-    for i, tmo in enumerate(ms):
-        for k, tmi in enumerate(ms):
-            out[i, k] = wigner_small_d(HalfInt(tj), HalfInt(tmo), HalfInt(tmi), theta)
-    return out
-
-
 def rotation_matrix(theta: float, axis) -> np.ndarray:
     """Active 3x3 rotation by angle theta about a (unit) axis, via Rodrigues."""
     axis = np.asarray(axis, dtype=float)
@@ -267,39 +211,4 @@ def rotation_matrix(theta: float, axis) -> np.ndarray:
         math.cos(theta) * np.eye(3)
         + math.sin(theta) * cross
         + (1.0 - math.cos(theta)) * np.outer(a, a)
-    )
-
-
-def euler_zyz(rot: np.ndarray):
-    """Decompose an active rotation matrix as Rz(alpha) @ Ry(beta) @ Rz(gamma)."""
-    rot = np.asarray(rot, dtype=float)
-    if rot.shape != (3, 3):
-        raise ValueError("expected a 3x3 rotation matrix")
-    sin_beta = math.hypot(rot[0, 2], rot[1, 2])
-    beta = math.atan2(sin_beta, rot[2, 2])
-    if sin_beta > 1e-12:
-        alpha = math.atan2(rot[1, 2], rot[0, 2])
-        gamma = math.atan2(rot[2, 1], -rot[2, 0])
-    elif rot[2, 2] > 0.0:  # beta ~ 0: only alpha + gamma is determined
-        alpha = math.atan2(rot[1, 0], rot[0, 0])
-        gamma = 0.0
-    else:  # beta ~ pi: only alpha - gamma is determined
-        alpha = math.atan2(-rot[1, 0], -rot[0, 0])
-        gamma = 0.0
-    return alpha, beta, gamma
-
-
-def wigner_D_matrix(j, theta: float, axis) -> np.ndarray:
-    """Complex Wigner D^j for an active rotation by theta about axis.
-
-    Element [i, k] = D^j_{m_i, m_k} = exp(-i m_i alpha) d^j_{m_i m_k}(beta)
-    exp(-i m_k gamma) with zyz Euler angles of the rotation; m ordered +j..-j.
-    A set of spherical components A_m transforms as A'_m = sum_m' D_{m m'} A_m'.
-    """
-    tj = halfint(j).twice
-    alpha, beta, gamma = euler_zyz(rotation_matrix(theta, axis))
-    ms = np.array(_m_values(tj)) / 2.0
-    small = wigner_d_matrix(HalfInt(tj), beta)
-    return (
-        np.exp(-1j * ms[:, None] * alpha) * small * np.exp(-1j * ms[None, :] * gamma)
     )

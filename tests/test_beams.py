@@ -4,7 +4,7 @@ Mode amplitudes are checked against an independent arbitrary-precision
 implementation written in the conventional real-beam-radius parametrization
 (beam radius w(z), wavefront curvature radius R(z), axial phase), which shares
 no code with the complex-parameter form used by the package.  Derivatives are
-checked against 4th-order central finite differences.
+checked against 4th-order central finite differences (`oracles`).
 """
 
 import math
@@ -18,18 +18,14 @@ from vectorlight.beams import (
     HGMode,
     LGMode,
     ModeTerm,
+    _mode_jet,
     field_components,
-    field_hessian,
-    field_jacobian,
-    field_sample,
-    hg_mode,
-    lg_mode,
+    field_sample_upto,
     make_radial_azimuthal,
-    vector_field,
 )
-from vectorlight.errors import ConfigurationError
 
 from conftest import WAIST, WAVELENGTH, make_five_beams
+from oracles import fd_hessian, fd_jacobian
 
 K = 2.0 * math.pi / WAVELENGTH
 ZR = 0.5 * K * WAIST**2
@@ -71,6 +67,21 @@ def hg_reference(m, n, w0, k, x, y, z):
 
 # ---------------------------------------------------------------------------
 # scalar modes
+
+
+def _profile(mode, waist, k, point):
+    """Scalar profile value(s) of one mode, no plane-wave factor."""
+    pts = np.asarray(point, dtype=float)
+    val = _mode_jet(mode, waist, k, np.atleast_2d(pts), 0).val
+    return val[0] if pts.ndim == 1 else val
+
+
+def lg_mode(l, p, waist, k, point):
+    return _profile(LGMode(l, p), waist, k, point)
+
+
+def hg_mode(m, n, waist, k, point):
+    return _profile(HGMode(m, n), waist, k, point)
 
 
 def test_lg_spot_values():
@@ -165,19 +176,19 @@ def test_aligned_vortex_pure_circular_component(probe_points):
     peak = np.max(np.abs(comps["sigma_plus"]))
     assert np.max(np.abs(comps["sigma_minus"])) < 1e-14 * peak
     # circular projections always recombine to 2 E_x
-    e = vector_field(beam, probe_points)
+    e = field_sample_upto(beam, probe_points, 0).electric
     recomb = comps["sigma_plus"] + comps["sigma_minus"]
     assert np.max(np.abs(recomb - 2.0 * e[..., 0])) < 1e-14 * peak
 
 
 def test_anti_aligned_vortex_fills_center():
     beam = BeamSpec.lg(1, 0, sigma=-1, waist=WAIST, wavelength=WAVELENGTH)
-    e0 = vector_field(beam, (0.0, 0.0, 0.0))
+    e0 = field_sample_upto(beam, (0.0, 0.0, 0.0), 0).electric
     assert e0[0] == 0.0 and e0[1] == 0.0
     assert abs(e0[2]) > 0.0
     # aligned combination has no on-axis longitudinal field
-    e1 = vector_field(BeamSpec.lg(1, 0, sigma=+1, waist=WAIST,
-                                  wavelength=WAVELENGTH), (0.0, 0.0, 0.0))
+    aligned = BeamSpec.lg(1, 0, sigma=+1, waist=WAIST, wavelength=WAVELENGTH)
+    e1 = field_sample_upto(aligned, (0.0, 0.0, 0.0), 0).electric
     assert np.all(e1 == 0.0)
 
 
@@ -189,7 +200,7 @@ def test_azimuthal_longitudinal_null():
         rng.uniform(-2 * WAIST, 2 * WAIST, 400),
         rng.uniform(-0.5 * ZR, 0.5 * ZR, 400),
     ])
-    e = vector_field(beam, pts)
+    e = field_sample_upto(beam, pts, 0).electric
     assert np.max(np.abs(e[:, 2])) < 1e-12 * np.max(np.abs(e[:, :2]))
 
 
@@ -201,7 +212,7 @@ def test_radial_beam_structure():
     # transverse part points along the radius (hedgehog pattern)
     for ang in (0.1, 1.2, 2.8, 4.4):
         p = (0.6 * WAIST * math.cos(ang), 0.6 * WAIST * math.sin(ang), 0.0)
-        e = vector_field(beam, p)
+        e = field_sample_upto(beam, p, 0).electric
         cross = e[0] * p[1] - e[1] * p[0]
         along = e[0] * p[0] + e[1] * p[1]
         assert abs(cross) < 1e-12 * abs(along)
@@ -209,7 +220,7 @@ def test_radial_beam_structure():
     azim = make_radial_azimuthal("azimuthal", WAIST, WAVELENGTH)
     for ang in (0.3, 2.1, 3.9):
         p = (0.6 * WAIST * math.cos(ang), 0.6 * WAIST * math.sin(ang), 0.0)
-        e = vector_field(azim, p)
+        e = field_sample_upto(azim, p, 0).electric
         along = e[0] * p[0] + e[1] * p[1]
         cross = e[0] * p[1] - e[1] * p[0]
         assert abs(along) < 1e-12 * abs(cross)
@@ -228,8 +239,9 @@ def test_radial_minus_azimuthal_is_single_term(probe_points):
     assert {t.mode.l for _, t in rad.terms} == {1, -1}
 
     second = BeamSpec.lg(-1, 0, sigma=+1, waist=WAIST, wavelength=WAVELENGTH)
-    diff = vector_field(rad, probe_points) - vector_field(azi, probe_points)
-    ref = math.sqrt(2.0) * vector_field(second, probe_points)
+    diff = (field_sample_upto(rad, probe_points, 0).electric
+            - field_sample_upto(azi, probe_points, 0).electric)
+    ref = math.sqrt(2.0) * field_sample_upto(second, probe_points, 0).electric
     assert np.max(np.abs(diff - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -240,9 +252,9 @@ def test_superposition_linearity(probe_points):
     combo = BeamSpec(((w1, t1), (w2, t2)), WAVELENGTH, WAIST)
     single1 = BeamSpec(((1.0, t1),), WAVELENGTH, WAIST)
     single2 = BeamSpec(((1.0, t2),), WAVELENGTH, WAIST)
-    lhs = vector_field(combo, probe_points)
-    rhs = (w1 * vector_field(single1, probe_points)
-           + w2 * vector_field(single2, probe_points))
+    lhs = field_sample_upto(combo, probe_points, 0).electric
+    rhs = (w1 * field_sample_upto(single1, probe_points, 0).electric
+           + w2 * field_sample_upto(single2, probe_points, 0).electric)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
@@ -252,7 +264,7 @@ def test_azimuthal_modulus_symmetry():
         angs = np.linspace(0.0, 2 * np.pi, 17)
         pts = np.column_stack([rho * np.cos(angs), rho * np.sin(angs),
                                np.full(angs.size, z)])
-        e = vector_field(beam, pts)
+        e = field_sample_upto(beam, pts, 0).electric
         mods = np.abs(e)
         assert np.max(mods.max(axis=0) - mods.min(axis=0)) < 1e-10 * mods.max()
 
@@ -264,7 +276,7 @@ def test_phase_winding_matches_vortex_charge():
         pts = np.column_stack([0.1 * WAIST * np.cos(angs),
                                0.1 * WAIST * np.sin(angs),
                                np.zeros(angs.size)])
-        ph = np.angle(vector_field(beam, pts)[:, 0])
+        ph = np.angle(field_sample_upto(beam, pts, 0).electric[:, 0])
         winding = np.sum(np.angle(np.exp(1j * np.diff(ph)))) / (2 * np.pi)
         assert abs(winding - l) < 1e-6
 
@@ -274,8 +286,8 @@ def test_traveling_wave_phase_applied_once():
     # change negligibly over dz << zR while the plane-wave phase is exact
     beam = BeamSpec.lg(0, 0, sigma=+1, waist=WAIST, wavelength=WAVELENGTH)
     dz = 1e-9
-    e0 = vector_field(beam, (0.0, 0.0, 0.0))[0]
-    e1 = vector_field(beam, (0.0, 0.0, dz))[0]
+    e0 = field_sample_upto(beam, (0.0, 0.0, 0.0), 0).electric[0]
+    e1 = field_sample_upto(beam, (0.0, 0.0, dz), 0).electric[0]
     phase = np.angle(e1 / e0)
     # Gouy contributes -dz/zR; remove it and compare to k*dz
     assert abs(phase - (K * dz - dz / ZR)) < 1e-9 * K * dz
@@ -287,32 +299,35 @@ def test_traveling_wave_phase_applied_once():
 
 @pytest.mark.parametrize("name,beam", make_five_beams())
 def test_jacobian_against_fd(name, beam, probe_points):
-    ja = field_jacobian(beam, probe_points)
-    jf = field_jacobian(beam, probe_points, backend="fd")
+    ja = field_sample_upto(beam, probe_points, 1).jacobian
+    jf = fd_jacobian(beam, probe_points)
     assert np.max(np.abs(ja - jf)) < 1e-6 * np.max(np.abs(jf))
 
 
 @pytest.mark.parametrize("name,beam", make_five_beams())
 def test_hessian_against_fd(name, beam, probe_points):
-    ha = field_hessian(beam, probe_points)
-    hf = field_hessian(beam, probe_points, backend="fd")
+    ha = field_sample_upto(beam, probe_points, 2).hessian
+    hf = fd_hessian(beam, probe_points)
     assert np.max(np.abs(ha - hf)) < 1e-5 * np.max(np.abs(hf))
 
 
 def test_hessian_symmetry(five_beams, probe_points):
     for _, beam in five_beams:
-        h = field_hessian(beam, probe_points)
+        h = field_sample_upto(beam, probe_points, 2).hessian
         asym = np.abs(h - np.swapaxes(h, -3, -2))
         assert np.max(asym) < 1e-10 * np.max(np.abs(h))
 
 
 def test_field_sample_consistency(probe_points):
+    # a deeper sample repeats the shallower blocks bit for bit
     beam = make_five_beams()[1][1]
-    fs = field_sample(beam, probe_points)
-    assert np.array_equal(fs.electric, vector_field(beam, probe_points))
-    assert np.array_equal(fs.jacobian, field_jacobian(beam, probe_points))
-    assert np.array_equal(fs.hessian, field_hessian(beam, probe_points))
-    single = field_sample(beam, probe_points[3])
+    fs = field_sample_upto(beam, probe_points, 2)
+    for order in (0, 1):
+        low = field_sample_upto(beam, probe_points, order)
+        for k in range(order + 1):
+            assert np.array_equal(low.block(k), fs.block(k))
+        assert low.block(order + 1) is None
+    single = field_sample_upto(beam, probe_points[3], 2)
     assert single.electric.shape == (3,)
     assert single.jacobian.shape == (3, 3)
     assert single.hessian.shape == (3, 3, 3)
@@ -320,23 +335,15 @@ def test_field_sample_consistency(probe_points):
 
 def test_gaussian_peak_stationary():
     beam = BeamSpec.lg(0, 0, sigma=+1, waist=WAIST, wavelength=WAVELENGTH)
-    j = field_jacobian(beam, (0.0, 0.0, 0.0))
+    j = field_sample_upto(beam, (0.0, 0.0, 0.0), 1).jacobian
     assert j[0, 0] == 0.0 and j[1, 1] == 0.0
 
 
 def test_azimuthal_dz_ez_zero(probe_points):
     beam = make_radial_azimuthal("azimuthal", WAIST, WAVELENGTH)
-    j = field_jacobian(beam, probe_points)
+    j = field_sample_upto(beam, probe_points, 1).jacobian
     scale = np.max(np.abs(j))
     assert np.max(np.abs(j[..., 2, 2])) < 1e-12 * scale
-
-
-def test_unknown_backend_rejected():
-    beam = BeamSpec.lg(0, 0, waist=WAIST, wavelength=WAVELENGTH)
-    with pytest.raises(ConfigurationError):
-        field_jacobian(beam, (0.0, 0.0, 0.0), backend="autodiff")
-    with pytest.raises(ConfigurationError):
-        field_sample(beam, (0.0, 0.0, 0.0), backend="")
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +356,7 @@ def test_paraxial_longitudinal_suppression():
     xs = np.linspace(-1.5 * w0, 1.5 * w0, 21)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel(), np.zeros(X.size)], axis=-1)
-    e = vector_field(beam, pts)
+    e = field_sample_upto(beam, pts, 0).electric
     assert np.max(np.abs(e[:, 2])) < 1e-3 * np.max(np.abs(e[:, :2]))
 
 
@@ -357,8 +364,8 @@ def test_plane_wave_limit_second_z_derivative():
     w0 = 1000 * WAVELENGTH
     beam = BeamSpec.lg(0, 0, sigma=+1, waist=w0, wavelength=WAVELENGTH)
     pt = (0.3 * w0, -0.1 * w0, 0.0)
-    h = field_hessian(beam, pt)
-    e = vector_field(beam, pt)
+    h = field_sample_upto(beam, pt, 2).hessian
+    e = field_sample_upto(beam, pt, 0).electric
     assert abs(h[2, 2, 0] + K**2 * e[0]) < 1e-3 * abs(K**2 * e[0])
 
 
@@ -366,7 +373,7 @@ def _divergence_residual(beam, half, n=64):
     xs = np.linspace(-half, half, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel(), np.zeros(X.size)], axis=-1)
-    fs = field_sample(beam, pts)
+    fs = field_sample_upto(beam, pts, 2)
     div = np.einsum("...ii->...", fs.jacobian)
     return np.max(np.abs(div)) / (beam.wavenumber * np.max(np.abs(fs.electric)))
 

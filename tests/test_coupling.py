@@ -14,7 +14,7 @@ import pytest
 from vectorlight.beams import (
     BeamSpec,
     FieldSample,
-    field_sample,
+    field_sample_upto,
     make_radial_azimuthal,
 )
 from vectorlight.coupling import (
@@ -122,12 +122,12 @@ def test_geometry_validation():
 
 
 def _axis_sample(beam):
-    return field_sample(beam, (0.0, 0.0, 0.0))
+    return field_sample_upto(beam, (0.0, 0.0, 0.0), 2)
 
 
 def test_selection_rules_exact_zero(probe_points):
     beam = BeamSpec.lg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
-    fs = field_sample(beam, probe_points)
+    fs = field_sample_upto(beam, probe_points, 2)
     # projection change beyond the tensor rank
     t = TransitionSpec("1/2", "-1/2", "5/2", "5/2", Multipole.E2_DJ2)
     mu = relative_strength(fs, t)
@@ -189,8 +189,8 @@ def test_mirror_symmetry_of_strengths():
     m1 = HalfInt(1)
     t_plus = transition(+2, m1=m1)
     t_minus = TransitionSpec("1/2", m1, "5/2", m1 + HalfInt(-4), Multipole.E2_DJ2)
-    mu1 = relative_strength(field_sample(b1, pt), t_plus)
-    mu2 = relative_strength(field_sample(b2, mirrored), t_minus)
+    mu1 = relative_strength(field_sample_upto(b1, pt, 2), t_plus)
+    mu2 = relative_strength(field_sample_upto(b2, mirrored, 2), t_minus)
     # reflection x -> x, y -> -y maps the beam pair onto each other; the CG
     # weights differ between +2 and -2, so compare slot contractions
     cg_plus = 1.0
@@ -217,7 +217,7 @@ def test_rotation_matches_field_rotation_oracle(multipole, five_beams, probe_poi
     dm = 1 if multipole.delta_j == 1 else 2
     trans = transition(dm, multipole=multipole)
     for _, beam in five_beams:
-        fs = field_sample(beam, probe_points)
+        fs = field_sample_upto(beam, probe_points, 2)
         for theta in thetas:
             for axis in axes:
                 geom = Geometry(theta, axis)
@@ -262,10 +262,10 @@ def test_batch_matches_pointwise(probe_points):
     beam = make_radial_azimuthal("radial", WAIST, WAVELENGTH)
     trans = transition(1)
     geom = Geometry(math.pi / 4)
-    fs = field_sample(beam, probe_points)
+    fs = field_sample_upto(beam, probe_points, 2)
     batch = relative_strength(fs, trans, geom)
     for i in range(probe_points.shape[0]):
-        single = relative_strength(field_sample(beam, probe_points[i]), trans, geom)
+        single = relative_strength(field_sample_upto(beam, probe_points[i], 2), trans, geom)
         assert batch[i] == single
 
 
@@ -275,14 +275,14 @@ def test_strength_gradient_against_fd(multipole):
     trans = transition(multipole.delta_j, multipole=multipole)
     geom = Geometry(math.pi / 6)
     pt = np.array([0.4 * WAIST, -0.2 * WAIST, 0.1 * WAIST])
-    grad = strength_gradient(field_sample(beam, pt), trans, geom)
+    grad = strength_gradient(field_sample_upto(beam, pt, 2), trans, geom)
     h = 1e-10
     for i in range(3):
         step = np.zeros(3)
         step[i] = h
 
         def mu(s):
-            return relative_strength(field_sample(beam, pt + s * step), trans, geom)
+            return relative_strength(field_sample_upto(beam, pt + s * step, 2), trans, geom)
 
         fd = (mu(-2.0) - 8.0 * mu(-1.0) + 8.0 * mu(1.0) - mu(2.0)) / (12.0 * h)
         assert abs(grad[i] - fd) < 1e-6 * max(abs(fd), 1e-300)
@@ -291,7 +291,7 @@ def test_strength_gradient_against_fd(multipole):
 def test_strength_gradient_selection_zero():
     beam = BeamSpec.lg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
     t = TransitionSpec("1/2", "-1/2", "5/2", "5/2", Multipole.E2_DJ2)
-    g = strength_gradient(field_sample(beam, (0.0, 0.0, 0.0)), t)
+    g = strength_gradient(field_sample_upto(beam, (0.0, 0.0, 0.0), 2), t)
     assert g.shape == (3,)
     assert np.all(g == 0.0)
 
@@ -304,7 +304,7 @@ def test_averaging_point_limit():
     beam = BeamSpec.lg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
     trans = transition(1, multipole=Multipole.E2_DJ1)
     pt = (0.4 * WAIST, -0.2 * WAIST, 0.1 * WAIST)
-    mu_pt = relative_strength(field_sample(beam, pt), trans)
+    mu_pt = relative_strength(field_sample_upto(beam, pt, 2), trans)
     mu_avg = averaged_strength(beam, pt, (1e-6 * WAIST,) * 3, trans)
     assert abs(mu_avg - mu_pt) < 1e-6 * abs(mu_pt)
 
@@ -314,7 +314,7 @@ def test_averaging_at_vortex_core():
     trans = transition(1, multipole=Multipole.E2_DJ1)
     widths = (60e-9,) * 3
     center = (0.0, 0.0, 0.0)
-    assert relative_strength(field_sample(beam, center), trans) == 0.0
+    assert relative_strength(field_sample_upto(beam, center, 2), trans) == 0.0
     # odd integrand: the amplitude average stays zero, the RMS does not
     amp = averaged_strength(beam, center, widths, trans)
     rms = averaged_strength_rms(beam, center, widths, trans)

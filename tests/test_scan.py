@@ -13,6 +13,7 @@ from vectorlight import (
     BeamSpec,
     ConfigurationError,
     FieldComponentObservable,
+    FieldSample,
     Geometry,
     MapDataset,
     NumericalError,
@@ -24,10 +25,14 @@ from vectorlight import (
     TrapSpec,
     compare_maps,
     make_radial_azimuthal,
+    field_sample_upto,
+    relative_strength,
     run_scan,
     run_scans,
 )
 from vectorlight.motion import lamb_dicke, sideband_strength_at
+
+from oracles import fd_jacobian
 
 W0 = 1.0e-6
 WAVELENGTH = 0.729e-6
@@ -84,8 +89,6 @@ def test_observable_validation():
         FieldComponentObservable("lg", "z")
     with pytest.raises(ConfigurationError):
         TransitionObservable(lg_beam(), "not a transition")
-    with pytest.raises(ConfigurationError):
-        TransitionObservable(lg_beam(), quad_transition(0), backend="magic")
     with pytest.raises(ConfigurationError):
         SidebandObservable(lg_beam(), trap(), "X", quad_transition(1))
 
@@ -260,12 +263,27 @@ def test_compare_maps_statistics():
     assert 0.0 < stats["rms_diff"] <= stats["max_abs_diff"]
 
 
+class FDTransitionObservable:
+    """E2 strength contracted with the finite-difference jacobian oracle."""
+
+    name = "mu:fd"
+
+    def __init__(self, beam, transition):
+        self.beam = beam
+        self.transition = transition
+
+    def evaluate(self, points):
+        fs = FieldSample(field_sample_upto(self.beam, points, 0).electric,
+                         fd_jacobian(self.beam, points), None)
+        mu = relative_strength(fs, self.transition)
+        return mu, float(np.max(np.abs(fs.jacobian)))
+
+
 def test_analytic_vs_fd_backend_maps_agree():
     ext = (-1.5 * W0, 1.5 * W0, -1.5 * W0, 1.5 * W0)
     t = quad_transition(1)
     a = run_scan(ScanConfig(TransitionObservable(lg_beam(), t), ext, (24, 24)))
-    f = run_scan(ScanConfig(TransitionObservable(lg_beam(), t, backend="fd"),
-                            ext, (24, 24)))
+    f = run_scan(ScanConfig(FDTransitionObservable(lg_beam(), t), ext, (24, 24)))
     assert compare_maps(a, f)["max_abs_diff"] < 1e-6
 
 
@@ -320,10 +338,9 @@ def test_ground_state_red_sideband_scan_is_zero_map():
     assert np.all(d.values == 0.0)
 
 
-def test_map_dataset_provenance_and_names():
+def test_map_dataset_names():
     d = run_scan(ScanConfig(TransitionObservable(lg_beam(), quad_transition(2)),
                             EXTENT, (8, 8)))
-    assert set(d.provenance) == {"tool_version", "timestamp"}
     assert d.observable_name == "mu:dm=+2:E2_dJ2"
     assert isinstance(d, MapDataset)
     assert d.same_grid(d)

@@ -14,15 +14,13 @@ import pytest
 from vectorlight.special import (
     HalfInt,
     clebsch_gordan,
-    euler_zyz,
     halfint,
     hermite,
     laguerre,
     rotation_matrix,
-    wigner_D_matrix,
-    wigner_d_matrix,
-    wigner_small_d,
 )
+
+from oracles import euler_zyz, wigner_D_matrix, wigner_d_matrix, wigner_small_d
 
 
 # ---------------------------------------------------------------- oracles
