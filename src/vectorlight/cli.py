@@ -45,6 +45,10 @@ _COMPONENT_STEMS = {"z": "Ez", "sigma_plus": "sigma_plus",
 
 _AXIS_NAMES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
+# comma lists whose first number may be negative: argparse reads a separate
+# "-1,1,-1,1" as an unknown flag, so these take their next token as the value
+_SIGNED_LIST_FLAGS = ("--extent-um", "--position-um")
+
 
 # --------------------------------------------------------------- run files
 #
@@ -691,9 +695,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_lists(argv: Sequence[str]) -> List[str]:
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in _SIGNED_LIST_FLAGS:
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_lists(
+        sys.argv[1:] if argv is None else argv))
     if getattr(args, "_beam_required", False) and not args.run_file \
             and not args.beam:
         parser.exit(2, f"{parser.prog}: error: missing required field "

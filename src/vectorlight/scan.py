@@ -10,9 +10,14 @@ beam) is stored as an exact zero map with scale factor 0.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import inspect
+import logging
 import math
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +43,11 @@ __all__ = [
 # reference magnitude is reported as identically zero
 ZERO_FLOOR = 1e-13
 
-_CHUNK = 8192
+# points per chunk: two chunks in flight need less memory than one chunk of
+# 8192 did, which leaves room for a caller still holding its previous maps
+_CHUNK = 3072
+
+_log = logging.getLogger(__name__)
 
 _COMPONENTS = ("sigma_plus", "sigma_minus", "z")
 
@@ -293,13 +302,62 @@ def _accepts_cache(observable) -> bool:
         return False
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _scan_chunk(configs, members, cached, pts, vals, chunk_size,
+                start) -> List[float]:
+    """Evaluate every group member on one chunk into its slice of `vals`.
+
+    Returns the members' references for this chunk.  Each call has its own
+    sample cache, so concurrent chunks share only disjoint slices of `vals`.
+    """
+    chunk = pts[start:start + chunk_size]
+    cache = _ChunkSampleCache()
+    refs = []
+    for i in members:
+        obs = configs[i].observable
+        v, r = obs.evaluate(chunk, cache) if cached[i] \
+            else obs.evaluate(chunk)
+        vals[i][start:start + v.shape[0]] = v
+        refs.append(r)
+    return refs
+
+
+def _map_chunks(body, starts, workers: int) -> List[List[float]]:
+    """body(start) for every start, in order; the earliest failure raises."""
+    if workers == 1:
+        return [body(s) for s in starts]
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="vectorlight-scan")
+    try:
+        # each chunk runs in a copy of the caller's context, so settings
+        # such as numpy's errstate hold in the workers as they do serially
+        futures = [pool.submit(contextvars.copy_context().run, body, s)
+                   for s in starts]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_scans(configs: Sequence[ScanConfig],
               chunk_size: int = _CHUNK) -> List[MapDataset]:
     """Run several scans, reusing field evaluations across same-grid maps.
 
     Scans sharing a grid are walked chunk by chunk together so observables
-    built on the same beam draw on one field evaluation.  Results are
-    bitwise identical to running each scan alone, in the input order.
+    built on the same beam draw on one field evaluation.  The chunks of a
+    grid run on a thread pool of min(chunks, usable CPUs) workers, usable
+    CPUs taken from the process's CPU affinity; a single chunk or a single
+    CPU runs in the calling thread.  An observable must therefore be safe
+    to call from several threads at once (the built-in ones are pure).
+    Memory grows with workers x chunk_size.  Results are bitwise identical
+    to a serial run and to running each scan alone, in the input order; if
+    chunks raise, the exception of the earliest one in grid order
+    propagates.  One debug record per grid on the ``vectorlight.scan``
+    logger reports its maps, points, chunks, workers and elapsed seconds.
     """
     configs = list(configs)
     out: List[MapDataset] = [None] * len(configs)
@@ -308,22 +366,24 @@ def run_scans(configs: Sequence[ScanConfig],
         key = (cfg.extent, cfg.resolution, cfg.z_plane)
         groups.setdefault(key, []).append(i)
     for members in groups.values():
+        t0 = time.perf_counter()
         pts = configs[members[0]].grid_points()
         n = pts.shape[0]
         vals = {i: np.empty(n, dtype=complex) for i in members}
-        refs = {i: 0.0 for i in members}
         cached = {i: _accepts_cache(configs[i].observable) for i in members}
-        for start in range(0, n, chunk_size):
-            chunk = pts[start:start + chunk_size]
-            cache = _ChunkSampleCache()
-            for i in members:
-                obs = configs[i].observable
-                v, r = obs.evaluate(chunk, cache) if cached[i] \
-                    else obs.evaluate(chunk)
-                vals[i][start:start + v.shape[0]] = v
-                refs[i] = max(refs[i], r)
-        for i in members:
-            out[i] = _finalize(configs[i], vals[i], refs[i])
+        starts = range(0, n, chunk_size)
+        workers = min(len(starts), _usable_cpus())
+        body = functools.partial(_scan_chunk, configs, members, cached, pts,
+                                 vals, chunk_size)
+        chunk_refs = _map_chunks(body, starts, workers)
+        for k, i in enumerate(members):
+            ref = 0.0
+            for refs in chunk_refs:
+                ref = max(ref, refs[k])
+            out[i] = _finalize(configs[i], vals[i], ref)
+        _log.debug("scanned %d maps on %d points in %d chunks with %d "
+                   "workers: %.3f s", len(members), n, len(starts), workers,
+                   time.perf_counter() - t0)
     return out
 
 

@@ -10,6 +10,9 @@ import os
 import numpy as np
 import pytest
 
+import vectorlight.scan as scan_module
+from vectorlight import FieldComponentObservable, ScanConfig, run_scans
+from vectorlight.beams import BeamSpec
 from vectorlight.cli import load_map_csv, main
 
 
@@ -105,6 +108,33 @@ def test_sidecar_run_echo_reproduces_bit_identical_csv(tmp_path):
     assert run(["transition-map", "--run-file", echo, "-o", out2]) == 0
     assert (out1 / "mu_dm_0.csv").read_bytes() == (out2 / "mu_dm_0.csv").read_bytes()
     assert (out1 / "mu_dm_0.json").read_bytes() == (out2 / "mu_dm_0.json").read_bytes()
+
+
+def test_scan_telemetry_is_logged_out_of_band(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(scan_module, "_usable_cpus", lambda: 2)
+    beam = BeamSpec.lg(1, 0, sigma=1, waist=1e-6, wavelength=0.729e-6)
+    ext = (-2e-6, 2e-6, -2e-6, 2e-6)
+    cfgs = [ScanConfig(FieldComponentObservable(beam, "z"), ext, (16, 16)),
+            ScanConfig(FieldComponentObservable(beam, "z"), ext, (8, 8)),
+            ScanConfig(FieldComponentObservable(beam, "sigma_plus"), ext,
+                       (16, 16))]
+    with caplog.at_level("DEBUG", logger="vectorlight.scan"):
+        run_scans(cfgs, chunk_size=100)
+        assert run(["field-map", "--beam", "lg:1", "--resolution", "24,24",
+                    "-o", tmp_path / "on"]) == 0
+    records = [r for r in caplog.records if r.name == "vectorlight.scan"]
+    assert all(r.levelname == "DEBUG" for r in records)
+    # one record per grid: maps, points, chunks, workers, elapsed seconds
+    assert [r.args[:4] for r in records] == [
+        (2, 256, 3, 2), (1, 64, 1, 1), (3, 576, 1, 1)]
+    assert all(r.args[4] > 0.0 for r in records)
+    assert run(["field-map", "--beam", "lg:1", "--resolution", "24,24",
+                "-o", tmp_path / "off"]) == 0
+    for stem in ("field_Ez", "field_sigma_plus", "field_sigma_minus"):
+        for suffix in (".csv", ".json"):
+            name = stem + suffix
+            on = (tmp_path / "on" / name).read_bytes()
+            assert on == (tmp_path / "off" / name).read_bytes()
 
 
 # ---------------------------------------------------------- transition-map
@@ -236,6 +266,26 @@ def test_point_accepts_off_axis_position(capsys):
     jac = np.array(rec["jacobian"])
     assert jac.shape == (3, 3, 2)
     assert np.any(jac != 0.0)
+
+
+@pytest.mark.parametrize("flag, value, extra", [
+    ("--extent-um", "-1,1,-1,1", ["transition-map", "--resolution", "8,8"]),
+    ("--position-um", "-0.3,0,0", ["point"]),
+])
+def test_signed_comma_list_may_follow_its_flag(tmp_path, capsys, flag, value,
+                                               extra):
+    outputs = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / str(len(outputs))
+        args = extra + ["--beam", "lg:1"] + form
+        if extra[0] != "point":
+            args += ["-o", out]
+        assert run(args) == 0
+        files = sorted(out.iterdir()) if out.exists() else []
+        outputs.append((capsys.readouterr().out.replace(str(out), ""),
+                        [(p.name, p.read_bytes()) for p in files]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]
 
 
 # ------------------------------------------------- compare, gnuplot-matrix

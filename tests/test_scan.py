@@ -6,9 +6,14 @@ rho = w0/sqrt(2) (set the radial derivative to zero).  Grid assertions
 locate peaks only to within one cell.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import vectorlight.scan as scan_module
 from vectorlight import (
     BeamSpec,
     ConfigurationError,
@@ -162,14 +167,86 @@ def test_store_complex_keeps_phase_and_unit_peak():
 # ------------------------------------------------------------ determinism
 
 
-def test_chunk_size_does_not_change_results():
-    cfg = ScanConfig(TransitionObservable(lg_beam(), quad_transition(1)),
-                     EXTENT, (64, 64))
-    base = run_scan(cfg)
-    for chunk in (512, 977, 64 * 64 + 1):
-        other = run_scan(cfg, chunk_size=chunk)
-        assert np.array_equal(base.values, other.values)
-        assert base.scale_factor == other.scale_factor
+class _ReferenceFromNegativeX:
+    """A zero map only while the map's reference is the largest chunk's."""
+
+    name = "reference-from-negative-x"
+
+    def evaluate(self, points):
+        ref = 1.0 if np.any(points[:, 0] < 0.0) else 1e-3
+        return np.full(points.shape[0], 1e-14 + 0j), ref
+
+
+def test_chunk_size_does_not_change_results(monkeypatch):
+    b = lg_beam()
+    mixed = [FieldComponentObservable(b, "z"),
+             TransitionObservable(b, quad_transition(1)),
+             SidebandObservable(b, trap(), SidebandRequest("X", 0, "bsb"),
+                                quad_transition(1)),
+             _ReferenceFromNegativeX()]
+    # (observables, usable CPUs): one map serially, then a group on 2 and,
+    # with a short switch interval, 8 workers; chunk 977 splits the 4096
+    # points into 5 chunks, the last ragged
+    cases = [([TransitionObservable(b, quad_transition(1))], 1), (mixed, 2),
+             (mixed, 8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for observables, cpus in cases:
+            monkeypatch.setattr(scan_module, "_usable_cpus", lambda: cpus)
+            cfgs = [ScanConfig(obs, EXTENT, (64, 64)) for obs in observables]
+            base = run_scans(cfgs, chunk_size=64 * 64)
+            for chunk in (512, 977, 64 * 64 + 1):
+                for one, other in zip(base, run_scans(cfgs, chunk_size=chunk)):
+                    assert np.array_equal(one.values, other.values)
+                    assert one.scale_factor == other.scale_factor
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+def test_parallel_chunk_error_is_the_earliest_and_leaves_no_threads(monkeypatch):
+    monkeypatch.setattr(scan_module, "_usable_cpus", lambda: 2)
+    cfg = ScanConfig(FieldComponentObservable(lg_beam(), "z"), EXTENT, (16, 16))
+    chunk = 32
+    grid = cfg.grid_points()
+    threads = set()
+
+    class FailsFromThirdChunk:
+        name = "fails"
+
+        def evaluate(self, points):
+            threads.add(threading.get_ident())
+            k = int(np.flatnonzero(np.all(grid == points[0], axis=1))[0]) // chunk
+            if k == 2:
+                time.sleep(0.05)  # later chunks fail first in wall time
+            if k >= 2:
+                raise _ChunkFailure(k)
+            return np.ones(points.shape[0], dtype=complex), 1.0
+
+    before = threading.active_count()
+    with pytest.raises(_ChunkFailure) as info:
+        run_scan(ScanConfig(FailsFromThirdChunk(), EXTENT, (16, 16)),
+                 chunk_size=chunk)
+    assert info.value.args == (2,)
+    assert threads and threading.get_ident() not in threads
+    assert threading.active_count() == before
+
+
+def test_parallel_chunks_keep_the_callers_numpy_errstate(monkeypatch):
+    monkeypatch.setattr(scan_module, "_usable_cpus", lambda: 2)
+
+    class Overflows:
+        name = "overflows"
+
+        def evaluate(self, points):
+            return np.full(points.shape[0], 1e308) * 10.0 + 0j, 1.0
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        run_scan(ScanConfig(Overflows(), EXTENT, (16, 16)), chunk_size=64)
 
 
 def test_grouped_run_matches_solo_runs_bitwise():
