@@ -349,6 +349,14 @@ def field_components(spec: BeamSpec, point) -> Dict[str, np.ndarray]:
     return _circular(field_sample_upto(spec, point, 0).electric)
 
 
+def _batch_first(blocks, nderiv: int) -> np.ndarray:
+    """Stack E_j derivative blocks (derivative axes first, as jets keep them)
+    into one C-contiguous array: batch axes, derivative indices, then j."""
+    arr = np.stack(blocks, axis=-1)
+    return np.ascontiguousarray(
+        np.moveaxis(arr, range(nderiv), range(-nderiv - 1, -1)))
+
+
 def field_sample_upto(spec: BeamSpec, point, order: int) -> FieldSample:
     """Field plus derivatives up to `order` (0..2); deeper blocks are None.
 
@@ -359,10 +367,9 @@ def field_sample_upto(spec: BeamSpec, point, order: int) -> FieldSample:
         raise ValueError("order must be 0, 1, or 2")
     pts, single = _as_points(point)
     jets = _field_jets(spec, pts, order)
-    # component j varies along the last axis, derivative indices before it
     e = np.stack([j.val for j in jets], axis=-1)
-    jac = np.stack([j.g for j in jets], axis=-1) if order >= 1 else None
-    hess = np.stack([j.h for j in jets], axis=-1) if order >= 2 else None
+    jac = _batch_first([j.g for j in jets], 1) if order >= 1 else None
+    hess = _batch_first([j.h for j in jets], 2) if order >= 2 else None
     if single:
         return FieldSample(e[0], None if jac is None else jac[0],
                            None if hess is None else hess[0])

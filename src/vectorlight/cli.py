@@ -152,21 +152,61 @@ def _beam_doc_from_flag(text: str, sigma, waist_um: float,
     return doc
 
 
+# ------------------------------------------------------ run-document values
+
+
+def _read(doc: dict, path: str, key: str, convert, default=None):
+    """doc[key] (or `default`) through `convert`; a bad value is a
+    ConfigurationError naming its field path, e.g. 'beam.l'."""
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        where = f"{path}.{key}" if path else key
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(number)
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not value > 0.0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return value
+
+
+def _numbers(convert, count: int):
+    """Converter of a list of exactly `count` values, each through `convert`."""
+    def parse(value):
+        if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
+            raise TypeError(f"expected a list of {count} numbers, got {value!r}")
+        if len(value) != count:
+            raise ValueError(f"needs {count} values, got {len(value)}")
+        return tuple(convert(v) for v in value)
+    return parse
+
+
 def _build_beam(doc: dict) -> BeamSpec:
-    waist = float(doc.get("waist_um", 1.0)) * UM
-    wavelength = float(doc.get("wavelength_um", 0.729)) * UM
+    waist = _read(doc, "beam", "waist_um", _positive, 1.0) * UM
+    wavelength = _read(doc, "beam", "wavelength_um", _positive, 0.729) * UM
     kind = doc.get("type")
     if kind in ("radial", "azimuthal"):
         return make_radial_azimuthal(kind, waist=waist, wavelength=wavelength)
     sigma = _parse_sigma(doc.get("sigma", 1))
-    if kind == "lg":
-        return BeamSpec.lg(int(doc.get("l", 0)), int(doc.get("p", 0)),
-                           sigma=sigma, waist=waist, wavelength=wavelength)
-    if kind == "hg":
-        return BeamSpec.hg(int(doc.get("m", 0)), int(doc.get("n", 0)),
-                           sigma=sigma, waist=waist, wavelength=wavelength)
-    raise ConfigurationError(
-        f"beam.type must be lg, hg, radial, or azimuthal, got {kind!r}")
+    indices = {"lg": ("l", "p"), "hg": ("m", "n")}.get(kind)
+    if indices is None:
+        raise ConfigurationError(
+            f"beam.type must be lg, hg, radial, or azimuthal, got {kind!r}")
+    a, b = (_read(doc, "beam", key, _integer, 0) for key in indices)
+    try:
+        return getattr(BeamSpec, kind)(a, b, sigma=sigma, waist=waist,
+                                       wavelength=wavelength)
+    except ValueError as exc:
+        raise ConfigurationError(f"beam: {exc}") from exc
 
 
 def _build_transition(doc: dict, dm: Optional[int] = None) -> TransitionSpec:
@@ -187,7 +227,7 @@ def _build_transition(doc: dict, dm: Optional[int] = None) -> TransitionSpec:
 
 
 def _build_geometry(doc: dict) -> Geometry:
-    theta = math.radians(float(doc.get("theta_deg", 0.0)))
+    theta = math.radians(_read(doc, "geometry", "theta_deg", float, 0.0))
     axis = doc.get("axis", "y")
     if isinstance(axis, str):
         try:
@@ -201,12 +241,11 @@ def _build_geometry(doc: dict) -> Geometry:
 
 
 def _build_trap(doc: dict) -> TrapSpec:
-    mass = float(doc.get("mass_amu", 40.0))
-    freqs = doc.get("frequencies_mhz", (1.0, 1.0, 1.0))
-    if len(freqs) != 3:
-        raise ConfigurationError("trap.frequencies_mhz needs three values")
+    mass = _read(doc, "trap", "mass_amu", float, 40.0)
+    freqs = _read(doc, "trap", "frequencies_mhz", _numbers(float, 3),
+                  (1.0, 1.0, 1.0))
     try:
-        return TrapSpec.from_lab_units(mass, tuple(float(f) for f in freqs))
+        return TrapSpec.from_lab_units(mass, freqs)
     except ValueError as exc:
         raise ConfigurationError(f"trap: {exc}") from exc
 
@@ -215,22 +254,19 @@ def _build_scan_grid(doc: dict, beam_doc: dict) -> dict:
     """Resolve the grid document, defaulting the extent to +/-2 waists."""
     out = dict(doc)
     if "extent_um" not in out:
-        w = float(beam_doc.get("waist_um", 1.0))
+        w = _read(beam_doc, "beam", "waist_um", _positive, 1.0)
         out["extent_um"] = [-2.0 * w, 2.0 * w, -2.0 * w, 2.0 * w]
     out.setdefault("resolution", [256, 256])
     out.setdefault("z_plane_um", 0.0)
-    if len(out["extent_um"]) != 4:
-        raise ConfigurationError("grid.extent_um needs four values")
-    if len(out["resolution"]) != 2:
-        raise ConfigurationError("grid.resolution needs two values")
     return out
 
 
 def _scan_config(observable, grid_doc: dict) -> ScanConfig:
-    extent = tuple(float(v) * UM for v in grid_doc["extent_um"])
-    res = tuple(int(v) for v in grid_doc["resolution"])
-    return ScanConfig(observable, extent, res,
-                      z_plane=float(grid_doc["z_plane_um"]) * UM)
+    extent = _read(grid_doc, "grid", "extent_um", _numbers(float, 4))
+    res = _read(grid_doc, "grid", "resolution", _numbers(_integer, 2))
+    z_plane = _read(grid_doc, "grid", "z_plane_um", float)
+    return ScanConfig(observable, tuple(v * UM for v in extent), res,
+                      z_plane=z_plane * UM)
 
 
 # ------------------------------------------------------------ file output
@@ -457,7 +493,8 @@ def cmd_transition_map(args) -> int:
     beam = _build_beam(_require_beam(doc))
     geom = _build_geometry(doc.get("geometry", {}))
     tdoc = doc.get("transition", {})
-    dms = [int(doc["dm"])] if doc.get("dm") is not None else _allowed_dm(doc)
+    dms = ([_read(doc, "", "dm", _integer)] if doc.get("dm") is not None
+           else _allowed_dm(doc))
     transitions = [_build_transition(tdoc, dm) for dm in dms]
     cfgs = [_scan_config(TransitionObservable(beam, t, geom), doc["grid"])
             for t in transitions]
@@ -493,10 +530,10 @@ def cmd_sideband_map(args) -> int:
     beam = _build_beam(_require_beam(doc))
     geom = _build_geometry(doc.get("geometry", {}))
     trap = _build_trap(doc.get("trap", {}))
-    dm = int(doc.get("dm", 1))
+    dm = _read(doc, "", "dm", _integer, 1)
     trans = _build_transition(doc.get("transition", {}), dm)
     sb_doc = doc.get("sideband", {})
-    n = int(sb_doc.get("n", 0))
+    n = _read(sb_doc, "sideband", "n", _integer, 0)
     branch = sb_doc.get("branch", "bsb")
     if branch not in ("bsb", "rsb"):
         raise ConfigurationError("sideband.branch must be 'bsb' or 'rsb'")
@@ -525,8 +562,8 @@ def cmd_point(args) -> int:
     geom = _build_geometry(doc.get("geometry", {}))
     trap = _build_trap(doc.get("trap", {}))
     tdoc = doc.get("transition", {})
-    pos_um = doc.get("position_um", [0.0, 0.0, 0.0])
-    point = np.array([float(v) * UM for v in pos_um])
+    pos_um = _read(doc, "", "position_um", _numbers(float, 3), [0.0, 0.0, 0.0])
+    point = np.array([v * UM for v in pos_um])
 
     sample = field_sample_upto(beam, point, 2)
     comps = _circular(sample.electric)
@@ -534,9 +571,9 @@ def cmd_point(args) -> int:
     for dm in _allowed_dm(doc):
         trans = _build_transition(tdoc, dm)
         mu[f"{dm:+d}"] = _complex_pair(relative_strength(sample, trans, geom))
-    dm0 = int(doc.get("dm", 1))
+    dm0 = _read(doc, "", "dm", _integer, 1)
     trans0 = _build_transition(tdoc, dm0)
-    n = int(doc.get("sideband", {}).get("n", 0))
+    n = _read(doc.get("sideband", {}), "sideband", "n", _integer, 0)
     sidebands = {}
     for mode in ("X", "Y", "Z"):
         for branch in ("carrier", "bsb", "rsb"):

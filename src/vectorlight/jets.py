@@ -7,8 +7,15 @@ propagation through arithmetic (Leibniz rule) and smooth unary composition
 mode functions out of these, so every spatial derivative it reports is exact
 rather than numerical.
 
-Derivative tensors are stored fully symmetrized: g[..., i] = d_i f,
-h[..., i, j] = d_i d_j f, t[..., i, j, k] = d_i d_j d_k f.
+Derivative blocks are stored components-first, with the batch axes last:
+for values of shape B, g[i] = d_i f is (3, *B), h[i, j] = d_i d_j f is
+(3, 3, *B) and t[i, j, k] = d_i d_j d_k f is (3, 3, 3, *B), so every
+elementwise loop runs over the contiguous batch.  h and t are stored full
+and bitwise symmetric: products and compositions compute h on its 6 unique
+pairs i <= j and t on its 10 unique triples i <= j <= k, and one gather
+expands each to every index order.  (Complex multiplication is not bitwise
+commutative where it uses fused multiply-adds, so g_i g_j and g_j g_i may
+differ in the last bit; computing each unique entry once avoids that.)
 """
 
 from __future__ import annotations
@@ -17,18 +24,41 @@ import numpy as np
 
 __all__ = ["Jet"]
 
+# unique index pairs/triples of symmetric blocks, flattened row-major
+_PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
+_TRIPLES = [(i, j, k) for i in range(3) for j in range(i, 3)
+            for k in range(j, 3)]
+_PI, _PJ = np.array(_PAIRS).T
+_TI, _TJ, _TK = np.array(_TRIPLES).T
+_P_FLAT = 3 * _PI + _PJ
+_T_FLAT = 9 * _TI + 3 * _TJ + _TK
+# for each full index, the position of its sorted form among the unique ones
+_P_FULL = np.array([_PAIRS.index((min(i, j), max(i, j)))
+                    for i in range(3) for j in range(3)])
+_T_FULL = np.array([_TRIPLES.index(tuple(sorted((i, j, k))))
+                    for i in range(3) for j in range(3) for k in range(3)])
+# h_ij g_k + h_ik g_j + h_jk g_i on the unique triples: row r of _SYM_H picks
+# flattened h entries, row r of _SYM_G the g entries they multiply
+_SYM_H = np.stack([3 * _TI + _TJ, 3 * _TI + _TK, 3 * _TJ + _TK])
+_SYM_G = np.stack([_TK, _TJ, _TI])
 
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
+
+def _unique(block, flat, shape):
+    """Entries `flat` of a symmetric block, its derivative axes flattened."""
+    return block.reshape((-1,) + shape).take(flat, axis=0)
 
 
-def _sym_hg(h, g):
-    """Symmetrized h_{ij} g_k over the three index slots."""
-    return (
-        h[..., :, :, None] * g[..., None, None, :]
-        + h[..., :, None, :] * g[..., None, :, None]
-        + h[..., None, :, :] * g[..., :, None, None]
-    )
+def _expand(unique, full, ndim):
+    """Full symmetric block of `ndim` derivative axes from its unique entries."""
+    return unique.take(full, axis=0).reshape((3,) * ndim + unique.shape[1:])
+
+
+def _sym_hg(h, g, shape):
+    """Symmetrized h_ij g_k on the unique triples, summed left to right."""
+    terms = _unique(h, _SYM_H, shape) * g.take(_SYM_G, axis=0)
+    out = terms[0] + terms[1]
+    out += terms[2]
+    return out
 
 
 class Jet:
@@ -42,9 +72,9 @@ class Jet:
         self.order = order
         self.val = np.asarray(val, dtype=complex)
         shape = self.val.shape
-        self.g = g if order < 1 else self._blk(g, shape + (3,))
-        self.h = h if order < 2 else self._blk(h, shape + (3, 3))
-        self.t = t if order < 3 else self._blk(t, shape + (3, 3, 3))
+        self.g = g if order < 1 else self._blk(g, (3,) + shape)
+        self.h = h if order < 2 else self._blk(h, (3, 3) + shape)
+        self.t = t if order < 3 else self._blk(t, (3, 3, 3) + shape)
 
     @staticmethod
     def _blk(arr, shape):
@@ -68,7 +98,7 @@ class Jet:
         val = points[..., index].astype(complex)
         jet = cls(order, val)
         if order >= 1:
-            jet.g[..., index] = 1.0
+            jet.g[index] = 1.0
         return jet
 
     # ----------------------------------------------------------- arithmetic
@@ -119,24 +149,27 @@ class Jet:
             )
         o = self._coerce(other)
         n = self.order
+        shape = self.val.shape
         val = self.val * o.val
         g = h = t = None
         if n >= 1:
-            g = self.g * o.val[..., None] + o.g * self.val[..., None]
+            g = self.g * o.val + o.g * self.val
         if n >= 2:
             h = (
-                self.h * o.val[..., None, None]
-                + o.h * self.val[..., None, None]
-                + _outer(self.g, o.g)
-                + _outer(o.g, self.g)
+                _unique(self.h, _P_FLAT, shape) * o.val
+                + _unique(o.h, _P_FLAT, shape) * self.val
+                + self.g.take(_PI, axis=0) * o.g.take(_PJ, axis=0)
+                + o.g.take(_PI, axis=0) * self.g.take(_PJ, axis=0)
             )
+            h = _expand(h, _P_FULL, 2)
         if n >= 3:
             t = (
-                self.t * o.val[..., None, None, None]
-                + o.t * self.val[..., None, None, None]
-                + _sym_hg(self.h, o.g)
-                + _sym_hg(o.h, self.g)
+                _unique(self.t, _T_FLAT, shape) * o.val
+                + _unique(o.t, _T_FLAT, shape) * self.val
+                + _sym_hg(self.h, o.g, shape)
+                + _sym_hg(o.h, self.g, shape)
             )
+            t = _expand(t, _T_FULL, 3)
         return Jet(n, val, g, h, t)
 
     __rmul__ = __mul__
@@ -151,27 +184,26 @@ class Jet:
     def compose(self, f0, f1=None, f2=None, f3=None):
         """Jet of f(self) given derivative arrays f^(k) evaluated at self.val."""
         n = self.order
+        shape = self.val.shape
         val = np.asarray(f0, dtype=complex)
         g = h = t = None
         if n >= 1:
             f1 = np.asarray(f1, dtype=complex)
-            g = f1[..., None] * self.g
+            g = f1 * self.g
         if n >= 2:
             f2 = np.asarray(f2, dtype=complex)
-            gg = _outer(self.g, self.g)
-            h = f2[..., None, None] * gg + f1[..., None, None] * self.h
+            gg = self.g.take(_PI, axis=0) * self.g.take(_PJ, axis=0)
+            h = _expand(f2 * gg + f1 * _unique(self.h, _P_FLAT, shape), _P_FULL, 2)
         if n >= 3:
             f3 = np.asarray(f3, dtype=complex)
-            ggg = (
-                self.g[..., :, None, None]
-                * self.g[..., None, :, None]
-                * self.g[..., None, None, :]
-            )
+            ggg = (self.g.take(_TI, axis=0) * self.g.take(_TJ, axis=0)
+                   * self.g.take(_TK, axis=0))
             t = (
-                f3[..., None, None, None] * ggg
-                + f2[..., None, None, None] * _sym_hg(self.h, self.g)
-                + f1[..., None, None, None] * self.t
+                f3 * ggg
+                + f2 * _sym_hg(self.h, self.g, shape)
+                + f1 * _unique(self.t, _T_FLAT, shape)
             )
+            t = _expand(t, _T_FULL, 3)
         return Jet(n, val, g, h, t)
 
     def exp(self):
@@ -228,8 +260,8 @@ class Jet:
         n = self.order - 1
         return Jet(
             n,
-            self.g[..., index],
-            None if n < 1 else self.h[..., index, :],
-            None if n < 2 else self.t[..., index, :, :],
+            self.g[index],
+            None if n < 1 else self.h[index],
+            None if n < 2 else self.t[index],
             None,
         )

@@ -270,19 +270,23 @@ class MapDataset:
 
 
 def _finalize(config: ScanConfig, vals: np.ndarray, reference: float) -> MapDataset:
+    """Normalize a map's values (complex for store_complex maps, else moduli).
+
+    `vals` is the scan's own buffer: it is divided in place and becomes the
+    map, so a finished map costs no second copy of the grid.
+    """
     if not np.all(np.isfinite(vals.view(float))):
         raise NumericalError(
             f"non-finite values in scan of {getattr(config.observable, 'name', '?')}")
-    moduli = np.abs(vals)
+    moduli = np.abs(vals) if config.store_complex else vals
     peak = float(np.max(moduli))
     if peak <= ZERO_FLOOR * reference or peak == 0.0:
         scale = 0.0
-        out = np.zeros(config.resolution,
-                       dtype=complex if config.store_complex else float)
+        out = np.zeros(config.resolution, dtype=vals.dtype)
     else:
         scale = peak
-        flat = (vals / scale) if config.store_complex else (moduli / scale)
-        out = flat.reshape(config.resolution)
+        vals /= scale
+        out = vals.reshape(config.resolution)
     out.flags.writeable = False
     return MapDataset(
         values=out,
@@ -313,8 +317,9 @@ def _scan_chunk(configs, members, cached, pts, vals, chunk_size,
                 start) -> List[float]:
     """Evaluate every group member on one chunk into its slice of `vals`.
 
-    Returns the members' references for this chunk.  Each call has its own
-    sample cache, so concurrent chunks share only disjoint slices of `vals`.
+    Maps that do not store complex values keep only the moduli.  Returns the
+    members' references for this chunk.  Each call has its own sample
+    cache, so concurrent chunks share only disjoint slices of `vals`.
     """
     chunk = pts[start:start + chunk_size]
     cache = _ChunkSampleCache()
@@ -323,7 +328,8 @@ def _scan_chunk(configs, members, cached, pts, vals, chunk_size,
         obs = configs[i].observable
         v, r = obs.evaluate(chunk, cache) if cached[i] \
             else obs.evaluate(chunk)
-        vals[i][start:start + v.shape[0]] = v
+        vals[i][start:start + v.shape[0]] = \
+            v if configs[i].store_complex else np.abs(v)
         refs.append(r)
     return refs
 
@@ -369,7 +375,8 @@ def run_scans(configs: Sequence[ScanConfig],
         t0 = time.perf_counter()
         pts = configs[members[0]].grid_points()
         n = pts.shape[0]
-        vals = {i: np.empty(n, dtype=complex) for i in members}
+        vals = {i: np.empty(n, dtype=complex if configs[i].store_complex
+                             else float) for i in members}
         cached = {i: _accepts_cache(configs[i].observable) for i in members}
         starts = range(0, n, chunk_size)
         workers = min(len(starts), _usable_cpus())
@@ -380,7 +387,7 @@ def run_scans(configs: Sequence[ScanConfig],
             ref = 0.0
             for refs in chunk_refs:
                 ref = max(ref, refs[k])
-            out[i] = _finalize(configs[i], vals[i], ref)
+            out[i] = _finalize(configs[i], vals.pop(i), ref)
         _log.debug("scanned %d maps on %d points in %d chunks with %d "
                    "workers: %.3f s", len(members), n, len(starts), workers,
                    time.perf_counter() - t0)

@@ -5,6 +5,10 @@
 - Wigner d/D matrices from the explicit factorial sum and a zyz Euler
   decomposition, checked against closed forms and group identities and
   used to confirm how the Cartesian coupling tables rotate.
+- Full-tensor third-order jet kernels: the Leibniz and Faa di Bruno rules
+  on batch-first (..., 3), (..., 3, 3), (..., 3, 3, 3) blocks, written with
+  broadcast outer products over every index instead of the package's
+  unique-component gathers.
 
 Only tests import this module; the package itself has a single analytic
 field path and no Wigner-matrix code.
@@ -16,6 +20,54 @@ import numpy as np
 
 from vectorlight.beams import field_sample_upto
 from vectorlight.special import HalfInt, halfint, rotation_matrix
+
+# ---------------------------------------------------------------------------
+# full-tensor jet kernels
+#
+# A jet here is a tuple (val, g, h, t) with the batch axes first:
+# g[..., i] = d_i f, h[..., i, j] = d_i d_j f, t[..., i, j, k] = d_i d_j d_k f.
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _sym_hg(h, g):
+    """Symmetrized h_{ij} g_k over the three index slots."""
+    return (
+        h[..., :, :, None] * g[..., None, None, :]
+        + h[..., :, None, :] * g[..., None, :, None]
+        + h[..., None, :, :] * g[..., :, None, None]
+    )
+
+
+def jet_mul(a, b):
+    """Leibniz rule up to third order for batch-first jets a * b."""
+    av, ag, ah, at = a
+    bv, bg, bh, bt = b
+    return (
+        av * bv,
+        ag * bv[..., None] + bg * av[..., None],
+        ah * bv[..., None, None] + bh * av[..., None, None]
+        + _outer(ag, bg) + _outer(bg, ag),
+        at * bv[..., None, None, None] + bt * av[..., None, None, None]
+        + _sym_hg(ah, bg) + _sym_hg(bh, ag),
+    )
+
+
+def jet_compose(a, f0, f1, f2, f3):
+    """Faa di Bruno up to third order: f(a) from the f^(k) at a's value."""
+    _, g, h, t = a
+    ggg = g[..., :, None, None] * g[..., None, :, None] * g[..., None, None, :]
+    return (
+        f0,
+        f1[..., None] * g,
+        f2[..., None, None] * _outer(g, g) + f1[..., None, None] * h,
+        f3[..., None, None, None] * ggg
+        + f2[..., None, None, None] * _sym_hg(h, g)
+        + f1[..., None, None, None] * t,
+    )
+
 
 # ---------------------------------------------------------------------------
 # finite-difference field derivatives

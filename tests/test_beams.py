@@ -331,6 +331,19 @@ def test_field_sample_consistency(probe_points):
     assert single.electric.shape == (3,)
     assert single.jacobian.shape == (3, 3)
     assert single.hessian.shape == (3, 3, 3)
+    # public blocks are batch-first and C-contiguous for a batch and for a
+    # single point, whatever layout the jets keep internally
+    n = len(probe_points)
+    for k in range(3):
+        assert fs.block(k).shape == (n,) + (3,) * (k + 1)
+        assert fs.block(k).flags.c_contiguous
+        assert single.block(k).flags.c_contiguous
+        scale = np.max(np.abs(single.block(k)))
+        assert np.max(np.abs(single.block(k) - fs.block(k)[3])) <= 1e-14 * scale
+    for order in (0, 1):
+        low = field_sample_upto(beam, probe_points[3], order)
+        for k in range(order + 1):
+            assert np.array_equal(low.block(k), single.block(k))
 
 
 def test_gaussian_peak_stationary():

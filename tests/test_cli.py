@@ -97,6 +97,26 @@ def test_run_file_invalid_json_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"beam": {"type": "lg", "l": "a"}}, "beam.l"),
+    ({"beam": {"type": "lg", "l": 1, "waist_um": -1}}, "beam.waist_um"),
+    ({"beam": {"type": "lg", "l": 1}, "grid": {"resolution": [8, "x"]}},
+     "grid.resolution"),
+    ({"beam": {"type": "lg", "l": 1.7}}, "beam.l"),
+    ({"beam": {"type": "lg", "l": 1}, "grid": {"resolution": [8, 8.5]}},
+     "grid.resolution"),
+])
+def test_run_file_bad_value_exits_2_and_names_the_field(tmp_path, capsys, doc,
+                                                        field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["transition-map", "--run-file", bad, "-o", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_sidecar_run_echo_reproduces_bit_identical_csv(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

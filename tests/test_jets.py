@@ -2,15 +2,24 @@
 
 The oracle differentiates plain scalar evaluations of the same composite
 functions with 4th-order central stencils, so jet propagation (Leibniz and
-chain rules up to third order) is checked independently.
+chain rules up to third order) is checked independently.  The third-order
+kernels are also checked against the full-tensor formulas in `oracles`.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from oracles import jet_compose, jet_mul
 from vectorlight.jets import Jet
 
 STEP = 1e-6
+
+
+def batch_first(block, nderiv):
+    """A jet block (derivative axes first) with its batch axes moved first."""
+    return np.moveaxis(block, range(nderiv), range(-nderiv, 0))
 
 
 def composite(points):
@@ -79,40 +88,42 @@ def test_jet_gradient_matches_fd(probe_points):
     jet = composite_jet(probe_points, 1)
     fd = fd_gradient(composite, probe_points)
     scale = np.max(np.abs(fd))
-    assert np.max(np.abs(jet.g - fd)) < 1e-7 * scale
+    assert np.max(np.abs(batch_first(jet.g, 1) - fd)) < 1e-7 * scale
 
 
 def test_jet_hessian_matches_fd_and_is_symmetric(probe_points):
     jet = composite_jet(probe_points, 2)
+    h = batch_first(jet.h, 2)
     fd = fd_hessian(composite, probe_points)
     scale = np.max(np.abs(fd))
-    assert np.max(np.abs(jet.h - fd)) < 1e-5 * scale
-    sym_err = np.max(np.abs(jet.h - np.swapaxes(jet.h, -1, -2)))
-    assert sym_err < 1e-13 * np.max(np.abs(jet.h))
+    assert np.max(np.abs(h - fd)) < 1e-5 * scale
+    sym_err = np.max(np.abs(h - np.swapaxes(h, -1, -2)))
+    assert sym_err < 1e-13 * np.max(np.abs(h))
 
 
 def test_jet_third_order_matches_fd_of_hessian(probe_points):
-    jet = composite_jet(probe_points, 3)
-    fd3 = fd_gradient(lambda p: composite_jet(p, 2).h.reshape(p.shape[:-1] + (9,)), probe_points)
+    t = batch_first(composite_jet(probe_points, 3).t, 3)
+    fd3 = fd_gradient(lambda p: batch_first(composite_jet(p, 2).h, 2).reshape(p.shape[:-1] + (9,)),
+                      probe_points)
     fd3 = fd3.reshape(probe_points.shape[:-1] + (3, 3, 3))
     # fd3[..., i, j, p]: derivative d_p of h_{ij}; jet.t is d_i d_j d_k f
     fd3 = np.moveaxis(fd3, -1, -3)
     scale = np.max(np.abs(fd3))
-    assert np.max(np.abs(jet.t - fd3)) < 1e-6 * scale
+    assert np.max(np.abs(t - fd3)) < 1e-6 * scale
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
         permuted = np.transpose(
-            jet.t, tuple(range(jet.t.ndim - 3)) + tuple(jet.t.ndim - 3 + p for p in perm)
+            t, tuple(range(t.ndim - 3)) + tuple(t.ndim - 3 + p for p in perm)
         )
-        assert np.max(np.abs(jet.t - permuted)) < 1e-13
+        assert np.max(np.abs(t - permuted)) < 1e-13
 
 
 def test_partial_shifts_derivative_data(probe_points):
     jet = composite_jet(probe_points, 3)
     dx = jet.partial(0)
     assert dx.order == 2
-    assert np.array_equal(dx.val, jet.g[..., 0])
-    assert np.array_equal(dx.g, jet.h[..., 0, :])
-    assert np.array_equal(dx.h, jet.t[..., 0, :, :])
+    assert np.array_equal(dx.val, batch_first(jet.g, 1)[..., 0])
+    assert np.array_equal(batch_first(dx.g, 1), batch_first(jet.h, 2)[..., 0, :])
+    assert np.array_equal(batch_first(dx.h, 2), batch_first(jet.t, 3)[..., 0, :, :])
 
 
 def test_order_mismatch_and_bad_order_raise():
@@ -135,5 +146,57 @@ def test_scalar_arithmetic_broadcast():
     jet = 2.0 * z - (z / 2.0) + (1.0 - z)
     want = 2.0 * pts[:, 2] - pts[:, 2] / 2.0 + 1.0 - pts[:, 2]
     assert np.max(np.abs(jet.val - want)) < 1e-15
-    assert np.max(np.abs(jet.g[:, 2] - 0.5)) < 1e-15
+    assert np.max(np.abs(batch_first(jet.g, 1)[:, 2] - 0.5)) < 1e-15
     assert np.max(np.abs(jet.h)) == 0.0
+
+
+def random_jet(rng, shape):
+    """Order-3 jet with random complex data and exactly symmetric h and t."""
+
+    def draw(*extra):
+        return rng.normal(size=extra + shape) + 1j * rng.normal(size=extra + shape)
+
+    val = rng.uniform(0.5, 1.5, size=shape) + 0.5j * rng.uniform(-1.0, 1.0, size=shape)
+    pairs, triples = draw(3, 3), draw(3, 3, 3)
+    h = np.empty((3, 3) + shape, dtype=complex)
+    t = np.empty((3, 3, 3) + shape, dtype=complex)
+    for idx in itertools.product(range(3), repeat=2):
+        h[idx] = pairs[tuple(sorted(idx))]
+    for idx in itertools.product(range(3), repeat=3):
+        t[idx] = triples[tuple(sorted(idx))]
+    return Jet(3, val, draw(3), h, t)
+
+
+def as_tuple(jet):
+    return (jet.val, batch_first(jet.g, 1), batch_first(jet.h, 2), batch_first(jet.t, 3))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,)])
+def test_third_order_kernels_match_full_tensor_oracle_and_are_symmetric(shape):
+    rng = np.random.default_rng(11 + len(shape) + sum(shape))
+    a, b = random_jet(rng, shape), random_jet(rng, shape)
+    u = a.val
+    e = np.exp(u)
+    r = 1.0 / u
+    s = np.sqrt(u)
+    d1 = 1.0 / (1.0 + u * u)
+    cases = {
+        "mul": (a * b, jet_mul(as_tuple(a), as_tuple(b))),
+        "exp": (a.exp(), jet_compose(as_tuple(a), e, e, e, e)),
+        "reciprocal": (a.reciprocal(),
+                       jet_compose(as_tuple(a), r, -r**2, 2 * r**3, -6 * r**4)),
+        "sqrt": (a.sqrt(), jet_compose(as_tuple(a), s, 0.5 / s, -0.25 / s**3,
+                                       0.375 / s**5)),
+        "arctan": (a.arctan(), jet_compose(as_tuple(a), np.arctan(u), d1,
+                                           -2 * u * d1**2, (6 * u * u - 2) * d1**3)),
+        "ipow3": (a.ipow(3), jet_mul(as_tuple(a), jet_mul(as_tuple(a), as_tuple(a)))),
+    }
+    for name, (jet, want) in cases.items():
+        for order, (got, ref) in enumerate(zip(as_tuple(jet), want)):
+            assert got.shape == shape + (3,) * order, (name, order)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * scale, (name, order)
+        for nderiv, block in ((2, jet.h), (3, jet.t)):
+            batch = tuple(range(nderiv, block.ndim))
+            for perm in itertools.permutations(range(nderiv)):
+                assert np.array_equal(block, block.transpose(perm + batch)), name

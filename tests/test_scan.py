@@ -300,13 +300,28 @@ def test_non_finite_values_raise_numerical_error():
     class Broken:
         name = "broken"
 
+        def __init__(self, bad, where=None):
+            self.bad, self.where = bad, where
+
         def evaluate(self, points):
             vals = np.ones(points.shape[0], dtype=complex)
-            vals[-1] = np.nan
+            if self.where is None:
+                vals[-1] = self.bad
+            else:
+                vals[np.all(points == self.where, axis=1)] = self.bad
             return vals, 1.0
 
     with pytest.raises(NumericalError):
-        run_scan(ScanConfig(Broken(), EXTENT, (16, 16)))
+        run_scan(ScanConfig(Broken(np.nan), EXTENT, (16, 16)))
+    # a single bad cell in one chunk of four, in a modulus map (which keeps
+    # only float moduli per chunk) and in a complex map
+    where = ScanConfig(Broken(0.0), EXTENT, (16, 16)).grid_points()[137]
+    for bad in (np.nan, complex(0.0, np.inf)):
+        for store_complex in (False, True):
+            cfg = ScanConfig(Broken(bad, where), EXTENT, (16, 16),
+                             store_complex=store_complex)
+            with pytest.raises(NumericalError):
+                run_scans([cfg], chunk_size=64)
 
 
 # ------------------------------------------------------------- comparison
