@@ -38,6 +38,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # beam description
 
+# Valid mode orders; the tests check profiles at these limits against
+# arbitrary-precision values.  LG p is capped by the normalization:
+# (p + |l|)! must stay below the largest double, i.e. p + |l| <= 170.
+_LG_MAX_L = 80
+_LG_MAX_P = 90
+_HG_MAX_ORDER = 30
+
 
 @dataclass(frozen=True)
 class LGMode:
@@ -51,6 +58,9 @@ class LGMode:
             raise ValueError("mode indices must be integers")
         if self.p < 0:
             raise ValueError("radial index p must be >= 0")
+        if abs(self.l) > _LG_MAX_L or self.p > _LG_MAX_P:
+            raise ValueError(f"LG mode orders must satisfy |l| <= {_LG_MAX_L}"
+                             f" and p <= {_LG_MAX_P}, got l={self.l}, p={self.p}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,9 @@ class HGMode:
             raise ValueError("mode indices must be integers")
         if self.m < 0 or self.n < 0:
             raise ValueError("mode orders must be >= 0")
+        if self.m + self.n > _HG_MAX_ORDER:
+            raise ValueError(f"HG mode orders must satisfy m + n <= "
+                             f"{_HG_MAX_ORDER}, got m={self.m}, n={self.n}")
 
 
 Mode = Union[LGMode, HGMode]
@@ -210,21 +223,19 @@ def _hermite_jet(n: int, arg: Jet) -> Jet:
                        dk(n - 3, 8.0 * n * (n - 1) * (n - 2)))
 
 
-def _lg_jet(mode: LGMode, waist: float, k: float, points: np.ndarray,
-            order: int) -> Jet:
-    """Focused Laguerre-Gaussian profile (no plane-wave factor) as a jet.
+def _lg_radial(al: int, p: int, waist: float, k: float, x: Jet, y: Jet,
+               z: Jet) -> Jet:
+    """Focused Laguerre-Gaussian profile without its vortex factor.
 
-    Written via the complex parameter u = 1/(1 + i z/zR): |u| carries the
-    w0/w(z) amplitude decay, arg(u) one unit of axial phase slippage, and
-    Re(u/w0^2) the Gaussian envelope with Im supplying wavefront curvature.
-    Every factor is an entire function of the coordinates, so the Taylor
-    jet needs no branch handling.
+    LG(l, p) is this radial part times ((x +/- i y) sqrt(2)/w0)^|l|, so the
+    terms LG(+l, p) and LG(-l, p) share it.  Written via the complex
+    parameter u = 1/(1 + i z/zR): |u| carries the w0/w(z) amplitude decay,
+    arg(u) one unit of axial phase slippage, and Re(u/w0^2) the Gaussian
+    envelope with Im supplying wavefront curvature.  Every factor is an
+    entire function of the coordinates, so the Taylor jet needs no branch
+    handling.
     """
-    l, p = mode.l, mode.p
-    al = abs(l)
     zr = 0.5 * k * waist**2
-
-    x, y, z = _coords(points, order)
     zeta = z * (1.0 / zr)
     u = (zeta * 1.0j + 1.0).reciprocal()
     ubar = (zeta * (-1.0j) + 1.0).reciprocal()
@@ -235,7 +246,6 @@ def _lg_jet(mode: LGMode, waist: float, k: float, points: np.ndarray,
     lag = _laguerre_jet(p, al, arg)
 
     envelope = (rho2 * u * (-1.0 / waist**2)).exp()
-    vortex = (x + (1.0j if l >= 0 else -1.0j) * y).ipow(al)
     # u^(|l|+1+p) * (1 - i zeta)^p  ==  (w0/w)^(|l|+1) e^{-i(|l|+2p+1) atan}
     axial = u.ipow(al + 1 + p)
     if p:
@@ -243,17 +253,22 @@ def _lg_jet(mode: LGMode, waist: float, k: float, points: np.ndarray,
 
     norm = math.sqrt(2.0 * math.factorial(p)
                      / (math.pi * math.factorial(p + al)))
-    pref = norm * (math.sqrt(2.0) / waist) ** al
-    return vortex * lag * axial * envelope * pref
+    return lag * axial * envelope * norm
 
 
-def _hg_jet(mode: HGMode, waist: float, k: float, points: np.ndarray,
-            order: int) -> Jet:
+def _vortex(l: int, waist: float, x: Jet, y: Jet) -> Jet:
+    # sqrt(2)/w0 goes into the base: its |l|-th power alone overflows a
+    # double for large |l| when lengths are in meters
+    base = (x + (1.0j if l >= 0 else -1.0j) * y) * (math.sqrt(2.0) / waist)
+    return base.ipow(abs(l))
+
+
+def _hg_jet(mode: HGMode, waist: float, k: float, x: Jet, y: Jet,
+            z: Jet) -> Jet:
     """Focused Hermite-Gaussian profile (no plane-wave factor) as a jet."""
     m, n = mode.m, mode.n
     zr = 0.5 * k * waist**2
 
-    x, y, z = _coords(points, order)
     zeta = z * (1.0 / zr)
     u = (zeta * 1.0j + 1.0).reciprocal()
     rho2 = x * x + y * y
@@ -276,13 +291,27 @@ def _hg_jet(mode: HGMode, waist: float, k: float, points: np.ndarray,
     return f * norm
 
 
+def _profile(mode: Mode, waist: float, k: float, coords: Tuple[Jet, Jet, Jet],
+             radial: Dict[Tuple[int, int], Jet]) -> Jet:
+    """Scalar profile (no plane-wave factor) of one mode as a jet.
+
+    `radial` holds the LG radial parts already built from these `coords`,
+    keyed by (|l|, p); a new one is added to it.
+    """
+    x, y, z = coords
+    if isinstance(mode, LGMode):
+        key = (abs(mode.l), mode.p)
+        if key not in radial:
+            radial[key] = _lg_radial(*key, waist, k, x, y, z)
+        return _vortex(mode.l, waist, x, y) * radial[key]
+    if isinstance(mode, HGMode):
+        return _hg_jet(mode, waist, k, x, y, z)
+    raise ConfigurationError(f"unsupported mode type {type(mode).__name__}")
+
+
 def _mode_jet(mode: Mode, waist: float, k: float, points: np.ndarray,
               order: int) -> Jet:
-    if isinstance(mode, LGMode):
-        return _lg_jet(mode, waist, k, points, order)
-    if isinstance(mode, HGMode):
-        return _hg_jet(mode, waist, k, points, order)
-    raise ConfigurationError(f"unsupported mode type {type(mode).__name__}")
+    return _profile(mode, waist, k, _coords(points, order), {})
 
 
 def _as_points(point) -> Tuple[np.ndarray, bool]:
@@ -304,23 +333,26 @@ def _field_jets(spec: BeamSpec, points: np.ndarray, order: int) -> Tuple[Jet, Je
     profiles are expanded one order deeper than the field jets returned.
     """
     k = spec.wavenumber
+    coords = _coords(points, order + 1)
     # the traveling-wave factor enters here, once per term, never inside
     # the scalar profiles
-    z = Jet.coordinate(points, 2, order)
-    plane = (z * (1.0j * k)).exp()
+    plane = (coords[2].truncate(order) * (1.0j * k)).exp()
+    # LG radial parts shared by terms of equal (|l|, p), as radial and
+    # azimuthal beams have; local to this call, so threads share nothing
+    radial = {}
 
     ex = ey = ez = None
     for weight, term in spec.terms:
-        f = _mode_jet(term.mode, spec.waist, k, points, order + 1)
+        f = _profile(term.mode, spec.waist, k, coords, radial)
         sig = term.sigma
         amp = weight * spec.amplitude / math.sqrt(2.0)
 
         fx = f.partial(0)
         fy = f.partial(1)
-        f_low = f.truncate(order)
+        wave = f.truncate(order) * plane
 
-        tx = f_low * plane * amp
-        ty = f_low * plane * (amp * 1.0j * sig)
+        tx = wave * amp
+        ty = wave * (amp * 1.0j * sig)
         tz = (fx + fy * (1.0j * sig)) * plane * (amp * 1.0j / k)
 
         ex = tx if ex is None else ex + tx

@@ -296,7 +296,7 @@ def _csv_text(dataset: MapDataset, stem: str) -> str:
         " normalized to a peak of 1",
     ]
     for row in dataset.values:
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

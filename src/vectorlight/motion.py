@@ -124,6 +124,16 @@ def lamb_dicke(kind: str, scale: float, mass: float, omega: float) -> float:
     raise ValueError(f"kind must be 'longitudinal' or 'transverse', got {kind!r}")
 
 
+def _along(grad: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Directional derivative grad . direction over the trailing axis.
+
+    einsum, not `@`: a complex-by-real matmul goes to BLAS, whose worker
+    threads keep spinning after the call and take CPU from the scan's own
+    chunk threads.
+    """
+    return np.einsum("...p,p->...", grad, direction)
+
+
 def mu_derivative(spec: BeamSpec, center, direction, trans: TransitionSpec,
                   geom: Geometry = None) -> complex:
     """Directional derivative of the transition strength at a point."""
@@ -133,7 +143,7 @@ def mu_derivative(spec: BeamSpec, center, direction, trans: TransitionSpec,
     if abs(np.linalg.norm(d) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     fs = field_sample_upto(spec, center, trans.multipole.field_order + 1)
-    return strength_gradient(fs, trans, geom) @ d
+    return _along(strength_gradient(fs, trans, geom), d)
 
 
 def _ladder_factor(req: SidebandRequest) -> float:
@@ -165,7 +175,7 @@ def _line_strength(sample: Callable[[np.ndarray, int], FieldSample],
     z0 = zero_point_length(trap.mass, trap.frequencies[idx])
     fs = sample(points, order + 1)
     grad = strength_gradient(fs, trans, geom)
-    vals = (grad @ trap.axes[idx]) * (z0 * factor)
+    vals = _along(grad, trap.axes[idx]) * (z0 * factor)
     return vals, float(np.max(np.abs(fs.block(order + 1)))) * z0 * factor
 
 

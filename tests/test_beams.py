@@ -12,6 +12,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vectorlight.beams import (
     BeamSpec,
@@ -24,7 +26,7 @@ from vectorlight.beams import (
     make_radial_azimuthal,
 )
 
-from conftest import WAIST, WAVELENGTH, make_five_beams
+from conftest import WAIST, WAVELENGTH, make_five_beams, make_probe_points
 from oracles import fd_hessian, fd_jacobian
 
 K = 2.0 * math.pi / WAVELENGTH
@@ -114,6 +116,19 @@ def test_lg_matches_reference_parametrization():
         got = lg_mode(l, p, WAIST, K, (x, y, z))
         assert abs(got - ref) < 1e-12 * max(abs(ref), 1e-3)
 
+    # the largest valid orders: |l| = 55 and 80 on their intensity ring
+    # rho = w(z) sqrt(|l|/2), and p = 90 at the outer ring of LG(l, 90)
+    for l, p, ang, zeta in ((55, 0, 0.4, 0.0), (-55, 0, 2.2, 0.5),
+                            (80, 0, -1.3, -0.3), (-80, 0, 3.0, 0.8),
+                            (80, 90, 0.9, 0.2), (0, 90, -2.0, -0.6)):
+        w = WAIST * math.sqrt(1.0 + zeta**2)
+        rho = w * math.sqrt(abs(l) / 2 if p == 0 else (2 * p + abs(l)) / 2)
+        x, y, z = rho * math.cos(ang), rho * math.sin(ang), zeta * ZR
+        ref = lg_reference(l, p, mp.mpf(WAIST), 2 * mp.pi / mp.mpf(WAVELENGTH),
+                           mp.mpf(x), mp.mpf(y), mp.mpf(z))
+        got = lg_mode(l, p, WAIST, K, (x, y, z))
+        assert abs(got - ref) < 1e-12 * abs(ref)
+
 
 def test_hg_spot_values():
     # frozen from the mpmath oracle at (w0/2, 0, 0)
@@ -142,6 +157,17 @@ def test_hg_matches_reference_parametrization():
         got = hg_mode(m, n, WAIST, K, (x, y, z))
         assert abs(got - ref) < 1e-12 * max(abs(ref), 1e-3)
 
+    # the largest valid order m + n = 30, on the outer lobes: Hermite
+    # arguments xi = sqrt(2) x / w(z) near the last extremum of H_m
+    for m, n, xi, eta, zeta in ((30, 0, 7.0, 0.3, 0.4), (15, 15, 4.9, -4.9, -0.7),
+                                (0, 30, 0.2, -7.0, 0.0)):
+        w = WAIST * math.sqrt(1.0 + zeta**2)
+        x, y, z = xi * w / math.sqrt(2.0), eta * w / math.sqrt(2.0), zeta * ZR
+        ref = hg_reference(m, n, mp.mpf(WAIST), 2 * mp.pi / mp.mpf(WAVELENGTH),
+                           mp.mpf(x), mp.mpf(y), mp.mpf(z))
+        got = hg_mode(m, n, WAIST, K, (x, y, z))
+        assert abs(got - ref) < 1e-12 * abs(ref)
+
 
 def test_hg00_is_fundamental_gaussian(probe_points):
     a = hg_mode(0, 0, WAIST, K, probe_points)
@@ -154,6 +180,15 @@ def test_mode_validation():
         LGMode(1, -1)
     with pytest.raises(ValueError):
         HGMode(-1, 0)
+    # past the valid range of mode orders
+    for l, p in ((81, 0), (-81, 0), (0, 91)):
+        with pytest.raises(ValueError, match="LG mode orders"):
+            LGMode(l, p)
+    with pytest.raises(ValueError, match="HG mode orders"):
+        HGMode(16, 15)
+    # the limits themselves are valid
+    LGMode(-80, 90)
+    HGMode(30, 0)
     with pytest.raises(ValueError):
         ModeTerm(LGMode(1, 0), sigma=2)
     with pytest.raises(ValueError):
@@ -256,6 +291,51 @@ def test_superposition_linearity(probe_points):
     rhs = (w1 * field_sample_upto(single1, probe_points, 0).electric
            + w2 * field_sample_upto(single2, probe_points, 0).electric)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+
+_SIGMAS = st.sampled_from((-1, 0, 1))
+_WEIGHTS = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                              allow_nan=False, allow_infinity=False)
+_LG = st.builds(LGMode, st.integers(-3, 3), st.integers(0, 2))
+_HG = st.builds(HGMode, st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def _superpositions(draw):
+    """Beams of 2-3 terms whose second mode shares (|l|, p) with the first LG
+    mode, shares only |l| (another p), or is an HG mode."""
+    first = draw(_LG)
+    al, p = abs(first.l), first.p
+    second = draw(st.one_of(
+        st.sampled_from((al, -al)).map(lambda l: LGMode(l, p)),
+        st.tuples(st.sampled_from((al, -al)),
+                  st.integers(0, 2).filter(lambda q: q != p))
+        .map(lambda lq: LGMode(*lq)),
+        _HG))
+    modes = [first, second] + draw(st.lists(st.one_of(_LG, _HG), max_size=1))
+    terms = tuple((draw(_WEIGHTS), ModeTerm(m, draw(_SIGMAS))) for m in modes)
+    return BeamSpec(terms, WAVELENGTH, WAIST)
+
+
+@settings(max_examples=25, deadline=None)
+@given(beam=_superpositions())
+@example(beam=make_radial_azimuthal("radial", WAIST, WAVELENGTH))
+@example(beam=make_radial_azimuthal("azimuthal", WAIST, WAVELENGTH))
+def test_superposition_matches_weighted_single_terms(beam):
+    # Terms may share their LG radial part inside one evaluation; each block
+    # must still equal the weighted sum of the terms evaluated on their own.
+    # The scale is the largest summed term modulus, since terms may cancel.
+    pts = make_probe_points(n_random=6)
+    for order in (0, 1, 2):
+        got = field_sample_upto(beam, pts, order)
+        parts = [(w, field_sample_upto(BeamSpec(((1.0, t),), beam.wavelength,
+                                                beam.waist, beam.amplitude),
+                                       pts, order))
+                 for w, t in beam.terms]
+        for k in range(order + 1):
+            want = sum(w * s.block(k) for w, s in parts)
+            scale = np.max(sum(np.abs(w * s.block(k)) for w, s in parts))
+            assert np.max(np.abs(got.block(k) - want)) <= 1e-13 * scale
 
 
 def test_azimuthal_modulus_symmetry():

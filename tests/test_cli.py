@@ -13,7 +13,8 @@ import pytest
 import vectorlight.scan as scan_module
 from vectorlight import FieldComponentObservable, ScanConfig, run_scans
 from vectorlight.beams import BeamSpec
-from vectorlight.cli import load_map_csv, main
+from vectorlight.cli import _csv_text, load_map_csv, main
+from vectorlight.scan import MapDataset
 
 
 def run(args):
@@ -77,6 +78,13 @@ def test_missing_beam_exits_2_and_names_the_field(tmp_path, capsys):
 def test_malformed_beam_flag_exits_2(tmp_path, capsys):
     assert run(["field-map", "--beam", "lg:x", "-o", tmp_path]) == 2
     assert "--beam" in capsys.readouterr().err
+    # mode orders inside the stated range run; past it is bad input
+    assert run(["point", "--beam", "lg:55"]) == 0
+    capsys.readouterr()
+    assert run(["point", "--beam", "lg:81"]) == 2
+    err = capsys.readouterr().err
+    assert "beam: " in err and "|l| <= 80" in err
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------- run files
@@ -336,6 +344,22 @@ def test_compare_rejects_non_map_file(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("this,is,not\na,map,file\n")
     assert run(["compare", junk, junk]) == 2
+
+
+def test_csv_rows_match_per_element_formula():
+    # reference: the per-element row formula the writer used before rows
+    # went through tolist()
+    rng = np.random.default_rng(5)
+    vals = rng.random((256, 256))
+    vals[0, :6] = (0.0, 1.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0)
+    vals[1] = 0.0
+    vals[2] = np.nextafter(1.0, 0.0)
+    xs = np.linspace(-2e-6, 2e-6, 256)
+    data = MapDataset(vals, 1.25, xs, xs, 0.0, "field:z", None)
+    text = _csv_text(data, "m")
+    header = text.split("\n")[:9]
+    rows = [",".join(repr(float(v)) for v in row) for row in vals]
+    assert text.encode() == "\n".join(header + rows).encode() + b"\n"
 
 
 def test_loaded_map_matches_written_dataset(tmp_path):
