@@ -4,20 +4,23 @@ Subcommands: field-map, transition-map, sideband-map, point, compare, and
 gnuplot-matrix (converts a map CSV to a gnuplot nonuniform-matrix file).
 
 Conventions at this interface: lengths in micrometers, trap frequencies in
-MHz (as omega / 2 pi), mass in atomic mass units, angles in degrees.  Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.  Every map is
-written as a CSV grid plus a JSON sidecar; re-running the `run` document
-echoed in a sidecar reproduces the CSV bit for bit.
+MHz (as omega / 2 pi), mass in atomic mass units, angles in degrees.  A run
+is one document: the subcommand's defaults, deep-merged with the sections of
+a --run-file, then with the flags given on the command line.  Exit codes: 0
+success, 2 configuration error, 3 numerical failure.  Every map is written
+as a CSV grid plus a JSON sidecar; re-running the `run` document echoed in a
+sidecar reproduces the CSV bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .coupling import Geometry, Multipole, TransitionSpec, relative_strength
 from .errors import ConfigurationError, NumericalError
 from .motion import SidebandRequest, TrapSpec, sideband_strength_at
 from .scan import (
+    MAX_GRID_CELLS,
     FieldComponentObservable,
     MapDataset,
     ScanConfig,
@@ -45,12 +49,8 @@ _COMPONENT_STEMS = {"z": "Ez", "sigma_plus": "sigma_plus",
 
 _AXIS_NAMES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
-# comma lists whose first number may be negative: argparse reads a separate
-# "-1,1,-1,1" as an unknown flag, so these take their next token as the value
-_SIGNED_LIST_FLAGS = ("--extent-um", "--position-um")
 
-
-# --------------------------------------------------------------- run files
+# ----------------------------------------------------------- run documents
 #
 # Strict schema: every physical quantity carries its unit in the key name,
 # unknown fields are rejected with the offending path in the message.
@@ -68,6 +68,32 @@ _SCHEMA = {
     "geometry": {"theta_deg": None, "axis": None},
     "trap": {"mass_amu": None, "frequencies_mhz": None},
     "sideband": {"n": None, "branch": None},
+}
+
+# mode indices of each beam type; they default to 0, and the sigma of an LG
+# or HG beam to +1
+_MODE_INDICES = {"lg": ("l", "p"), "hg": ("m", "n"), "radial": (),
+                 "azimuthal": ()}
+
+# Each subcommand's defaults.  The grid extent defaults to +/- 2 waists of
+# the merged beam, so it is filled in after the merge.
+_BEAM = {"waist_um": 1.0, "wavelength_um": 0.729}
+_GRID = {"resolution": [256, 256], "z_plane_um": 0.0}
+_TRANSITION = {"transition": {"j1": "1/2", "m1": "1/2", "j2": "5/2",
+                              "multipole": "E2_dJ2"},
+               "geometry": {"theta_deg": 0.0, "axis": "y"}}
+_MOTION = {"dm": 1, "trap": {"mass_amu": 40.0,
+                             "frequencies_mhz": [1.0, 1.0, 1.0]},
+           "sideband": {"n": 0}}
+_DEFAULTS = {
+    "field-map": {"observable": "field", "beam": _BEAM, "grid": _GRID},
+    "transition-map": {"observable": "transition", "beam": _BEAM,
+                       "grid": _GRID, **_TRANSITION},
+    "sideband-map": {"observable": "sideband", "beam": _BEAM, "grid": _GRID,
+                     **_TRANSITION, **_MOTION,
+                     "sideband": dict(_MOTION["sideband"], branch="bsb")},
+    "point": {"observable": "point", "beam": _BEAM, **_TRANSITION, **_MOTION,
+              "position_um": [0.0, 0.0, 0.0]},
 }
 
 
@@ -97,72 +123,165 @@ def load_run_file(path: str) -> dict:
     return doc
 
 
-# ----------------------------------------------------------- flag parsing
+def _sigma(value) -> int:
+    if str(value) not in ("-1", "0", "1", "+1"):
+        raise ValueError(f"must be -1, 0, or +1, got {value!r}")
+    return int(str(value))
 
 
-def _parse_floats(text: str, count: int, flag: str) -> Tuple[float, ...]:
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != count:
-        raise ConfigurationError(f"{flag}: expected {count} comma-separated "
-                                 f"numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigurationError(f"{flag}: {exc}") from exc
-
-
-def _parse_sigma(text) -> int:
-    try:
-        val = int(str(text).replace("+", ""))
-    except ValueError:
-        raise ConfigurationError(f"sigma must be -1, 0, or +1, got {text!r}")
-    if val not in (-1, 0, 1):
-        raise ConfigurationError(f"sigma must be -1, 0, or +1, got {text!r}")
-    return val
-
-
-def _beam_doc_from_flag(text: str, sigma, waist_um: float,
-                        wavelength_um: float) -> dict:
-    """Normalize a --beam flag into the run-file beam document."""
+def _beam_flag(text: str) -> dict:
+    """The beam type and mode indices named by a --beam value."""
     spec = text.strip().lower()
-    doc = {"waist_um": float(waist_um), "wavelength_um": float(wavelength_um)}
     if spec in ("radial", "azimuthal"):
-        doc["type"] = spec
-        return doc
+        return {"type": spec}
     kind, _, rest = spec.partition(":")
     if kind not in ("lg", "hg"):
+        raise ValueError("expected lg:<l>[,<p>], hg:<m>,<n>, radial, or "
+                         f"azimuthal; got {text!r}")
+    nums = [int(p) for p in rest.split(",") if p]
+    if len(nums) not in {"lg": (1, 2), "hg": (2,)}[kind]:
+        raise ValueError(f"{kind} needs {'l[,p]' if kind == 'lg' else 'm,n'}")
+    return {"type": kind, **dict(zip(_MODE_INDICES[kind], nums))}
+
+
+def _comma_list(convert):
+    """Converter of a comma-separated flag value into a list; its length is
+    checked on the run document, as for run files."""
+    def parse(text: str) -> list:
+        return [convert(p) for p in text.replace(" ", "").split(",") if p]
+    return parse
+
+
+def _whole(text: str):
+    """A number that is an int when whole: '8' reads as 8, while '8.5' stays
+    a float for the run document's integer check to reject."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
+# Every configuration flag: its run-document path, the converter of its text
+# and its help.  Only flags given on the command line enter the document.
+_FLAGS = {
+    "--beam": ("beam", _beam_flag,
+               "lg:<l>[,<p>] | hg:<m>,<n> | radial | azimuthal"),
+    "--sigma": ("beam.sigma", _sigma,
+                "polarization of LG and HG beams: -1, 0, or +1"),
+    "--waist-um": ("beam.waist_um", float, "beam waist"),
+    "--wavelength-um": ("beam.wavelength_um", float, "wavelength"),
+    "--extent-um": ("grid.extent_um", _comma_list(float),
+                    "x_min,x_max,y_min,y_max (default: +/- 2 waists)"),
+    "--resolution": ("grid.resolution", _comma_list(_whole),
+                     f"nx,ny with nx*ny <= {MAX_GRID_CELLS}"),
+    "--z-plane-um": ("grid.z_plane_um", float, "focal-plane offset"),
+    "--component": ("component", str,
+                    f"one of {', '.join(_COMPONENT_FLAGS)} "
+                    "(default: all three)"),
+    "--j1": ("transition.j1", str, "lower-level J"),
+    "--m1": ("transition.m1", str, "lower-level m"),
+    "--j2": ("transition.j2", str, "upper-level J"),
+    "--multipole": ("transition.multipole", str, "E1 | E2_dJ1 | E2_dJ2"),
+    "--dm": ("dm", int, "Delta-m channel"),
+    "--theta-deg": ("geometry.theta_deg", float,
+                    "quantization-axis tilt"),
+    "--axis": ("geometry.axis", str, "rotation axis: x, y, or z"),
+    "--mass-amu": ("trap.mass_amu", float, "ion mass"),
+    "--frequencies-mhz": ("trap.frequencies_mhz", _comma_list(float),
+                          "trap frequencies omega/2pi for X,Y,Z in MHz"),
+    "--n": ("sideband.n", int, "initial motional quantum"),
+    "--branch": ("sideband.branch", str,
+                 "sideband branch of the mode maps: bsb or rsb"),
+    "--position-um": ("position_um", _comma_list(float), "x,y,z"),
+}
+
+_BEAM_FLAGS = ("--beam", "--sigma", "--waist-um", "--wavelength-um")
+_GRID_FLAGS = ("--extent-um", "--resolution", "--z-plane-um")
+_TRANSITION_FLAGS = ("--j1", "--m1", "--j2", "--multipole", "--dm",
+                     "--theta-deg", "--axis")
+_TRAP_FLAGS = ("--mass-amu", "--frequencies-mhz", "--n")
+
+_RUN_FILE_HELP = (
+    "JSON run document (strict schema). Precedence: defaults < run file < "
+    "explicit flags; --beam replaces the file's beam type and mode indices. "
+    "Numbers must be finite, and a grid has at most "
+    f"{MAX_GRID_CELLS} cells.")
+
+
+def _merge(doc: dict, over: dict) -> None:
+    """Deep-merge `over` into `doc`: sections merge key by key, values replace."""
+    for key, value in over.items():
+        if isinstance(value, dict) and isinstance(doc.get(key), dict):
+            _merge(doc[key], value)
+        else:
+            doc[key] = value
+
+
+def _complete_beam(beam: dict) -> None:
+    """Default the mode indices of the beam's type and an LG/HG sigma."""
+    kind = beam.get("type")
+    if kind is None:
+        raise ConfigurationError("missing required field 'beam.type' "
+                                 "(--beam or run-file beam section)")
+    indices = _MODE_INDICES.get(kind) if isinstance(kind, str) else None
+    if indices is None:
         raise ConfigurationError(
-            f"--beam: expected lg:<l>[,<p>], hg:<m>,<n>, radial, or azimuthal; "
-            f"got {text!r}")
-    try:
-        nums = [int(p) for p in rest.split(",") if p] if rest else []
-    except ValueError as exc:
-        raise ConfigurationError(f"--beam: {exc}") from exc
-    doc["type"] = kind
-    doc["sigma"] = _parse_sigma(sigma)
-    if kind == "lg":
-        if not 1 <= len(nums) <= 2:
-            raise ConfigurationError("--beam lg: needs l[,p]")
-        doc["l"] = nums[0]
-        doc["p"] = nums[1] if len(nums) == 2 else 0
+            f"beam.type must be lg, hg, radial, or azimuthal, got {kind!r}")
+    for key in indices:
+        beam.setdefault(key, 0)
+    if indices:
+        beam.setdefault("sigma", 1)
     else:
-        if len(nums) != 2:
-            raise ConfigurationError("--beam hg: needs m,n")
-        doc["m"], doc["n"] = nums
+        beam.pop("sigma", None)
+
+
+def _resolve(args) -> dict:
+    """The run document: the subcommand's defaults, then the run file's
+    sections, then the flags given explicitly."""
+    defaults = _DEFAULTS[args.command]
+    doc = copy.deepcopy(defaults)
+    if args.run_file:
+        _merge(doc, load_run_file(args.run_file))
+    given = vars(args)
+    if "beam" in given:
+        # a --beam mode replaces the file's: none of its mode indices survive
+        for key in ("type", "l", "p", "m", "n"):
+            doc["beam"].pop(key, None)
+    for flag, (path, convert, _) in _FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if dest not in given:
+            continue
+        try:
+            value = convert(given[dest])
+        except ValueError as exc:
+            raise ConfigurationError(f"{flag}: {exc}") from exc
+        for key in reversed(path.split(".")):
+            value = {key: value}
+        _merge(doc, value)
+    doc["observable"] = defaults["observable"]
+    _complete_beam(doc["beam"])
+    if "grid" in defaults:
+        w = 2.0 * _read(doc["beam"], "beam", "waist_um", _positive)
+        doc["grid"].setdefault("extent_um", [-w, w, -w, w])
     return doc
 
 
 # ------------------------------------------------------ run-document values
 
 
-def _read(doc: dict, path: str, key: str, convert, default=None):
-    """doc[key] (or `default`) through `convert`; a bad value is a
-    ConfigurationError naming its field path, e.g. 'beam.l'."""
+def _read(doc: dict, path: str, key: str, convert):
+    """doc[key] through `convert`; a bad value is a ConfigurationError naming
+    its field path, e.g. 'beam.l'."""
     try:
-        return convert(doc.get(key, default))
+        return convert(doc.get(key))
     except (TypeError, ValueError, OverflowError) as exc:
         where = f"{path}.{key}" if path else key
         raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+def _finite(value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
 
 
 def _integer(value) -> int:
@@ -172,8 +291,15 @@ def _integer(value) -> int:
     return int(number)
 
 
+def _count(value) -> int:
+    number = _integer(value)
+    if number < 0:
+        raise ValueError(f"must be a non-negative integer, got {value!r}")
+    return number
+
+
 def _positive(value) -> float:
-    value = float(value)
+    value = _finite(value)
     if not value > 0.0:
         raise ValueError(f"must be positive, got {value!r}")
     return value
@@ -191,17 +317,13 @@ def _numbers(convert, count: int):
 
 
 def _build_beam(doc: dict) -> BeamSpec:
-    waist = _read(doc, "beam", "waist_um", _positive, 1.0) * UM
-    wavelength = _read(doc, "beam", "wavelength_um", _positive, 0.729) * UM
-    kind = doc.get("type")
+    waist = _read(doc, "beam", "waist_um", _positive) * UM
+    wavelength = _read(doc, "beam", "wavelength_um", _positive) * UM
+    kind = doc["type"]
     if kind in ("radial", "azimuthal"):
         return make_radial_azimuthal(kind, waist=waist, wavelength=wavelength)
-    sigma = _parse_sigma(doc.get("sigma", 1))
-    indices = {"lg": ("l", "p"), "hg": ("m", "n")}.get(kind)
-    if indices is None:
-        raise ConfigurationError(
-            f"beam.type must be lg, hg, radial, or azimuthal, got {kind!r}")
-    a, b = (_read(doc, "beam", key, _integer, 0) for key in indices)
+    a, b = (_read(doc, "beam", key, _integer) for key in _MODE_INDICES[kind])
+    sigma = _read(doc, "beam", "sigma", _sigma)
     try:
         return getattr(BeamSpec, kind)(a, b, sigma=sigma, waist=waist,
                                        wavelength=wavelength)
@@ -209,64 +331,59 @@ def _build_beam(doc: dict) -> BeamSpec:
         raise ConfigurationError(f"beam: {exc}") from exc
 
 
-def _build_transition(doc: dict, dm: Optional[int] = None) -> TransitionSpec:
-    j1 = doc.get("j1", "1/2")
-    m1 = doc.get("m1", "1/2")
-    j2 = doc.get("j2", "5/2")
-    multipole = doc.get("multipole", "E2_dJ2")
-    if dm is not None:
-        m2 = HalfInt.coerce(m1) + dm
-    else:
-        m2 = doc.get("m2")
-        if m2 is None:
-            raise ConfigurationError("transition.m2 (or a dm value) is required")
+def _build_transition(doc: dict, dm: int) -> TransitionSpec:
     try:
-        return TransitionSpec(j1, m1, j2, m2, multipole)
-    except ValueError as exc:
+        return TransitionSpec(doc["j1"], doc["m1"], doc["j2"],
+                              HalfInt.coerce(doc["m1"]) + dm,
+                              str(doc["multipole"]))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"transition: {exc}") from exc
 
 
+def _allowed_dm(doc: dict) -> List[int]:
+    """Delta-m values addressable for the configured transition family."""
+    try:
+        j2 = HalfInt.coerce(doc["j2"])
+        m1 = HalfInt.coerce(doc["m1"])
+        rank = Multipole.parse(str(doc["multipole"])).delta_j
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"transition: {exc}") from exc
+    return [dm for dm in range(-rank, rank + 1) if abs(m1 + dm) <= j2]
+
+
 def _build_geometry(doc: dict) -> Geometry:
-    theta = math.radians(_read(doc, "geometry", "theta_deg", float, 0.0))
-    axis = doc.get("axis", "y")
+    theta = math.radians(_read(doc, "geometry", "theta_deg", _finite))
+    axis = doc["axis"]
     if isinstance(axis, str):
         try:
             axis = _AXIS_NAMES[axis.lower()]
         except KeyError:
             raise ConfigurationError(f"geometry.axis: unknown axis {axis!r}")
+    else:
+        axis = _read(doc, "geometry", "axis", _numbers(_finite, 3))
     try:
-        return Geometry(theta, tuple(float(a) for a in axis))
-    except (TypeError, ValueError) as exc:
+        return Geometry(theta, axis)
+    except ValueError as exc:
         raise ConfigurationError(f"geometry: {exc}") from exc
 
 
 def _build_trap(doc: dict) -> TrapSpec:
-    mass = _read(doc, "trap", "mass_amu", float, 40.0)
-    freqs = _read(doc, "trap", "frequencies_mhz", _numbers(float, 3),
-                  (1.0, 1.0, 1.0))
+    mass = _read(doc, "trap", "mass_amu", _finite)
+    freqs = _read(doc, "trap", "frequencies_mhz", _numbers(_finite, 3))
     try:
         return TrapSpec.from_lab_units(mass, freqs)
     except ValueError as exc:
         raise ConfigurationError(f"trap: {exc}") from exc
 
 
-def _build_scan_grid(doc: dict, beam_doc: dict) -> dict:
-    """Resolve the grid document, defaulting the extent to +/-2 waists."""
-    out = dict(doc)
-    if "extent_um" not in out:
-        w = _read(beam_doc, "beam", "waist_um", _positive, 1.0)
-        out["extent_um"] = [-2.0 * w, 2.0 * w, -2.0 * w, 2.0 * w]
-    out.setdefault("resolution", [256, 256])
-    out.setdefault("z_plane_um", 0.0)
-    return out
-
-
-def _scan_config(observable, grid_doc: dict) -> ScanConfig:
-    extent = _read(grid_doc, "grid", "extent_um", _numbers(float, 4))
-    res = _read(grid_doc, "grid", "resolution", _numbers(_integer, 2))
-    z_plane = _read(grid_doc, "grid", "z_plane_um", float)
-    return ScanConfig(observable, tuple(v * UM for v in extent), res,
-                      z_plane=z_plane * UM)
+def _scan_configs(observables, doc: dict) -> List[ScanConfig]:
+    """One ScanConfig per observable on the grid section `doc`."""
+    extent = _read(doc, "grid", "extent_um", _numbers(_finite, 4))
+    res = _read(doc, "grid", "resolution", _numbers(_integer, 2))
+    z_plane = _read(doc, "grid", "z_plane_um", _finite) * UM
+    extent = tuple(v * UM for v in extent)
+    return [ScanConfig(obs, extent, res, z_plane=z_plane)
+            for obs in observables]
 
 
 # ------------------------------------------------------------ file output
@@ -385,61 +502,19 @@ def _complex_pair(z: complex) -> List[float]:
 # ------------------------------------------------------------ subcommands
 
 
-def _resolve(args, flag_doc_builder, with_grid: bool = True) -> dict:
-    """Merge a run file or flags into one resolved run document."""
-    if getattr(args, "run_file", None):
-        doc = load_run_file(args.run_file)
-    else:
-        doc = flag_doc_builder(args)
-    if with_grid:
-        doc.setdefault("grid", {})
-        doc["grid"] = _build_scan_grid(doc["grid"], doc.get("beam", {}))
-    return doc
-
-
-def _require_beam(doc: dict) -> dict:
-    beam = doc.get("beam")
-    if not beam:
-        raise ConfigurationError("missing required field 'beam' "
-                                 "(--beam or run-file beam section)")
-    return beam
-
-
-def _field_map_flag_doc(args) -> dict:
-    doc = {"observable": "field",
-           "beam": _beam_doc_from_flag(args.beam, args.sigma, args.waist_um,
-                                       args.wavelength_um),
-           "grid": _grid_doc_from_flags(args)}
-    if args.component:
-        doc["component"] = args.component
-    return doc
-
-
-def _grid_doc_from_flags(args) -> dict:
-    grid = {}
-    if args.extent_um:
-        grid["extent_um"] = list(_parse_floats(args.extent_um, 4, "--extent-um"))
-    if args.resolution:
-        res = _parse_floats(args.resolution, 2, "--resolution")
-        grid["resolution"] = [int(r) for r in res]
-    if args.z_plane_um is not None:
-        grid["z_plane_um"] = args.z_plane_um
-    return grid
-
-
 def cmd_field_map(args) -> int:
-    doc = _resolve(args, _field_map_flag_doc)
-    beam = _build_beam(_require_beam(doc))
+    doc = _resolve(args)
+    beam = _build_beam(doc["beam"])
     wanted = doc.get("component")
     if wanted:
-        if wanted not in _COMPONENT_FLAGS:
+        if not isinstance(wanted, str) or wanted not in _COMPONENT_FLAGS:
             raise ConfigurationError(
                 f"component must be one of {sorted(_COMPONENT_FLAGS)}")
         components = [_COMPONENT_FLAGS[wanted]]
     else:
         components = list(_COMPONENT_STEMS)
-    cfgs = [_scan_config(FieldComponentObservable(beam, comp), doc["grid"])
-            for comp in components]
+    cfgs = _scan_configs([FieldComponentObservable(beam, comp)
+                          for comp in components], doc["grid"])
     written = []
     for comp, dataset in zip(components, run_scans(cfgs)):
         run_doc = dict(doc)
@@ -451,103 +526,48 @@ def cmd_field_map(args) -> int:
     return 0
 
 
-def _transition_core_doc(args) -> dict:
-    return {"beam": _beam_doc_from_flag(args.beam, args.sigma, args.waist_um,
-                                        args.wavelength_um),
-            "transition": {"j1": args.j1, "m1": args.m1, "j2": args.j2,
-                           "multipole": args.multipole},
-            "geometry": {"theta_deg": args.theta_deg, "axis": args.axis}}
-
-
-def _transition_map_flag_doc(args) -> dict:
-    doc = _transition_core_doc(args)
-    doc["observable"] = "transition"
-    doc["grid"] = _grid_doc_from_flags(args)
-    if args.dm is not None:
-        doc["dm"] = args.dm
-    return doc
-
-
-def _allowed_dm(doc: dict) -> List[int]:
-    """Delta-m values addressable for the configured transition family."""
-    tdoc = doc.get("transition", {})
-    try:
-        j2 = HalfInt.coerce(tdoc.get("j2", "5/2"))
-        m1 = HalfInt.coerce(tdoc.get("m1", "1/2"))
-        rank = Multipole.parse(tdoc.get("multipole", "E2_dJ2")).delta_j
-    except ValueError as exc:
-        raise ConfigurationError(f"transition: {exc}") from exc
-    out = []
-    for dm in range(-rank, rank + 1):
-        if abs(m1 + dm) <= j2:
-            out.append(dm)
-    return out
-
-
 def _dm_stem(dm: int) -> str:
     return "dm_" + (f"p{dm}" if dm > 0 else f"m{-dm}" if dm < 0 else "0")
 
 
 def cmd_transition_map(args) -> int:
-    doc = _resolve(args, _transition_map_flag_doc)
-    beam = _build_beam(_require_beam(doc))
-    geom = _build_geometry(doc.get("geometry", {}))
-    tdoc = doc.get("transition", {})
+    doc = _resolve(args)
+    beam = _build_beam(doc["beam"])
+    geom = _build_geometry(doc["geometry"])
+    tdoc = doc["transition"]
     dms = ([_read(doc, "", "dm", _integer)] if doc.get("dm") is not None
-           else _allowed_dm(doc))
+           else _allowed_dm(tdoc))
     transitions = [_build_transition(tdoc, dm) for dm in dms]
-    cfgs = [_scan_config(TransitionObservable(beam, t, geom), doc["grid"])
-            for t in transitions]
+    cfgs = _scan_configs([TransitionObservable(beam, t, geom)
+                          for t in transitions], doc["grid"])
     written = []
     for dm, trans, dataset in zip(dms, transitions, run_scans(cfgs)):
-        run_doc = dict(doc)
-        run_doc["dm"] = dm
-        run_doc["transition"] = dict(tdoc)
-        run_doc["transition"]["m2"] = str(trans.m2)
+        run_doc = dict(doc, dm=dm, transition=dict(tdoc, m2=str(trans.m2)))
         written += _write_map(args.outdir, f"mu_{_dm_stem(dm)}", dataset,
                               run_doc, {"dm": dm})
     _report(written)
     return 0
 
 
-def _trap_doc_from_flags(args) -> dict:
-    return {"mass_amu": args.mass_amu,
-            "frequencies_mhz": list(_parse_floats(
-                args.frequencies_mhz, 3, "--frequencies-mhz"))}
-
-
-def _sideband_map_flag_doc(args) -> dict:
-    doc = _transition_map_flag_doc(args)
-    doc["observable"] = "sideband"
-    doc["dm"] = args.dm if args.dm is not None else 1
-    doc["trap"] = _trap_doc_from_flags(args)
-    doc["sideband"] = {"n": args.n, "branch": args.branch}
-    return doc
-
-
 def cmd_sideband_map(args) -> int:
-    doc = _resolve(args, _sideband_map_flag_doc)
-    beam = _build_beam(_require_beam(doc))
-    geom = _build_geometry(doc.get("geometry", {}))
-    trap = _build_trap(doc.get("trap", {}))
-    dm = _read(doc, "", "dm", _integer, 1)
-    trans = _build_transition(doc.get("transition", {}), dm)
-    sb_doc = doc.get("sideband", {})
-    n = _read(sb_doc, "sideband", "n", _integer, 0)
-    branch = sb_doc.get("branch", "bsb")
+    doc = _resolve(args)
+    beam = _build_beam(doc["beam"])
+    geom = _build_geometry(doc["geometry"])
+    trap = _build_trap(doc["trap"])
+    trans = _build_transition(doc["transition"], _read(doc, "", "dm", _integer))
+    n = _read(doc["sideband"], "sideband", "n", _count)
+    branch = doc["sideband"]["branch"]
     if branch not in ("bsb", "rsb"):
         raise ConfigurationError("sideband.branch must be 'bsb' or 'rsb'")
     requests = [("carrier", SidebandRequest("X", n, "carrier"), False)]
     requests += [(f"{branch}_{mode}", SidebandRequest(mode, n, branch), True)
                  for mode in ("X", "Y", "Z")]
-    cfgs = [_scan_config(
-        SidebandObservable(beam, trap, req, trans, geom, eta_rescale=resc),
-        doc["grid"]) for _, req, resc in requests]
+    cfgs = _scan_configs(
+        [SidebandObservable(beam, trap, req, trans, geom, eta_rescale=resc)
+         for _, req, resc in requests], doc["grid"])
+    run_doc = dict(doc, transition=dict(doc["transition"], m2=str(trans.m2)))
     written = []
     for (stem, req, resc), dataset in zip(requests, run_scans(cfgs)):
-        run_doc = dict(doc)
-        run_doc["transition"] = dict(doc.get("transition", {}))
-        run_doc["transition"]["m2"] = str(trans.m2)
         extra = {"branch": req.branch, "mode": req.mode, "n": req.n,
                  "eta_rescaled": resc}
         written += _write_map(args.outdir, f"sideband_{stem}", dataset,
@@ -557,23 +577,23 @@ def cmd_sideband_map(args) -> int:
 
 
 def cmd_point(args) -> int:
-    doc = _resolve(args, _point_flag_doc, with_grid=False)
-    beam = _build_beam(_require_beam(doc))
-    geom = _build_geometry(doc.get("geometry", {}))
-    trap = _build_trap(doc.get("trap", {}))
-    tdoc = doc.get("transition", {})
-    pos_um = _read(doc, "", "position_um", _numbers(float, 3), [0.0, 0.0, 0.0])
+    doc = _resolve(args)
+    beam = _build_beam(doc["beam"])
+    geom = _build_geometry(doc["geometry"])
+    trap = _build_trap(doc["trap"])
+    tdoc = doc["transition"]
+    pos_um = _read(doc, "", "position_um", _numbers(_finite, 3))
+    dm0 = _read(doc, "", "dm", _integer)
+    trans0 = _build_transition(tdoc, dm0)
+    n = _read(doc["sideband"], "sideband", "n", _count)
     point = np.array([v * UM for v in pos_um])
 
     sample = field_sample_upto(beam, point, 2)
     comps = _circular(sample.electric)
     mu: Dict[str, List[float]] = {}
-    for dm in _allowed_dm(doc):
+    for dm in _allowed_dm(tdoc):
         trans = _build_transition(tdoc, dm)
         mu[f"{dm:+d}"] = _complex_pair(relative_strength(sample, trans, geom))
-    dm0 = _read(doc, "", "dm", _integer, 1)
-    trans0 = _build_transition(tdoc, dm0)
-    n = _read(doc.get("sideband", {}), "sideband", "n", _integer, 0)
     sidebands = {}
     for mode in ("X", "Y", "Z"):
         for branch in ("carrier", "bsb", "rsb"):
@@ -584,7 +604,7 @@ def cmd_point(args) -> int:
 
     record = {
         "tool_version": __version__,
-        "position_um": [float(v) for v in pos_um],
+        "position_um": list(pos_um),
         "run": doc,
         "electric_field": [_complex_pair(v) for v in sample.electric],
         "components": {k: _complex_pair(v) for k, v in comps.items()},
@@ -597,17 +617,6 @@ def cmd_point(args) -> int:
     json.dump(record, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
-
-
-def _point_flag_doc(args) -> dict:
-    doc = _transition_core_doc(args)
-    doc["observable"] = "point"
-    doc["dm"] = args.dm if args.dm is not None else 1
-    doc["trap"] = _trap_doc_from_flags(args)
-    doc["sideband"] = {"n": args.n}
-    doc["position_um"] = list(_parse_floats(args.position_um, 3,
-                                            "--position-um"))
-    return doc
 
 
 def cmd_compare(args) -> int:
@@ -641,46 +650,35 @@ def _report(paths: List[str]) -> None:
 
 # -------------------------------------------------------------- arg parser
 
-
-def _add_beam_flags(p: argparse.ArgumentParser, beam_required: bool) -> None:
-    p.add_argument("--run-file", help="JSON run document (strict schema); "
-                   "replaces the other configuration flags")
-    p.add_argument("--beam", required=False,
-                   help="lg:<l>[,<p>] | hg:<m>,<n> | radial | azimuthal")
-    p.add_argument("--sigma", default="+1", help="polarization: -1, 0, or +1")
-    p.add_argument("--waist-um", type=float, default=1.0)
-    p.add_argument("--wavelength-um", type=float, default=0.729)
-    p.set_defaults(_beam_required=beam_required)
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--extent-um", help="x_min,x_max,y_min,y_max "
-                   "(default: +/- 2 waists)")
-    p.add_argument("--resolution", default=None, help="nx,ny (default 256,256)")
-    p.add_argument("--z-plane-um", type=float, default=None)
-    p.add_argument("--outdir", "-o", default=".")
+# the run-document subcommands: command, handler, help, configuration flags
+_RUN_COMMANDS = (
+    ("field-map", cmd_field_map, "field component modulus maps",
+     _BEAM_FLAGS + _GRID_FLAGS + ("--component",)),
+    ("transition-map", cmd_transition_map,
+     "relative strength maps, one per addressable Delta-m unless --dm is "
+     "given", _BEAM_FLAGS + _GRID_FLAGS + _TRANSITION_FLAGS),
+    ("sideband-map", cmd_sideband_map,
+     "carrier plus X/Y/Z sideband strength maps",
+     _BEAM_FLAGS + _GRID_FLAGS + _TRANSITION_FLAGS + _TRAP_FLAGS
+     + ("--branch",)),
+    ("point", cmd_point, "single-point JSON diagnostic record",
+     _BEAM_FLAGS + _TRANSITION_FLAGS + _TRAP_FLAGS + ("--position-um",)),
+)
 
 
-def _add_transition_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--j1", default="1/2")
-    p.add_argument("--m1", default="1/2")
-    p.add_argument("--j2", default="5/2")
-    p.add_argument("--multipole", default="E2_dJ2",
-                   help="E1 | E2_dJ1 | E2_dJ2")
-    p.add_argument("--dm", type=int, default=None,
-                   help="single Delta-m channel (default: all addressable)")
-    p.add_argument("--theta-deg", type=float, default=0.0)
-    p.add_argument("--axis", default="y",
-                   help="rotation axis: x, y, or z (default y)")
-
-
-def _add_trap_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mass-amu", type=float, default=40.0)
-    p.add_argument("--frequencies-mhz", default="1,1,1",
-                   help="trap frequencies omega/2pi for X,Y,Z in MHz")
-    p.add_argument("--n", type=int, default=0, help="initial motional quantum")
-    p.add_argument("--branch", choices=("bsb", "rsb"), default="bsb",
-                   help="sideband branch for the mode maps (default bsb)")
+def _add_flags(p: argparse.ArgumentParser, command: str,
+               flags: Sequence[str]) -> None:
+    """Add configuration flags; their help shows the command's defaults."""
+    for flag in flags:
+        path, _, text = _FLAGS[flag]
+        default = _DEFAULTS[command]
+        for key in path.split("."):
+            default = default.get(key) if isinstance(default, dict) else None
+        if isinstance(default, list):
+            default = ",".join(map(str, default))
+        if default is not None and not isinstance(default, dict):
+            text += f" (default: {default})"
+        p.add_argument(flag, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -691,33 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("field-map", help="field component modulus maps")
-    _add_beam_flags(p, True)
-    _add_grid_flags(p)
-    p.add_argument("--component", choices=sorted(_COMPONENT_FLAGS),
-                   help="single component (default: all three)")
-    p.set_defaults(func=cmd_field_map)
-
-    p = sub.add_parser("transition-map", help="relative strength maps per dm")
-    _add_beam_flags(p, True)
-    _add_grid_flags(p)
-    _add_transition_flags(p)
-    p.set_defaults(func=cmd_transition_map)
-
-    p = sub.add_parser("sideband-map",
-                       help="carrier plus X/Y/Z sideband strength maps")
-    _add_beam_flags(p, True)
-    _add_grid_flags(p)
-    _add_transition_flags(p)
-    _add_trap_flags(p)
-    p.set_defaults(func=cmd_sideband_map)
-
-    p = sub.add_parser("point", help="single-point JSON diagnostic record")
-    _add_beam_flags(p, True)
-    _add_transition_flags(p)
-    _add_trap_flags(p)
-    p.add_argument("--position-um", default="0,0,0")
-    p.set_defaults(func=cmd_point)
+    for command, func, text, flags in _RUN_COMMANDS:
+        # flags that are not given stay out of the namespace, so only
+        # explicit flags override the run file
+        p = sub.add_parser(command, help=text,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--run-file", default=None, help=_RUN_FILE_HELP)
+        _add_flags(p, command, flags)
+        if command != "point":
+            p.add_argument("--outdir", "-o", default=".")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("compare", help="difference statistics of two map CSVs")
     p.add_argument("first")
@@ -732,11 +713,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_signed_lists(argv: Sequence[str]) -> List[str]:
+def _attach_flag_values(argv: Sequence[str]) -> List[str]:
+    """Join each configuration flag to its next token: argparse reads a
+    separate value such as "-1,1,-1,1" or "-1e-05" as an unknown flag."""
     out = []
     tokens = iter(argv)
     for tok in tokens:
-        if tok in _SIGNED_LIST_FLAGS:
+        if tok in _FLAGS:
             value = next(tokens, None)
             if value is not None:
                 tok = f"{tok}={value}"
@@ -746,10 +729,9 @@ def _attach_signed_lists(argv: Sequence[str]) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_signed_lists(
+    args = parser.parse_args(_attach_flag_values(
         sys.argv[1:] if argv is None else argv))
-    if getattr(args, "_beam_required", False) and not args.run_file \
-            and not args.beam:
+    if args.command in _DEFAULTS and not args.run_file and "beam" not in args:
         parser.exit(2, f"{parser.prog}: error: missing required field "
                        f"'--beam' (or provide --run-file)\n")
     try:

@@ -47,6 +47,11 @@ ZERO_FLOOR = 1e-13
 # 8192 did, which leaves room for a caller still holding its previous maps
 _CHUNK = 3072
 
+# Largest grid, in cells.  A CLI map run holds about 65 B per cell at its
+# peak: the grid points (24 B), 8 B per map of a same-grid group and the CSV
+# text of one map; so a 4096 x 4096 grid needs about 1.1 GB.
+MAX_GRID_CELLS = 4096 * 4096
+
 _log = logging.getLogger(__name__)
 
 _COMPONENTS = ("sigma_plus", "sigma_minus", "z")
@@ -201,6 +206,7 @@ class ScanConfig:
 
     `extent` is (x_min, x_max, y_min, y_max); grid nodes sit at cell centers
     so refining the resolution never evaluates exactly on the domain edge.
+    A grid has at most MAX_GRID_CELLS cells.
     """
 
     observable: object
@@ -218,6 +224,10 @@ class ScanConfig:
         res = tuple(int(v) for v in self.resolution)
         if len(res) != 2 or res[0] < 2 or res[1] < 2:
             raise ConfigurationError("resolution must be two integers >= 2")
+        if res[0] * res[1] > MAX_GRID_CELLS:
+            raise ConfigurationError(
+                f"resolution {res[0]}x{res[1]} is more than {MAX_GRID_CELLS} "
+                "cells")
         if not hasattr(self.observable, "evaluate"):
             raise ConfigurationError("observable must provide evaluate(points)")
         object.__setattr__(self, "extent", ext)

@@ -194,7 +194,11 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
         total += Fraction(-1 if k % 2 else 1, den)
     if total == 0:
         return 0.0
-    return float(total) * math.sqrt(float(pref2))
+    # the coefficient's square is exact and at most 1, while pref2 alone
+    # overflows a float from 2J = 115 on; int / int rounds correctly
+    square = (total.numerator ** 2 * pref2.numerator) / \
+        (total.denominator ** 2 * pref2.denominator)
+    return math.copysign(math.sqrt(square), total)
 
 
 def rotation_matrix(theta: float, axis) -> np.ndarray:

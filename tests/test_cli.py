@@ -4,12 +4,18 @@ All invocations run in-process through cli.main so exit codes and stdout
 can be asserted directly; map files land in pytest temp directories.
 """
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vectorlight.cli as cli_module
 import vectorlight.scan as scan_module
 from vectorlight import FieldComponentObservable, ScanConfig, run_scans
 from vectorlight.beams import BeamSpec
@@ -113,6 +119,15 @@ def test_run_file_invalid_json_reports_line(tmp_path, capsys):
     ({"beam": {"type": "lg", "l": 1.7}}, "beam.l"),
     ({"beam": {"type": "lg", "l": 1}, "grid": {"resolution": [8, 8.5]}},
      "grid.resolution"),
+    ({"beam": {"type": "lg", "l": 1, "waist_um": float("inf")}},
+     "beam.waist_um"),
+    ({"beam": {"type": "lg", "l": 1}, "geometry": {"theta_deg": float("nan")}},
+     "geometry.theta_deg"),
+    ({"beam": {"type": "lg", "l": 1}, "grid": {"z_plane_um": float("nan")}},
+     "grid.z_plane_um"),
+    ({"beam": {"type": "lg", "l": 1},
+      "grid": {"extent_um": [float("-inf"), float("inf"), -1, 1]}},
+     "grid.extent_um"),
 ])
 def test_run_file_bad_value_exits_2_and_names_the_field(tmp_path, capsys, doc,
                                                         field):
@@ -123,6 +138,70 @@ def test_run_file_bad_value_exits_2_and_names_the_field(tmp_path, capsys, doc,
     assert field in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["point", "--waist-um", "inf"], "beam.waist_um"),
+    (["point", "--theta-deg", "nan"], "geometry.theta_deg"),
+    (["point", "--position-um", "nan,0,0"], "position_um"),
+    (["field-map", "--z-plane-um", "nan"], "grid.z_plane_um"),
+    (["field-map", "--extent-um=-inf,inf,-1,1"], "grid.extent_um"),
+    (["field-map", "--resolution", "8.5,8"], "grid.resolution"),
+    (["field-map", "--resolution", "4097,4096"], "resolution 4097x4096"),
+    (["point", "--n", "-1"], "sideband.n"),
+    (["sideband-map", "--n", "-1"], "sideband.n"),
+])
+def test_bad_flag_value_exits_2_and_names_the_field(tmp_path, capsys,
+                                                    monkeypatch, argv, field):
+    def no_scan(cfgs):
+        raise AssertionError("bad input reached a scan")
+
+    # every case is rejected before a grid is allocated
+    monkeypatch.setattr(cli_module, "run_scans", no_scan)
+    args = argv + ["--beam", "lg:1"]
+    if argv[0] != "point":
+        args += ["-o", tmp_path]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_explicit_flags_override_the_run_file(tmp_path):
+    assert run(["transition-map", "--beam", "lg:1,0", "--dm", "0",
+                "--resolution", "8,8", "-o", tmp_path / "a"]) == 0
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(read_json(tmp_path / "a" / "mu_dm_0.json")["run"]))
+    assert run(["transition-map", "--run-file", echo, "--dm", "1",
+                "--theta-deg", "30", "-o", tmp_path / "b"]) == 0
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+        "mu_dm_p1.csv", "mu_dm_p1.json"]
+    side = read_json(tmp_path / "b" / "mu_dm_p1.json")
+    assert side["run"]["geometry"]["theta_deg"] == 30.0
+    assert side["run"]["transition"]["m2"] == "3/2"
+
+    # the default extent follows the merged waist
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"beam": {"type": "lg", "l": 2, "p": 1,
+                                          "sigma": -1},
+                                 "grid": {"resolution": [8, 8]}}))
+    assert run(["field-map", "--run-file", plain, "--waist-um", "2",
+                "--component", "Ez", "-o", tmp_path / "c"]) == 0
+    grid = read_json(tmp_path / "c" / "field_Ez.json")["grid"]
+    assert grid["extent_um"] == [-4.0, 4.0, -4.0, 4.0]
+    xs = load_map_csv(str(tmp_path / "c" / "field_Ez.csv")).x_centers
+    assert xs[0] == pytest.approx(-4e-6 + 4e-6 / 8, rel=1e-12)
+
+    # --beam replaces the file's type and mode indices, never its sigma;
+    # radial and azimuthal beams carry no sigma
+    for flag, beam in (("hg:1,0", {"type": "hg", "m": 1, "n": 0, "sigma": -1}),
+                       ("radial", {"type": "radial"})):
+        out = tmp_path / flag.replace(":", "_").replace(",", "_")
+        assert run(["field-map", "--run-file", plain, "--beam", flag,
+                    "--component", "Ez", "-o", out]) == 0
+        got = read_json(out / "field_Ez.json")["beam"]
+        assert got == dict(beam, waist_um=1.0, wavelength_um=0.729)
 
 
 def test_sidecar_run_echo_reproduces_bit_identical_csv(tmp_path):
@@ -136,6 +215,76 @@ def test_sidecar_run_echo_reproduces_bit_identical_csv(tmp_path):
     assert run(["transition-map", "--run-file", echo, "-o", out2]) == 0
     assert (out1 / "mu_dm_0.csv").read_bytes() == (out2 / "mu_dm_0.csv").read_bytes()
     assert (out1 / "mu_dm_0.json").read_bytes() == (out2 / "mu_dm_0.json").read_bytes()
+
+
+_ECHO_FLAGS = {
+    "--sigma": st.sampled_from(["-1", "0", "+1"]),
+    "--waist-um": st.floats(0.6, 3.0).map(repr),
+    "--wavelength-um": st.floats(0.4, 1.1).map(repr),
+    "--z-plane-um": st.floats(-1.0, 1.0).map(repr),
+    "--extent-um": st.floats(0.5, 3.0).map(lambda h: f"{-h!r},{h!r},-1,{h!r}"),
+    "--j2": st.sampled_from(["3/2", "5/2"]),
+    "--dm": st.integers(-1, 1).map(str),
+    "--theta-deg": st.floats(-90.0, 90.0).map(repr),
+    "--axis": st.sampled_from(["x", "y", "z"]),
+    "--n": st.integers(0, 3).map(str),
+    "--branch": st.sampled_from(["bsb", "rsb"]),
+    "--frequencies-mhz": st.floats(0.5, 3.0).map(lambda f: f"1,{f!r},2"),
+    "--position-um": st.floats(-1.0, 1.0).map(lambda x: f"{x!r},0.1,-0.2"),
+}
+_ECHO_COMMANDS = {
+    "field-map": ["--sigma", "--waist-um", "--wavelength-um", "--z-plane-um",
+                  "--extent-um"],
+    "transition-map": ["--sigma", "--waist-um", "--j2", "--dm", "--theta-deg",
+                       "--axis", "--extent-um"],
+    "sideband-map": ["--sigma", "--j2", "--dm", "--theta-deg", "--n",
+                     "--branch", "--frequencies-mhz"],
+    "point": ["--sigma", "--waist-um", "--j2", "--dm", "--theta-deg", "--n",
+              "--frequencies-mhz", "--position-um"],
+}
+
+
+def _run_quietly(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(args)
+    assert code == 0
+    return out.getvalue()
+
+
+def _rerun(tmp, command, echo, *extra):
+    """stdout of `command` run from the run document `echo`."""
+    path = os.path.join(tmp, "echo.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(echo, fh)
+    return _run_quietly([command, "--run-file", path, *extra])
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_ECHO_COMMANDS)),
+       beam=st.sampled_from(["lg:1", "lg:-2,1", "hg:1,0", "radial",
+                             "azimuthal"]))
+def test_rerunning_any_flag_runs_echo_reproduces_its_files(data, command, beam):
+    flags = data.draw(st.sets(st.sampled_from(_ECHO_COMMANDS[command])))
+    args = [command, "--beam", beam]
+    for flag in sorted(flags):
+        args += [flag, data.draw(_ECHO_FLAGS[flag])]
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "point":
+            record = _run_quietly(args)
+            assert _rerun(tmp, command, json.loads(record)["run"]) == record
+            return
+        first, again = os.path.join(tmp, "first"), os.path.join(tmp, "again")
+        _run_quietly(args + ["--resolution", "5,4", "-o", first])
+        for name in sorted(os.listdir(first)):
+            if not name.endswith(".json"):
+                continue
+            _rerun(tmp, command, read_json(os.path.join(first, name))["run"],
+                   "-o", again)
+            for stem in (name[:-5] + ".csv", name):
+                with open(os.path.join(first, stem), "rb") as fa, \
+                        open(os.path.join(again, stem), "rb") as fb:
+                    assert fa.read() == fb.read()
 
 
 def test_scan_telemetry_is_logged_out_of_band(tmp_path, monkeypatch, caplog):
@@ -299,6 +448,7 @@ def test_point_accepts_off_axis_position(capsys):
 @pytest.mark.parametrize("flag, value, extra", [
     ("--extent-um", "-1,1,-1,1", ["transition-map", "--resolution", "8,8"]),
     ("--position-um", "-0.3,0,0", ["point"]),
+    ("--theta-deg", "-1e-05", ["point"]),
 ])
 def test_signed_comma_list_may_follow_its_flag(tmp_path, capsys, flag, value,
                                                extra):

@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vectorlight.scan as scan_module
 from vectorlight import (
@@ -85,6 +87,11 @@ def test_config_validation():
         ScanConfig(obs, EXTENT, (1, 16))
     with pytest.raises(ConfigurationError):
         ScanConfig(object(), EXTENT, (16, 16))
+    # the grid-size cap, checked before any grid is allocated
+    ScanConfig(obs, EXTENT, (4096, 4096))
+    for res in ((4096, 4097), (2, 4096 * 4096), (10**9, 10**9)):
+        with pytest.raises(ConfigurationError, match="cells"):
+            ScanConfig(obs, EXTENT, res)
 
 
 def test_observable_validation():
@@ -202,6 +209,22 @@ def test_chunk_size_does_not_change_results(monkeypatch):
                     assert one.scale_factor == other.scale_factor
     finally:
         sys.setswitchinterval(interval)
+
+
+@settings(max_examples=20, deadline=None)
+@given(nx=st.integers(2, 20), ny=st.integers(2, 20),
+       chunk=st.integers(1, 4000))
+def test_any_chunk_size_gives_bitwise_equal_maps(nx, ny, chunk):
+    b = lg_beam()
+    observables = [FieldComponentObservable(b, "z"),
+                   TransitionObservable(b, quad_transition(1)),
+                   SidebandObservable(b, trap(), SidebandRequest("X", 0, "bsb"),
+                                      quad_transition(1)),
+                   _ReferenceFromNegativeX()]
+    cfgs = [ScanConfig(obs, EXTENT, (nx, ny)) for obs in observables]
+    for one, other in zip(run_scans(cfgs), run_scans(cfgs, chunk_size=chunk)):
+        assert one.values.tobytes() == other.values.tobytes()
+        assert one.scale_factor == other.scale_factor
 
 
 class _ChunkFailure(Exception):

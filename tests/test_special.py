@@ -8,6 +8,7 @@ by hand; nothing is asserted that was not independently computed.
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -201,6 +202,41 @@ def test_cg_exchange_symmetry():
         )
         phase = (-1.0) ** ((tj1 + tj2 - tJ) // 2)
         assert a == pytest.approx(phase * b, abs=1e-14)
+
+
+def cg_mpmath(tj1, tm1, tj2, tm2, tj):
+    """Racah's closed form evaluated in 60-digit arithmetic (twice-values)."""
+    tm = tm1 + tm2
+    f = mp.factorial
+    with mp.workdps(60):
+        pref = mp.sqrt(mp.mpf(tj + 1) * f((tj1 + tj2 - tj) // 2)
+                       * f((tj1 - tj2 + tj) // 2) * f((tj2 + tj - tj1) // 2)
+                       / f((tj1 + tj2 + tj) // 2 + 1)
+                       * f((tj + tm) // 2) * f((tj - tm) // 2)
+                       * f((tj1 + tm1) // 2) * f((tj1 - tm1) // 2)
+                       * f((tj2 + tm2) // 2) * f((tj2 - tm2) // 2))
+        k_min = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
+        k_max = min((tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
+        total = mp.fsum((-1) ** k / (
+            f(k) * f((tj1 + tj2 - tj) // 2 - k) * f((tj1 - tm1) // 2 - k)
+            * f((tj2 + tm2) // 2 - k) * f((tj - tj2 + tm1) // 2 + k)
+            * f((tj - tj1 - tm2) // 2 + k)) for k in range(k_min, k_max + 1))
+        return float(pref * total)
+
+
+@pytest.mark.parametrize("tj1, tm1, tj2, tm2, tj", [
+    (201, 1, 2, 0, 201),  # an E1 point query of a J = 201/2 level
+    (201, 1, 2, 2, 203),
+    (115, -113, 4, 2, 117),
+    (160, 10, 160, -10, 200),
+    (230, 0, 230, 0, 0),
+])
+def test_cg_at_large_j_matches_mpmath(tj1, tm1, tj2, tm2, tj):
+    # the Racah prefactor alone is past the largest double from 2J = 115 on
+    got = clebsch_gordan(HalfInt(tj1), HalfInt(tm1), HalfInt(tj2), HalfInt(tm2),
+                         HalfInt(tj), HalfInt(tm1 + tm2))
+    assert got == pytest.approx(cg_mpmath(tj1, tm1, tj2, tm2, tj), rel=1e-14)
+    assert got != 0.0
 
 
 # ------------------------------------------------------------- Wigner d/D
