@@ -13,7 +13,9 @@ the second order needed by gradient-coupled transitions and sidebands.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
@@ -24,6 +26,7 @@ from .jets import Jet
 from .special import hermite, laguerre
 
 __all__ = [
+    "LENGTH_RANGE",
     "LGMode",
     "HGMode",
     "ModeTerm",
@@ -44,6 +47,13 @@ __all__ = [
 _LG_MAX_L = 80
 _LG_MAX_P = 90
 _HG_MAX_ORDER = 30
+
+# Valid lengths in meters: waist and wavelength lie in this range, and grid
+# coordinates within +/- its upper end.  Inside it w0^2 and the Rayleigh
+# length k w0^2 / 2, which the profiles divide by, are normal floats and
+# squared coordinates cannot overflow.  The ends are 1e-12 and 1e12 um, as
+# the micrometer values convert.
+LENGTH_RANGE = (1e-12 * 1e-6, 1e12 * 1e-6)
 
 
 @dataclass(frozen=True)
@@ -111,10 +121,12 @@ class BeamSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
-        if self.waist <= 0.0:
-            raise ValueError("waist must be positive")
+        lo, hi = LENGTH_RANGE
+        for name in ("wavelength", "waist"):
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}] m, "
+                                 f"got {value!r}")
         terms = tuple((complex(w), t) for (w, t) in self.terms)
         if not terms:
             raise ValueError("beam needs at least one mode term")
@@ -223,6 +235,21 @@ def _hermite_jet(n: int, arg: Jet) -> Jet:
                        dk(n - 3, 8.0 * n * (n - 1) * (n - 2)))
 
 
+def _rho2(x: Jet, y: Jet) -> Jet:
+    """x^2 + y^2 of the coordinate jets x and y in closed form:
+    g = (2x, 2y, 0), h = diag(2, 2, 0), t = 0."""
+    val = x.val * x.val + y.val * y.val
+    g = h = None
+    if x.order >= 1:
+        g = np.zeros((3,) + val.shape, dtype=complex)
+        g[0] = x.val + x.val
+        g[1] = y.val + y.val
+    if x.order >= 2:
+        h = np.zeros((3, 3) + val.shape, dtype=complex)
+        h[0, 0] = h[1, 1] = 2.0
+    return Jet(x.order, val, g, h)
+
+
 def _lg_radial(al: int, p: int, waist: float, k: float, x: Jet, y: Jet,
                z: Jet) -> Jet:
     """Focused Laguerre-Gaussian profile without its vortex factor.
@@ -233,27 +260,25 @@ def _lg_radial(al: int, p: int, waist: float, k: float, x: Jet, y: Jet,
     arg(u) one unit of axial phase slippage, and Re(u/w0^2) the Gaussian
     envelope with Im supplying wavefront curvature.  Every factor is an
     entire function of the coordinates, so the Taylor jet needs no branch
-    handling.
+    handling.  For p = 0 the Laguerre factor is 1 and is left out.
     """
     zr = 0.5 * k * waist**2
     zeta = z * (1.0 / zr)
     u = (zeta * 1.0j + 1.0).reciprocal()
-    ubar = (zeta * (-1.0j) + 1.0).reciprocal()
-    rho2 = x * x + y * y
+    rho2 = _rho2(x, y)
 
-    # real-valued Laguerre argument 2 rho^2 / w(z)^2, kept as a complex jet
-    arg = rho2 * (u * ubar) * (2.0 / waist**2)
-    lag = _laguerre_jet(p, al, arg)
-
-    envelope = (rho2 * u * (-1.0 / waist**2)).exp()
     # u^(|l|+1+p) * (1 - i zeta)^p  ==  (w0/w)^(|l|+1) e^{-i(|l|+2p+1) atan}
-    axial = u.ipow(al + 1 + p)
+    f = u.ipow(al + 1 + p)
     if p:
-        axial = axial * (zeta * (-1.0j) + 1.0).ipow(p)
+        conj = zeta * (-1.0j) + 1.0
+        # real-valued Laguerre argument 2 rho^2 / w(z)^2, kept as a complex jet
+        arg = rho2 * (u * conj.reciprocal()) * (2.0 / waist**2)
+        f = _laguerre_jet(p, al, arg) * (f * conj.ipow(p))
+    envelope = (rho2 * u * (-1.0 / waist**2)).exp()
 
     norm = math.sqrt(2.0 * math.factorial(p)
                      / (math.pi * math.factorial(p + al)))
-    return lag * axial * envelope * norm
+    return f * envelope * norm
 
 
 def _vortex(l: int, waist: float, x: Jet, y: Jet) -> Jet:
@@ -265,24 +290,28 @@ def _vortex(l: int, waist: float, x: Jet, y: Jet) -> Jet:
 
 def _hg_jet(mode: HGMode, waist: float, k: float, x: Jet, y: Jet,
             z: Jet) -> Jet:
-    """Focused Hermite-Gaussian profile (no plane-wave factor) as a jet."""
+    """Focused Hermite-Gaussian profile (no plane-wave factor) as a jet.
+
+    A zero order contributes H_0 = 1, which is left out.
+    """
     m, n = mode.m, mode.n
     zr = 0.5 * k * waist**2
 
     zeta = z * (1.0 / zr)
     u = (zeta * 1.0j + 1.0).reciprocal()
-    rho2 = x * x + y * y
+    rho2 = _rho2(x, y)
 
-    # Hermite arguments sqrt(2) x / w(z); w(z)/w0 is a real sqrt jet
-    winv = (zeta * zeta + 1.0).sqrt().reciprocal()
-    scale = math.sqrt(2.0) / waist
-    hm = _hermite_jet(m, x * winv * scale)
-    hn = _hermite_jet(n, y * winv * scale)
-
-    envelope = (rho2 * u * (-1.0 / waist**2)).exp()
     # u covers w0/w and one unit of axial phase; the remaining m+n units
     # are a pure phase built from arctan(zeta).
-    f = hm * hn * u * envelope
+    factors = [u, (rho2 * u * (-1.0 / waist**2)).exp()]
+    if m + n:
+        # Hermite arguments sqrt(2) x / w(z); w(z)/w0 is a real sqrt jet
+        winv = (zeta * zeta + 1.0).sqrt().reciprocal()
+        scale = math.sqrt(2.0) / waist
+        factors[:0] = [_hermite_jet(order, c * winv * scale)
+                       for order, c in ((m, x), (n, y)) if order]
+    # left to right: H_m H_n u envelope
+    f = functools.reduce(operator.mul, factors)
     if m + n:
         f = f * (zeta.arctan() * (-1.0j * (m + n))).exp()
 
@@ -303,6 +332,8 @@ def _profile(mode: Mode, waist: float, k: float, coords: Tuple[Jet, Jet, Jet],
         key = (abs(mode.l), mode.p)
         if key not in radial:
             radial[key] = _lg_radial(*key, waist, k, x, y, z)
+        if not mode.l:
+            return radial[key]
         return _vortex(mode.l, waist, x, y) * radial[key]
     if isinstance(mode, HGMode):
         return _hg_jet(mode, waist, k, x, y, z)

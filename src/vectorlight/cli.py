@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -25,7 +26,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .beams import BeamSpec, _circular, field_sample_upto, make_radial_azimuthal
+from .beams import (
+    LENGTH_RANGE,
+    BeamSpec,
+    _circular,
+    field_sample_upto,
+    make_radial_azimuthal,
+)
 from .coupling import Geometry, Multipole, TransitionSpec, relative_strength
 from .errors import ConfigurationError, NumericalError
 from .motion import SidebandRequest, TrapSpec, sideband_strength_at
@@ -259,7 +266,7 @@ def _resolve(args) -> dict:
     doc["observable"] = defaults["observable"]
     _complete_beam(doc["beam"])
     if "grid" in defaults:
-        w = 2.0 * _read(doc["beam"], "beam", "waist_um", _positive)
+        w = 2.0 * _read(doc["beam"], "beam", "waist_um", _length)
         doc["grid"].setdefault("extent_um", [-w, w, -w, w])
     return doc
 
@@ -298,11 +305,20 @@ def _count(value) -> int:
     return number
 
 
-def _positive(value) -> float:
-    value = _finite(value)
-    if not value > 0.0:
-        raise ValueError(f"must be positive, got {value!r}")
-    return value
+def _within(lo: float, hi: float):
+    """Converter of a length in um whose value in meters lies in [lo, hi]."""
+    def convert(value) -> float:
+        value = _finite(value)
+        if not lo <= value * UM <= hi:
+            raise ValueError(f"must lie in [{lo / UM:g}, {hi / UM:g}] um, "
+                             f"got {value!r}")
+        return value
+    return convert
+
+
+# waists and wavelengths; coordinates of the grid and of a point
+_length = _within(*LENGTH_RANGE)
+_coordinate = _within(-LENGTH_RANGE[1], LENGTH_RANGE[1])
 
 
 def _numbers(convert, count: int):
@@ -317,8 +333,8 @@ def _numbers(convert, count: int):
 
 
 def _build_beam(doc: dict) -> BeamSpec:
-    waist = _read(doc, "beam", "waist_um", _positive) * UM
-    wavelength = _read(doc, "beam", "wavelength_um", _positive) * UM
+    waist = _read(doc, "beam", "waist_um", _length) * UM
+    wavelength = _read(doc, "beam", "wavelength_um", _length) * UM
     kind = doc["type"]
     if kind in ("radial", "azimuthal"):
         return make_radial_azimuthal(kind, waist=waist, wavelength=wavelength)
@@ -378,9 +394,9 @@ def _build_trap(doc: dict) -> TrapSpec:
 
 def _scan_configs(observables, doc: dict) -> List[ScanConfig]:
     """One ScanConfig per observable on the grid section `doc`."""
-    extent = _read(doc, "grid", "extent_um", _numbers(_finite, 4))
+    extent = _read(doc, "grid", "extent_um", _numbers(_coordinate, 4))
     res = _read(doc, "grid", "resolution", _numbers(_integer, 2))
-    z_plane = _read(doc, "grid", "z_plane_um", _finite) * UM
+    z_plane = _read(doc, "grid", "z_plane_um", _coordinate) * UM
     extent = tuple(v * UM for v in extent)
     return [ScanConfig(obs, extent, res, z_plane=z_plane)
             for obs in observables]
@@ -582,7 +598,7 @@ def cmd_point(args) -> int:
     geom = _build_geometry(doc["geometry"])
     trap = _build_trap(doc["trap"])
     tdoc = doc["transition"]
-    pos_um = _read(doc, "", "position_um", _numbers(_finite, 3))
+    pos_um = _read(doc, "", "position_um", _numbers(_coordinate, 3))
     dm0 = _read(doc, "", "dm", _integer)
     trans0 = _build_transition(tdoc, dm0)
     n = _read(doc["sideband"], "sideband", "n", _count)
@@ -727,8 +743,12 @@ def _attach_flag_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
+# parsing leaves no state in the parser, so one serves every call
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_attach_flag_values(
         sys.argv[1:] if argv is None else argv))
     if args.command in _DEFAULTS and not args.run_file and "beam" not in args:

@@ -16,6 +16,14 @@ pairs i <= j and t on its 10 unique triples i <= j <= k, and one gather
 expands each to every index order.  (Complex multiplication is not bitwise
 commutative where it uses fused multiply-adds, so g_i g_j and g_j g_i may
 differ in the last bit; computing each unique entry once avoids that.)
+
+A jet is never mutated once built, so jets may share blocks: `truncate`,
+`partial` and adding a constant (which moves only the value) return jets
+holding the blocks of the jet they came from.  Work whose result is known is
+skipped: a constant is not expanded into zero blocks and `ipow` does not
+multiply by 1.  Both keep every bit of the full computation except the sign
+of an exact zero, which a sum with 0.0 or a product with 1 would turn to
++0.0.
 """
 
 from __future__ import annotations
@@ -103,15 +111,17 @@ class Jet:
 
     # ----------------------------------------------------------- arithmetic
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.order != self.order:
-                raise ValueError("jet order mismatch")
-            return other
-        return Jet.constant(other, self.order, self.val.shape)
+    def _check(self, other):
+        if other.order != self.order:
+            raise ValueError("jet order mismatch")
+        return other
 
     def __add__(self, other):
-        o = self._coerce(other)
+        if not isinstance(other, Jet):
+            # a constant has no derivatives: shift the value, share the blocks
+            return Jet(self.order, self.val + np.asarray(other, dtype=complex),
+                       self.g, self.h, self.t)
+        o = self._check(other)
         return Jet(
             self.order,
             self.val + o.val,
@@ -132,7 +142,9 @@ class Jet:
         )
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if not isinstance(other, Jet):
+            return self + (-np.asarray(other, dtype=complex))
+        return self + (-self._check(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -147,7 +159,7 @@ class Jet:
                 None if self.order < 2 else self.h * c,
                 None if self.order < 3 else self.t * c,
             )
-        o = self._coerce(other)
+        o = self._check(other)
         n = self.order
         shape = self.val.shape
         val = self.val * o.val
@@ -228,15 +240,19 @@ class Jet:
         return self.compose(np.arctan(u), d1, d2, d3)
 
     def ipow(self, n: int):
+        """self**n by squaring; the first factor is a power of self itself,
+        so ipow(1) is self and ipow(2) is one product."""
         if n < 0:
             raise ValueError("negative integer power not supported")
-        out = Jet.constant(1.0, self.order, self.val.shape)
-        base = self
+        if n == 0:
+            return Jet.constant(1.0, self.order, self.val.shape)
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -------------------------------------------------------------- access

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beams import BeamSpec, _circular, field_sample_upto
+from .beams import LENGTH_RANGE, BeamSpec, _circular, field_sample_upto
 from .coupling import Geometry, TransitionSpec, relative_strength
 from .errors import ConfigurationError, NumericalError
 from .motion import SidebandRequest, TrapSpec, _line_strength, lamb_dicke
@@ -206,7 +206,8 @@ class ScanConfig:
 
     `extent` is (x_min, x_max, y_min, y_max); grid nodes sit at cell centers
     so refining the resolution never evaluates exactly on the domain edge.
-    A grid has at most MAX_GRID_CELLS cells.
+    A grid has at most MAX_GRID_CELLS cells, and its coordinates lie within
+    +/- the upper end of beams.LENGTH_RANGE.
     """
 
     observable: object
@@ -221,6 +222,10 @@ class ScanConfig:
             raise ConfigurationError("extent must be (x_min, x_max, y_min, y_max)")
         if not (ext[1] > ext[0] and ext[3] > ext[2]):
             raise ConfigurationError("extent must have x_max > x_min, y_max > y_min")
+        bound = LENGTH_RANGE[1]
+        if not all(abs(v) <= bound for v in ext + (float(self.z_plane),)):
+            raise ConfigurationError(
+                f"extent and z_plane must lie within +/-{bound:g} m")
         res = tuple(int(v) for v in self.resolution)
         if len(res) != 2 or res[0] < 2 or res[1] < 2:
             raise ConfigurationError("resolution must be two integers >= 2")

@@ -2,12 +2,14 @@
 
 Clebsch-Gordan coefficients are evaluated from Racah's closed-form factorial
 sum with exact integer arithmetic (Fractions), so the results are correct to
-floating-point rounding for the small j used here.  Condon-Shortley phase
-conventions throughout.
+floating-point rounding for the small j used here.  The last 4096 distinct
+coefficients are cached, so a repeated call costs a lookup.  Condon-Shortley
+phase conventions throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,7 +163,13 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
     _check_jm(tj1, tm1, "(j1, m1)")
     _check_jm(tj2, tm2, "(j2, m2)")
     _check_jm(tj, tm, "(j, m)")
+    return _clebsch_gordan_twice(tj1, tm1, tj2, tm2, tj, tm)
 
+
+@functools.lru_cache(maxsize=4096)
+def _clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tj: int,
+                          tm: int) -> float:
+    """The coefficient from valid doubled quantum numbers, computed once."""
     if tm1 + tm2 != tm:
         return 0.0
     # Triangle rule, including the requirement that j1 + j2 + j is an integer.

@@ -9,6 +9,14 @@
   on batch-first (..., 3), (..., 3, 3), (..., 3, 3, 3) blocks, written with
   broadcast outer products over every index instead of the package's
   unique-component gathers.
+- Full-factor scalar profiles: the LG and HG profile formulas as written
+  before the package learned to skip factors whose result is known.  They
+  multiply by the constant-1 Laguerre and H_0 jets, raise powers starting
+  from a constant-1 jet, build rho^2 as x*x + y*y and add constants as
+  constant jets; the package must match them byte for byte.
+- Frame rotation of sampled fields: vector components and derivative
+  indices re-expressed in the atom frame, for the rotated-table path to
+  agree with.
 
 Only tests import this module; the package itself has a single analytic
 field path and no Wigner-matrix code.
@@ -18,7 +26,15 @@ import math
 
 import numpy as np
 
-from vectorlight.beams import field_sample_upto
+from vectorlight.beams import (
+    FieldSample,
+    HGMode,
+    LGMode,
+    _hermite_jet,
+    _laguerre_jet,
+    field_sample_upto,
+)
+from vectorlight.jets import Jet
 from vectorlight.special import HalfInt, halfint, rotation_matrix
 
 # ---------------------------------------------------------------------------
@@ -108,6 +124,19 @@ def fd_hessian(spec, points, h: float = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# frame rotation of sampled fields
+
+
+def rotated_sample(fs: FieldSample, rot: np.ndarray) -> FieldSample:
+    """Field arrays re-expressed in the atom frame: every vector component
+    and derivative index rotated by `rot`."""
+    e = np.einsum("ij,...i->...j", rot, fs.electric)
+    jac = np.einsum("ai,bj,...ab->...ij", rot, rot, fs.jacobian)
+    hes = np.einsum("ap,bi,cj,...abc->...pij", rot, rot, rot, fs.hessian)
+    return FieldSample(e, jac, hes)
+
+
+# ---------------------------------------------------------------------------
 # Wigner rotation matrices (Condon-Shortley phases)
 
 
@@ -182,3 +211,63 @@ def wigner_D_matrix(j, theta: float, axis) -> np.ndarray:
     return (
         np.exp(-1j * ms[:, None] * alpha) * small * np.exp(-1j * ms[None, :] * gamma)
     )
+
+
+# ---------------------------------------------------------------------------
+# full-factor scalar profiles
+
+
+def _one(like):
+    return Jet.constant(1.0, like.order, like.val.shape)
+
+
+def _shift(jet, c):
+    """jet + c with c added as a constant jet (zero derivative blocks)."""
+    return jet + Jet.constant(c, jet.order, jet.val.shape)
+
+
+def ipow_from_one(jet, n):
+    """jet**n by squaring, starting from a constant-1 jet."""
+    out, base = _one(jet), jet
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return out
+
+
+def profile_full(mode, waist, k, coords):
+    """Scalar profile of one LG or HG mode, every factor multiplied in."""
+    x, y, z = coords
+    zr = 0.5 * k * waist**2
+    zeta = z * (1.0 / zr)
+    u = _shift(zeta * 1.0j, 1.0).reciprocal()
+    rho2 = x * x + y * y
+    envelope = (rho2 * u * (-1.0 / waist**2)).exp()
+    if isinstance(mode, LGMode):
+        al, p = abs(mode.l), mode.p
+        ubar = _shift(zeta * (-1.0j), 1.0).reciprocal()
+        arg = rho2 * (u * ubar) * (2.0 / waist**2)
+        lag = _laguerre_jet(p, al, arg)
+        axial = ipow_from_one(u, al + 1 + p)
+        if p:
+            axial = axial * ipow_from_one(_shift(zeta * (-1.0j), 1.0), p)
+        norm = math.sqrt(2.0 * math.factorial(p)
+                         / (math.pi * math.factorial(p + al)))
+        radial = lag * axial * envelope * norm
+        base = (x + (1.0j if mode.l >= 0 else -1.0j) * y) * (
+            math.sqrt(2.0) / waist)
+        return ipow_from_one(base, al) * radial
+    assert isinstance(mode, HGMode)
+    m, n = mode.m, mode.n
+    winv = _shift(zeta * zeta, 1.0).sqrt().reciprocal()
+    scale = math.sqrt(2.0) / waist
+    hm = _hermite_jet(m, x * winv * scale)
+    hn = _hermite_jet(n, y * winv * scale)
+    f = hm * hn * u * envelope
+    if m + n:
+        f = f * (zeta.arctan() * (-1.0j * (m + n))).exp()
+    norm = math.sqrt(2.0 / math.pi) / math.sqrt(
+        2.0 ** (m + n) * math.factorial(m) * math.factorial(n))
+    return f * norm

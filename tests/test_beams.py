@@ -4,7 +4,9 @@ Mode amplitudes are checked against an independent arbitrary-precision
 implementation written in the conventional real-beam-radius parametrization
 (beam radius w(z), wavefront curvature radius R(z), axial phase), which shares
 no code with the complex-parameter form used by the package.  Derivatives are
-checked against 4th-order central finite differences (`oracles`).
+checked against 4th-order central finite differences (`oracles`).  Profiles
+that skip factors known to be 1 are checked byte for byte against the
+full-factor formulas in `oracles`.
 """
 
 import math
@@ -16,18 +18,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vectorlight.beams import (
+    LENGTH_RANGE,
     BeamSpec,
     HGMode,
     LGMode,
     ModeTerm,
+    _coords,
     _mode_jet,
+    _profile as profile_jet,
     field_components,
     field_sample_upto,
     make_radial_azimuthal,
 )
 
 from conftest import WAIST, WAVELENGTH, make_five_beams, make_probe_points
-from oracles import fd_hessian, fd_jacobian
+from oracles import fd_hessian, fd_jacobian, profile_full
 
 K = 2.0 * math.pi / WAVELENGTH
 ZR = 0.5 * K * WAIST**2
@@ -199,6 +204,47 @@ def test_mode_validation():
         BeamSpec.lg(0, waist=-1.0, wavelength=WAVELENGTH)
     with pytest.raises(ValueError):
         BeamSpec.lg(0, waist=WAIST, wavelength=0.0)
+
+
+# LG with p = 0 and p > 0 and l = 0, HG with zero and nonzero orders, and
+# the two-term cylindrical beams
+_BITWISE_BEAMS = [BeamSpec.lg(l, p, waist=WAIST, wavelength=WAVELENGTH)
+                  for l, p in ((1, 0), (-1, 0), (2, 1), (0, 0), (0, 2), (3, 2))]
+_BITWISE_BEAMS += [BeamSpec.hg(m, n, waist=WAIST, wavelength=WAVELENGTH)
+                   for m, n in ((1, 0), (0, 2), (3, 1), (4, 0), (0, 0))]
+_BITWISE_BEAMS += [make_radial_azimuthal(kind, WAIST, WAVELENGTH)
+                   for kind in ("radial", "azimuthal")]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_profiles_are_bytewise_the_full_factor_formulas(order):
+    # origin, axes, signed zeros and both sides of the focus
+    pts = np.concatenate([make_probe_points(), [
+        [WAIST, 0.0, 0.0], [0.0, -WAIST, 0.3 * ZR], [-0.0, -0.0, 0.0],
+        [-WAIST, -0.0, -0.5 * ZR], [-0.7 * WAIST, -0.4 * WAIST, -ZR]]])
+    coords = _coords(pts, order)
+    for beam in _BITWISE_BEAMS:
+        radial = {}  # shared by the terms, as in one field evaluation
+        for _, term in beam.terms:
+            got = profile_jet(term.mode, WAIST, K, coords, radial)
+            want = profile_full(term.mode, WAIST, K, coords)
+            for name in ("val", "g", "h", "t")[:order + 1]:
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes(), (term.mode, name)
+
+
+def test_lengths_outside_the_valid_range_are_rejected():
+    lo, hi = LENGTH_RANGE
+    for waist, wavelength in ((lo, hi), (hi, lo)):
+        BeamSpec.lg(1, waist=waist, wavelength=wavelength)
+    # a Rayleigh length that underflows, a squared waist that overflows
+    for waist, wavelength in ((1e-306, WAVELENGTH), (1e-206, WAVELENGTH),
+                              (1e294, WAVELENGTH), (WAIST, 1e-310),
+                              (WAIST, float("nan"))):
+        with pytest.raises(ValueError, match="must lie in"):
+            BeamSpec.lg(1, waist=waist, wavelength=wavelength)
+        with pytest.raises(ValueError, match="must lie in"):
+            make_radial_azimuthal("radial", waist, wavelength)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,57 @@ def test_bad_flag_value_exits_2_and_names_the_field(tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv, field", [
+    # the Rayleigh length underflows to 0
+    (["point", "--beam", "lg:1", "--waist-um", "1e-300"], "beam.waist_um"),
+    (["point", "--beam", "radial", "--waist-um", "1e-200"], "beam.waist_um"),
+    # the squared coordinates overflow
+    (["field-map", "--beam", "lg:1", "--extent-um=-1e308,1e308,-1,1",
+      "--resolution", "4,4"], "grid.extent_um"),
+    (["point", "--beam", "hg:1,0", "--waist-um", "1e300"], "beam.waist_um"),
+    (["point", "--beam", "lg:1", "--wavelength-um", "1e-300"],
+     "beam.wavelength_um"),
+    (["point", "--beam", "lg:1", "--position-um", "1e200,0,0"],
+     "position_um"),
+    (["field-map", "--beam", "lg:1", "--z-plane-um", "1e20"],
+     "grid.z_plane_um"),
+])
+def test_lengths_outside_the_stated_range_exit_2(tmp_path, capsys,
+                                                 monkeypatch, argv, field):
+    def no_scan(cfgs):
+        raise AssertionError("bad input reached a scan")
+
+    monkeypatch.setattr(cli_module, "run_scans", no_scan)
+    args = argv + (["-o", tmp_path] if argv[0] != "point" else [])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert field in err and "must lie in" in err
+    assert "Traceback" not in err
+
+
+def test_ends_of_the_length_range_are_valid(capsys):
+    for extra in (["--waist-um", "1e-12"],
+                  ["--waist-um", "1e12", "--wavelength-um", "1e-12",
+                   "--position-um", "1e12,-1e12,1e12"]):
+        assert run(["point", "--beam", "lg:1"] + extra) == 0
+        assert "position_um" in json.loads(capsys.readouterr().out)
+
+
+def test_successive_runs_leave_no_state_in_the_parser(tmp_path):
+    assert cli_module._parser() is cli_module._parser()
+    assert run(["field-map", "--beam", "hg:1,0", "--sigma", "-1",
+                "--waist-um", "2", "--z-plane-um", "0.5", "--component", "Ez",
+                "--resolution", "8,8", "-o", tmp_path / "a"]) == 0
+    assert run(["field-map", "--beam", "lg:1", "--component", "sigma+",
+                "--resolution", "8,8", "-o", tmp_path / "b"]) == 0
+    echo = read_json(tmp_path / "b" / "field_sigma_plus.json")["run"]
+    assert echo["beam"] == {"type": "lg", "l": 1, "p": 0, "sigma": 1,
+                            "waist_um": 1.0, "wavelength_um": 0.729}
+    assert echo["grid"] == {"extent_um": [-2.0, 2.0, -2.0, 2.0],
+                            "resolution": [8, 8], "z_plane_um": 0.0}
+    assert echo["component"] == "sigma+"
+
+
 def test_explicit_flags_override_the_run_file(tmp_path):
     assert run(["transition-map", "--beam", "lg:1,0", "--dm", "0",
                 "--resolution", "8,8", "-o", tmp_path / "a"]) == 0

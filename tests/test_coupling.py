@@ -1,15 +1,17 @@
 """Coupling tables, selection rules, axis rotation, and averaging.
 
-The rotation tests use an independent oracle: instead of rotating the
-coefficient tables, the sampled field arrays are transformed into the atom
-frame (vector components and derivative indices alike) and contracted with
-the unrotated tables.  Both paths must agree to high precision.
+The rotation tests use an independent oracle (`oracles.rotated_sample`):
+instead of rotating the coefficient tables, the sampled field arrays are
+transformed into the atom frame (vector components and derivative indices
+alike) and contracted with the unrotated tables.  Both paths must agree to high precision.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vectorlight.beams import (
     BeamSpec,
@@ -31,7 +33,8 @@ from vectorlight.coupling import (
 )
 from vectorlight.special import HalfInt
 
-from conftest import WAIST, WAVELENGTH
+from conftest import WAIST, WAVELENGTH, make_five_beams, make_probe_points
+from oracles import rotated_sample
 
 SQ2 = math.sqrt(2.0)
 
@@ -202,14 +205,6 @@ def test_mirror_symmetry_of_strengths():
 # rotation
 
 
-def rotated_sample(fs: FieldSample, rot: np.ndarray) -> FieldSample:
-    """Field arrays re-expressed in the atom frame (independent oracle)."""
-    e = np.einsum("ij,...i->...j", rot, fs.electric)
-    jac = np.einsum("ai,bj,...ab->...ij", rot, rot, fs.jacobian)
-    hes = np.einsum("ap,bi,cj,...abc->...pij", rot, rot, rot, fs.hessian)
-    return FieldSample(e, jac, hes)
-
-
 @pytest.mark.parametrize("multipole", list(Multipole))
 def test_rotation_matches_field_rotation_oracle(multipole, five_beams, probe_points):
     axes = [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.36, -0.48, 0.8)]
@@ -226,6 +221,37 @@ def test_rotation_matches_field_rotation_oracle(multipole, five_beams, probe_poi
                                              trans, Geometry(0.0))
                 scale = max(np.max(np.abs(mu_field)), 1e-300)
                 assert np.max(np.abs(mu_tensor - mu_field)) < 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda a: math.hypot(*a) > 1e-3),
+       beam=st.integers(0, 4), multipole=st.sampled_from(list(Multipole)),
+       point=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                       st.floats(-0.8, 0.8)))
+def test_rotation_matches_field_rotation_oracle_anywhere(theta, axis, beam,
+                                                         multipole, point):
+    # The drawn point joins the fixed probe points, and the tolerance is the
+    # one above, relative to the largest strength over the batch and over
+    # every dm channel of the multipole.  A channel dark at this geometry
+    # (say theta near 0 or 2 pi) then compares rounding with rounding: the
+    # oracle's rotated field e + theta K e loses the theta term under the
+    # large components of e, while the rotated tables keep it.
+    _, spec = make_five_beams()[beam]
+    drawn = np.array(point) * (WAIST, WAIST, spec.rayleigh_length)
+    pts = np.concatenate([make_probe_points(), drawn[None, :]])
+    fs = field_sample_upto(spec, pts, 2)
+    geom = Geometry(theta, axis)
+    moved = rotated_sample(fs, geom.rotation())
+    err = scale = 0.0
+    for dm in range(-multipole.delta_j, multipole.delta_j + 1):
+        trans = transition(dm, multipole=multipole)
+        mu_tensor = relative_strength(fs, trans, geom)
+        mu_field = relative_strength(moved, trans, Geometry(0.0))
+        err = max(err, np.max(np.abs(mu_tensor - mu_field)))
+        scale = max(scale, np.max(np.abs(mu_field)))
+    assert err < 1e-10 * scale
 
 
 def test_rotation_identity_and_period():

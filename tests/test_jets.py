@@ -3,7 +3,8 @@
 The oracle differentiates plain scalar evaluations of the same composite
 functions with 4th-order central stencils, so jet propagation (Leibniz and
 chain rules up to third order) is checked independently.  The third-order
-kernels are also checked against the full-tensor formulas in `oracles`.
+kernels are also checked against the full-tensor formulas in `oracles`, and
+the shortcuts for powers and constant shifts against the full products.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import jet_compose, jet_mul
+from oracles import ipow_from_one, jet_compose, jet_mul
 from vectorlight.jets import Jet
 
 STEP = 1e-6
@@ -200,3 +201,40 @@ def test_third_order_kernels_match_full_tensor_oracle_and_are_symmetric(shape):
             batch = tuple(range(nderiv, block.ndim))
             for perm in itertools.permutations(range(nderiv)):
                 assert np.array_equal(block, block.transpose(perm + batch)), name
+
+
+def _bitwise_equal(a, b, zero_signs=True):
+    """Blocks byte for byte equal; with zero_signs False, -0.0 counts as 0.0."""
+    def data(jet, name):
+        block = getattr(jet, name)
+        return (block if zero_signs else block + 0.0).tobytes()
+    return a.order == b.order and all(
+        data(a, name) == data(b, name)
+        for name in ("val", "g", "h", "t")[:a.order + 1])
+
+
+def test_ipow_and_constant_shifts_are_bytewise_the_full_products(probe_points):
+    rng = np.random.default_rng(5)
+    x = Jet.coordinate(probe_points, 0, 3)
+    y = Jet.coordinate(probe_points, 1, 3)
+    z = Jet.coordinate(probe_points, 2, 3)
+    # the random jet has no zero entries; the others have zeros of both signs
+    jets = [random_jet(rng, (7,)), (x + 1j * y) * 1.7, z * (-0.6j)]
+    for i, jet in enumerate(jets):
+        # a product with an exact constant 1, or a sum with an exact 0,
+        # turns -0.0 into 0.0: skipping them may keep a zero's sign only
+        exact = i == 0
+        sq = jet * jet
+        # the products of squaring, in the order ipow multiplies them
+        chained = [Jet.constant(1.0, 3, jet.val.shape), jet, sq, jet * sq,
+                   sq * sq, jet * (sq * sq)]
+        for n in range(6):
+            assert _bitwise_equal(jet.ipow(n), chained[n]), n
+            assert _bitwise_equal(jet.ipow(n), ipow_from_one(jet, n), exact), n
+        for c in (1.0, -2.5j, 0.3 - 0.1j):
+            const = Jet.constant(c, 3, jet.val.shape)
+            assert _bitwise_equal(jet + c, jet + const, exact)
+            assert _bitwise_equal(c + jet, const + jet, exact)
+            assert _bitwise_equal(jet - c, jet - const)
+        # the shift shares the blocks; nothing is copied
+        assert (jet + 1.0).t is jet.t

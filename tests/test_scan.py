@@ -92,6 +92,13 @@ def test_config_validation():
     for res in ((4096, 4097), (2, 4096 * 4096), (10**9, 10**9)):
         with pytest.raises(ConfigurationError, match="cells"):
             ScanConfig(obs, EXTENT, res)
+    # coordinates within +/- 1e6 m, where their squares stay finite
+    ScanConfig(obs, (-1e6, 1e6, -1e6, 1e6), (16, 16), z_plane=-1e6)
+    for ext, z in (((-1e302, 1e302, -1.0, 1.0), 0.0),
+                   ((-1.0, float("inf"), -1.0, 1.0), 0.0),
+                   (EXTENT, 2e6), (EXTENT, float("nan"))):
+        with pytest.raises(ConfigurationError, match="within"):
+            ScanConfig(obs, ext, (16, 16), z_plane=z)
 
 
 def test_observable_validation():

@@ -14,6 +14,7 @@ import pytest
 
 from vectorlight.special import (
     HalfInt,
+    _clebsch_gordan_twice,
     clebsch_gordan,
     halfint,
     hermite,
@@ -164,6 +165,22 @@ def test_cg_domain_errors():
 
 def _j_range(tmax):
     return [HalfInt(t) for t in range(0, tmax + 1)]
+
+
+def test_cg_cache_returns_the_computed_values():
+    compute = _clebsch_gordan_twice.__wrapped__  # the uncached function
+    args = [(1, 1, 4, tm2, 5, 1 + tm2) for tm2 in (-4, -2, 0, 2, 4)]
+    args += [(3, -1, 2, 2, tj, 1) for tj in (1, 3, 5)]
+    for twice in args:
+        got = clebsch_gordan(*map(HalfInt, twice))
+        assert np.float64(got).tobytes() == np.float64(compute(*twice)).tobytes()
+        # the second call is served from the cache
+        assert clebsch_gordan(*map(HalfInt, twice)) is got
+    # invalid input raises on every call; errors are never cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            clebsch_gordan(HalfInt(1), HalfInt(3), 1, 0, HalfInt(1),
+                           HalfInt(3))
 
 
 def test_cg_orthogonality():
