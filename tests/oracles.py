@@ -9,11 +9,11 @@
   on batch-first (..., 3), (..., 3, 3), (..., 3, 3, 3) blocks, written with
   broadcast outer products over every index instead of the package's
   unique-component gathers.
-- Full-factor scalar profiles: the LG and HG profile formulas as written
-  before the package learned to skip factors whose result is known.  They
-  multiply by the constant-1 Laguerre and H_0 jets, raise powers starting
-  from a constant-1 jet, build rho^2 as x*x + y*y and add constants as
-  constant jets; the package must match them byte for byte.
+- Full-factor scalar profiles: the LG and HG profile formulas with every
+  factor multiplied in: the constant-1 Laguerre and H_0 jets, powers raised
+  from a constant-1 jet, rho^2 as x*x + y*y and constants added as constant
+  jets.  The package skips those factors and must still match byte for
+  byte.
 - Frame rotation of sampled fields: vector components and derivative
   indices re-expressed in the atom frame, for the rotated-table path to
   agree with.
