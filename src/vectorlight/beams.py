@@ -17,7 +17,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "ModeTerm",
     "BeamSpec",
     "FieldSample",
+    "ProfileMemo",
     "field_components",
     "field_sample_upto",
     "make_radial_azimuthal",
@@ -320,29 +321,72 @@ def _hg_jet(mode: HGMode, waist: float, k: float, x: Jet, y: Jet,
     return f * norm
 
 
-def _profile(mode: Mode, waist: float, k: float, coords: Tuple[Jet, Jet, Jet],
-             radial: Dict[Tuple[int, int], Jet]) -> Jet:
+class ProfileMemo:
+    """Scalar-profile jets and plane-wave factors built on one point set.
+
+    Beams of a figure share modes: radial, azimuthal and lg:+/-1 beams are
+    all made of LG(+/-1, 0) terms.  Passed to every `field_sample_upto` call
+    on the same points, a memo builds each profile, LG radial part and
+    plane-wave factor once, keyed by mode, waist and wavenumber, and serves
+    it to every later term and beam; jets are never mutated, so sharing one
+    leaves every result bitwise the same.  It holds the jets of one points
+    object (by identity; the points must not change while it serves them)
+    and one field order: a call with other points or another order drops
+    them, so it never keeps more than one order's jets.  `built` and
+    `reused` count the scalar profiles it built and served again.
+    """
+
+    def __init__(self):
+        self.built = 0
+        self.reused = 0
+        self._on = None
+        self.jets: Dict[tuple, Jet] = {}
+
+    def use(self, points: np.ndarray, order: int) -> None:
+        """Serve field order `order` on `points`, dropping any other jets."""
+        if (self._on is None or self._on[0] is not points
+                or self._on[1] != order):
+            self._on = (points, order)
+            self.jets = {}
+
+
+def _profile(mode: Mode, waist: float, k: float,
+             coords: Callable[[], Tuple[Jet, Jet, Jet]],
+             memo: ProfileMemo) -> Jet:
     """Scalar profile (no plane-wave factor) of one mode as a jet.
 
-    `radial` holds the LG radial parts already built from these `coords`,
-    keyed by (|l|, p); a new one is added to it.
+    `memo` holds the profiles and LG radial parts already built on these
+    points, keyed by (mode, waist, k) and ((|l|, p), waist, k): LG(+l, p)
+    and LG(-l, p) share one radial part.  A missing jet is built from
+    `coords()` and added to it.
     """
-    x, y, z = coords
+    key = (mode, waist, k)
+    f = memo.jets.get(key)
+    if f is not None:
+        memo.reused += 1
+        return f
+    memo.built += 1
+    x, y, z = coords()
     if isinstance(mode, LGMode):
-        key = (abs(mode.l), mode.p)
-        if key not in radial:
-            radial[key] = _lg_radial(*key, waist, k, x, y, z)
-        if not mode.l:
-            return radial[key]
-        return _vortex(mode.l, waist, x, y) * radial[key]
-    if isinstance(mode, HGMode):
-        return _hg_jet(mode, waist, k, x, y, z)
-    raise ConfigurationError(f"unsupported mode type {type(mode).__name__}")
+        al, p = abs(mode.l), mode.p
+        radial = memo.jets.get(((al, p), waist, k))
+        if radial is None:
+            radial = memo.jets[(al, p), waist, k] = \
+                _lg_radial(al, p, waist, k, x, y, z)
+        f = _vortex(mode.l, waist, x, y) * radial if mode.l else radial
+    elif isinstance(mode, HGMode):
+        f = _hg_jet(mode, waist, k, x, y, z)
+    else:
+        raise ConfigurationError(
+            f"unsupported mode type {type(mode).__name__}")
+    memo.jets[key] = f
+    return f
 
 
 def _mode_jet(mode: Mode, waist: float, k: float, points: np.ndarray,
               order: int) -> Jet:
-    return _profile(mode, waist, k, _coords(points, order), {})
+    return _profile(mode, waist, k, lambda: _coords(points, order),
+                    ProfileMemo())
 
 
 def _as_points(point) -> Tuple[np.ndarray, bool]:
@@ -357,24 +401,31 @@ def _as_points(point) -> Tuple[np.ndarray, bool]:
 # vector field assembly
 
 
-def _field_jets(spec: BeamSpec, points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
+def _field_jets(spec: BeamSpec, points: np.ndarray, order: int,
+                memo: ProfileMemo) -> Tuple[Jet, Jet, Jet]:
     """Jets of (E_x, E_y, E_z) at the requested derivative order.
 
     The longitudinal part consumes one derivative of the scalar profile, so
     profiles are expanded one order deeper than the field jets returned.
+    Profiles and the plane-wave factor come from `memo`, which a scan
+    shares across the beams of one grid chunk: a term or beam with equal
+    mode, waist and wavelength reuses what an earlier one built on these
+    points, and every map is unchanged bit for bit.  The coordinate jets
+    are built only if one of those jets is missing.
     """
     k = spec.wavenumber
-    coords = _coords(points, order + 1)
+    memo.use(points, order)
+    coords = functools.cache(functools.partial(_coords, points, order + 1))
     # the traveling-wave factor enters here, once per term, never inside
     # the scalar profiles
-    plane = (coords[2].truncate(order) * (1.0j * k)).exp()
-    # LG radial parts shared by terms of equal (|l|, p), as radial and
-    # azimuthal beams have; local to this call, so threads share nothing
-    radial = {}
+    plane = memo.jets.get(("plane", k))
+    if plane is None:
+        plane = memo.jets["plane", k] = \
+            (coords()[2].truncate(order) * (1.0j * k)).exp()
 
     ex = ey = ez = None
     for weight, term in spec.terms:
-        f = _profile(term.mode, spec.waist, k, coords, radial)
+        f = _profile(term.mode, spec.waist, k, coords, memo)
         sig = term.sigma
         amp = weight * spec.amplitude / math.sqrt(2.0)
 
@@ -420,16 +471,20 @@ def _batch_first(blocks, nderiv: int) -> np.ndarray:
         np.moveaxis(arr, range(nderiv), range(-nderiv - 1, -1)))
 
 
-def field_sample_upto(spec: BeamSpec, point, order: int) -> FieldSample:
+def field_sample_upto(spec: BeamSpec, point, order: int,
+                      profiles: Optional[ProfileMemo] = None) -> FieldSample:
     """Field plus derivatives up to `order` (0..2); deeper blocks are None.
 
     Evaluating only the depth actually consumed keeps large scans cheap:
     each extra derivative order roughly doubles the work per point.
+    `profiles` lets calls on the same points array share scalar-profile
+    jets (see ProfileMemo); without it the call builds its own.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     pts, single = _as_points(point)
-    jets = _field_jets(spec, pts, order)
+    jets = _field_jets(spec, pts, order,
+                       ProfileMemo() if profiles is None else profiles)
     e = np.stack([j.val for j in jets], axis=-1)
     jac = _batch_first([j.g for j in jets], 1) if order >= 1 else None
     hess = _batch_first([j.h for j in jets], 2) if order >= 2 else None

@@ -35,7 +35,7 @@ from .beams import (
 )
 from .coupling import Geometry, Multipole, TransitionSpec, relative_strength
 from .errors import ConfigurationError, NumericalError
-from .motion import SidebandRequest, TrapSpec, sideband_strength_at
+from .motion import SidebandRequest, TrapSpec, _line_strength
 from .scan import (
     MAX_GRID_CELLS,
     FieldComponentObservable,
@@ -604,6 +604,8 @@ def cmd_point(args) -> int:
     n = _read(doc["sideband"], "sideband", "n", _count)
     point = np.array([v * UM for v in pos_um])
 
+    # one order-2 sample serves every line: its lower-order blocks are
+    # bitwise those of a lower-order sample
     sample = field_sample_upto(beam, point, 2)
     comps = _circular(sample.electric)
     mu: Dict[str, List[float]] = {}
@@ -614,7 +616,8 @@ def cmd_point(args) -> int:
     for mode in ("X", "Y", "Z"):
         for branch in ("carrier", "bsb", "rsb"):
             req = SidebandRequest(mode, n, branch)
-            val = sideband_strength_at(beam, trap, req, trans0, point, geom)
+            val = _line_strength(lambda pts, order: sample, point, trap, req,
+                                 trans0, geom)[0]
             key = branch if branch == "carrier" else f"{branch}_{mode}"
             sidebands[key] = _complex_pair(complex(val))
 
@@ -630,8 +633,11 @@ def cmd_point(args) -> int:
         "sideband_dm": dm0,
         "sidebands": sidebands,
     }
-    json.dump(record, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError("non-finite values in point record") from None
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -6,6 +6,11 @@ moduli are normalized by their global maximum, which is recorded as the map's
 scale factor; a map whose largest modulus is negligible against the reference
 (pure cancellation residue, e.g. the longitudinal component of an azimuthal
 beam) is stored as an exact zero map with scale factor 0.
+
+The maps of one grid are evaluated together chunk by chunk; within a chunk
+they share field samples per beam and order, and scalar profiles across
+beams with equal mode, waist and wavelength.  Maps are the same bit for bit
+as when each is scanned alone.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beams import LENGTH_RANGE, BeamSpec, _circular, field_sample_upto
+from .beams import (LENGTH_RANGE, BeamSpec, ProfileMemo, _circular,
+                    field_sample_upto)
 from .coupling import Geometry, TransitionSpec, relative_strength
 from .errors import ConfigurationError, NumericalError
 from .motion import SidebandRequest, TrapSpec, _line_strength, lamb_dicke
@@ -62,19 +68,27 @@ class _ChunkSampleCache:
 
     Several maps of the same figure column (one beam, many transition
     channels) consume an identical FieldSample; caching it per chunk removes
-    the dominant cost without changing any computed value.
+    the dominant cost without changing any computed value.  The samples it
+    does compute share one ProfileMemo, so beams with equal modes, waist and
+    wavelength (the LG(+/-1, 0) terms of lg:+/-1, radial and azimuthal
+    beams) build each scalar profile once per chunk and order.
     """
 
     def __init__(self, capacity: int = 6):
         self._capacity = capacity
         self._store = {}
+        self.profiles = ProfileMemo()
+        self.hits = 0
+        self.misses = 0
 
     def sample(self, beam: BeamSpec, pts: np.ndarray, order: int):
         key = (id(beam), order)
         hit = self._store.get(key)
         if hit is not None and hit[0] is pts:
+            self.hits += 1
             return hit[1]
-        fs = field_sample_upto(beam, pts, order)
+        self.misses += 1
+        fs = field_sample_upto(beam, pts, order, profiles=self.profiles)
         if len(self._store) >= self._capacity:
             self._store.pop(next(iter(self._store)))
         self._store[key] = (pts, fs)
@@ -329,11 +343,12 @@ def _usable_cpus() -> int:
 
 
 def _scan_chunk(configs, members, cached, pts, vals, chunk_size,
-                start) -> List[float]:
+                start) -> Tuple[List[float], Tuple[int, ...]]:
     """Evaluate every group member on one chunk into its slice of `vals`.
 
     Maps that do not store complex values keep only the moduli.  Returns the
-    members' references for this chunk.  Each call has its own sample
+    members' references for this chunk and its counts of sample hits and
+    misses and of profiles built and reused.  Each call has its own sample
     cache, so concurrent chunks share only disjoint slices of `vals`.
     """
     chunk = pts[start:start + chunk_size]
@@ -346,10 +361,11 @@ def _scan_chunk(configs, members, cached, pts, vals, chunk_size,
         vals[i][start:start + v.shape[0]] = \
             v if configs[i].store_complex else np.abs(v)
         refs.append(r)
-    return refs
+    return refs, (cache.hits, cache.misses, cache.profiles.built,
+                  cache.profiles.reused)
 
 
-def _map_chunks(body, starts, workers: int) -> List[List[float]]:
+def _map_chunks(body, starts, workers: int) -> list:
     """body(start) for every start, in order; the earliest failure raises."""
     if workers == 1:
         return [body(s) for s in starts]
@@ -378,7 +394,9 @@ def run_scans(configs: Sequence[ScanConfig],
     to a serial run and to running each scan alone, in the input order; if
     chunks raise, the exception of the earliest one in grid order
     propagates.  One debug record per grid on the ``vectorlight.scan``
-    logger reports its maps, points, chunks, workers and elapsed seconds.
+    logger reports its maps, points, chunks, workers and elapsed seconds,
+    then, summed over its chunks, field-sample cache hits and misses and
+    scalar profiles built and reused.
     """
     configs = list(configs)
     out: List[MapDataset] = [None] * len(configs)
@@ -397,15 +415,17 @@ def run_scans(configs: Sequence[ScanConfig],
         workers = min(len(starts), _usable_cpus())
         body = functools.partial(_scan_chunk, configs, members, cached, pts,
                                  vals, chunk_size)
-        chunk_refs = _map_chunks(body, starts, workers)
+        chunk_refs, chunk_counts = zip(*_map_chunks(body, starts, workers))
         for k, i in enumerate(members):
             ref = 0.0
             for refs in chunk_refs:
                 ref = max(ref, refs[k])
             out[i] = _finalize(configs[i], vals.pop(i), ref)
         _log.debug("scanned %d maps on %d points in %d chunks with %d "
-                   "workers: %.3f s", len(members), n, len(starts), workers,
-                   time.perf_counter() - t0)
+                   "workers: %.3f s; field samples %d hits, %d misses; "
+                   "scalar profiles %d built, %d reused", len(members), n,
+                   len(starts), workers, time.perf_counter() - t0,
+                   *map(sum, zip(*chunk_counts)))
     return out
 
 

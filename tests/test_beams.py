@@ -23,6 +23,7 @@ from vectorlight.beams import (
     HGMode,
     LGMode,
     ModeTerm,
+    ProfileMemo,
     _coords,
     _mode_jet,
     _profile as profile_jet,
@@ -224,13 +225,59 @@ def test_profiles_are_bytewise_the_full_factor_formulas(order):
         [-WAIST, -0.0, -0.5 * ZR], [-0.7 * WAIST, -0.4 * WAIST, -ZR]]])
     coords = _coords(pts, order)
     for beam in _BITWISE_BEAMS:
-        radial = {}  # shared by the terms, as in one field evaluation
+        memo = ProfileMemo()  # shared by the terms, as in one field evaluation
         for _, term in beam.terms:
-            got = profile_jet(term.mode, WAIST, K, coords, radial)
+            got = profile_jet(term.mode, WAIST, K, lambda: coords, memo)
             want = profile_full(term.mode, WAIST, K, coords)
             for name in ("val", "g", "h", "t")[:order + 1]:
                 assert getattr(got, name).tobytes() == \
                     getattr(want, name).tobytes(), (term.mode, name)
+
+
+def _panel_beams(waist=WAIST, wavelength=WAVELENGTH):
+    """The five beams of the acceptance panel, in panel order."""
+    return [BeamSpec.lg(1, waist=waist, wavelength=wavelength),
+            BeamSpec.lg(-1, waist=waist, wavelength=wavelength),
+            BeamSpec.hg(1, 0, waist=waist, wavelength=wavelength),
+            make_radial_azimuthal("radial", waist, wavelength),
+            make_radial_azimuthal("azimuthal", waist, wavelength)]
+
+
+def _assert_same_bytes(got, want, order):
+    for k in range(order + 1):
+        assert got.block(k).tobytes() == want.block(k).tobytes(), k
+
+
+def test_shared_profile_memo_is_bytewise_fresh_calls():
+    # as one scan chunk asks: every panel beam at order 0, then 1, then 2
+    pts = np.concatenate([make_probe_points(), [
+        [-0.0, -0.0, 0.0], [WAIST, 0.0, 0.3 * ZR], [0.0, -WAIST, -ZR]]])
+    memo = ProfileMemo()
+    for order in (0, 1, 2):
+        for beam in _panel_beams():
+            got = field_sample_upto(beam, pts, order, profiles=memo)
+            _assert_same_bytes(got, field_sample_upto(beam, pts, order), order)
+    # 7 terms per order use 3 profiles: LG(+1,0), LG(-1,0) and HG(1,0)
+    assert (memo.built, memo.reused) == (3 * 3, 3 * 4)
+
+
+def test_profile_memo_serves_only_equal_beam_parameters_and_its_points():
+    pts = make_probe_points()
+    memo = ProfileMemo()
+    field_sample_upto(BeamSpec.lg(1, waist=WAIST, wavelength=WAVELENGTH),
+                      pts, 2, profiles=memo)
+    # the same modes with another waist or another wavelength
+    for beam in (_panel_beams(waist=1.3 * WAIST)[0],
+                 _panel_beams(wavelength=0.8 * WAVELENGTH)[3]):
+        reused = memo.reused
+        got = field_sample_upto(beam, pts, 2, profiles=memo)
+        assert memo.reused == reused
+        _assert_same_bytes(got, field_sample_upto(beam, pts, 2), 2)
+    # the same memo on another point set gives that set's own values
+    other = make_probe_points(seed=8)
+    for beam in _panel_beams():
+        got = field_sample_upto(beam, other, 2, profiles=memo)
+        _assert_same_bytes(got, field_sample_upto(beam, other, 2), 2)
 
 
 def test_lengths_outside_the_valid_range_are_rejected():

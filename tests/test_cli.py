@@ -20,6 +20,7 @@ import vectorlight.scan as scan_module
 from vectorlight import FieldComponentObservable, ScanConfig, run_scans
 from vectorlight.beams import BeamSpec
 from vectorlight.cli import _csv_text, load_map_csv, main
+from vectorlight.motion import SidebandRequest, sideband_strength_at
 from vectorlight.scan import MapDataset
 
 
@@ -202,6 +203,45 @@ def test_ends_of_the_length_range_are_valid(capsys):
                    "--position-um", "1e12,-1e12,1e12"]):
         assert run(["point", "--beam", "lg:1"] + extra) == 0
         assert "position_um" in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--beam", "lg:80,90", "--waist-um", "1e-12", "--wavelength-um",
+     "1e12", "--position-um", "0,0,1e12"],
+    ["point", "--beam", "lg:0,90", "--waist-um", "1e-12", "--wavelength-um",
+     "1e-12", "--position-um", "1e-12,0,1e12"],
+])
+def test_point_with_non_finite_output_exits_3(capsys, argv):
+    # inside the stated ranges, but the field overflows
+    with np.errstate(all="ignore"):
+        assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical error: non-finite values in point record\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--position-um", "0.3,-0.2,0.1"],
+    ["--multipole", "E1", "--j2", "3/2", "--n", "2", "--position-um",
+     "-0.4,0.1,0.2"],
+])
+def test_point_sidebands_equal_fresh_line_strengths(capsys, extra):
+    # the record's one order-2 sample gives the values of per-line samples
+    assert run(["point", "--beam", "radial"] + extra) == 0
+    rec = json.loads(capsys.readouterr().out)
+    doc = rec["run"]
+    beam = cli_module._build_beam(doc["beam"])
+    trap = cli_module._build_trap(doc["trap"])
+    geom = cli_module._build_geometry(doc["geometry"])
+    trans = cli_module._build_transition(doc["transition"], rec["sideband_dm"])
+    point = np.array(rec["position_um"]) * cli_module.UM
+    for mode in ("X", "Y", "Z"):
+        for branch in ("carrier", "bsb", "rsb"):
+            req = SidebandRequest(mode, doc["sideband"]["n"], branch)
+            want = complex(sideband_strength_at(beam, trap, req, trans, point,
+                                                geom))
+            key = branch if branch == "carrier" else f"{branch}_{mode}"
+            assert rec["sidebands"][key] == [want.real, want.imag], key
 
 
 def test_successive_runs_leave_no_state_in_the_parser(tmp_path):

@@ -298,6 +298,42 @@ def test_grouped_run_matches_solo_runs_bitwise():
         assert solo.scale_factor == d.scale_factor
 
 
+def test_grouped_panel_beams_match_solo_runs_bitwise():
+    # the five panel beams share LG(+/-1, 0) profiles within each chunk;
+    # maps in panel order, so each chunk asks for one order at a time
+    beams = [lg_beam(1), lg_beam(-1),
+             BeamSpec.hg(1, 0, waist=W0, wavelength=WAVELENGTH),
+             make_radial_azimuthal("radial", waist=W0, wavelength=WAVELENGTH),
+             make_radial_azimuthal("azimuthal", waist=W0,
+                                   wavelength=WAVELENGTH)]
+    cfgs = [ScanConfig(FieldComponentObservable(b, comp), EXTENT, (24, 24))
+            for b in beams for comp in ("sigma_plus", "z")]
+    cfgs += [ScanConfig(TransitionObservable(b, quad_transition(dm)), EXTENT,
+                        (24, 24)) for b in beams for dm in (0, 1)]
+    cfgs += [ScanConfig(SidebandObservable(
+        b, trap(), SidebandRequest(mode, 0, "bsb"), quad_transition(1)),
+        EXTENT, (24, 24)) for b in beams for mode in ("X", "Z")]
+    grouped = run_scans(cfgs, chunk_size=100)  # 576 points in 6 chunks
+    for cfg, d in zip(cfgs, grouped):
+        solo = run_scan(cfg)
+        assert np.array_equal(solo.values, d.values)
+        assert solo.scale_factor == d.scale_factor
+
+
+def test_grid_record_reports_sample_and_profile_counts(caplog):
+    radial = make_radial_azimuthal("radial", waist=W0, wavelength=WAVELENGTH)
+    cfgs = [ScanConfig(FieldComponentObservable(b, comp), EXTENT, (16, 16))
+            for b in (lg_beam(1), radial) for comp in ("z", "sigma_plus")]
+    with caplog.at_level("DEBUG", logger="vectorlight.scan"):
+        run_scans(cfgs, chunk_size=100)
+    (record,) = [r for r in caplog.records if r.name == "vectorlight.scan"]
+    assert record.args[:4] == (4, 256, 3, min(3, scan_module._usable_cpus()))
+    # per chunk: one sample per beam, served again to its second map; the
+    # radial beam reuses the LG(+1, 0) profile of lg:1 and builds LG(-1, 0)
+    assert record.args[5:] == (3 * 2, 3 * 2, 3 * 2, 3 * 1)
+    assert "3 reused" in record.getMessage()
+
+
 def test_run_scans_keeps_input_order_across_mixed_grids():
     small = (-W0, W0, -W0, W0)
     cfgs = [
