@@ -332,7 +332,8 @@ class ProfileMemo:
     leaves every result bitwise the same.  It holds the jets of one points
     object (by identity; the points must not change while it serves them)
     and one field order: a call with other points or another order drops
-    them, so it never keeps more than one order's jets.  `built` and
+    them, so it never keeps more than one order's jets.  A memo serves one
+    thread at a time; a scan gives each chunk its own.  `built` and
     `reused` count the scalar profiles it built and served again.
     """
 
