@@ -205,9 +205,24 @@ def make_radial_azimuthal(kind: str, waist: float, wavelength: float,
 
 
 def _coords(points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
-    return (Jet.coordinate(points, 0, order),
-            Jet.coordinate(points, 1, order),
-            Jet.coordinate(points, 2, order))
+    """Jets of x, y and z over the float points (..., 3).
+
+    A coordinate whose bits are equal at every point, such as z on a focal
+    plane, gets its jet on the first point alone, of batch shape (1, ...,
+    1).  Every jet built from it alone (the Gouy and curvature parameter,
+    w0/w(z), the HG phase, the plane wave) then stays that small and is
+    computed once; it broadcasts against the full-batch jets of the other
+    coordinates (see `jets`), bit for bit as if copied out.  Bits, not ==,
+    decide: a batch mixing +0.0 and -0.0, or NaN and numbers, keeps its
+    full jet.
+    """
+    first = points[(slice(0, 1),) * (points.ndim - 1)]
+    jets = []
+    for i in range(3):
+        bits = points[..., i].view(np.uint64)
+        same = bits.size and (bits == bits.flat[0]).all()
+        jets.append(Jet.coordinate(first if same else points, i, order))
+    return tuple(jets)
 
 
 def _laguerre_jet(p: int, alpha: int, arg: Jet) -> Jet:
@@ -329,7 +344,8 @@ class ProfileMemo:
     on the same points, a memo builds each profile, LG radial part and
     plane-wave factor once, keyed by mode, waist and wavenumber, and serves
     it to every later term and beam; jets are never mutated, so sharing one
-    leaves every result bitwise the same.  It holds the jets of one points
+    leaves every result bitwise the same.  A radial part is dropped once
+    both LG(+l, p) and LG(-l, p) are built.  It holds the jets of one points
     object (by identity; the points must not change while it serves them)
     and one field order: a call with other points or another order drops
     them, so it never keeps more than one order's jets.  A memo serves one
@@ -358,8 +374,9 @@ def _profile(mode: Mode, waist: float, k: float,
 
     `memo` holds the profiles and LG radial parts already built on these
     points, keyed by (mode, waist, k) and ((|l|, p), waist, k): LG(+l, p)
-    and LG(-l, p) share one radial part.  A missing jet is built from
-    `coords()` and added to it.
+    and LG(-l, p) share one radial part, which it holds only while one of
+    the two is still to be built.  A missing jet is built from `coords()`
+    and added to it.
     """
     key = (mode, waist, k)
     f = memo.jets.get(key)
@@ -370,10 +387,11 @@ def _profile(mode: Mode, waist: float, k: float,
     x, y, z = coords()
     if isinstance(mode, LGMode):
         al, p = abs(mode.l), mode.p
-        radial = memo.jets.get(((al, p), waist, k))
+        radial = memo.jets.pop(((al, p), waist, k), None)
         if radial is None:
-            radial = memo.jets[(al, p), waist, k] = \
-                _lg_radial(al, p, waist, k, x, y, z)
+            radial = _lg_radial(al, p, waist, k, x, y, z)
+        if mode.l and (LGMode(-mode.l, p), waist, k) not in memo.jets:
+            memo.jets[(al, p), waist, k] = radial  # LG(-l, p) will need it
         f = _vortex(mode.l, waist, x, y) * radial if mode.l else radial
     elif isinstance(mode, HGMode):
         f = _hg_jet(mode, waist, k, x, y, z)
@@ -464,10 +482,13 @@ def field_components(spec: BeamSpec, point) -> Dict[str, np.ndarray]:
     return _circular(field_sample_upto(spec, point, 0).electric)
 
 
-def _batch_first(blocks, nderiv: int) -> np.ndarray:
+def _batch_first(blocks, nderiv: int, batch: Tuple[int, ...]) -> np.ndarray:
     """Stack E_j derivative blocks (derivative axes first, as jets keep them)
-    into one C-contiguous array: batch axes, derivative indices, then j."""
-    arr = np.stack(blocks, axis=-1)
+    into one C-contiguous array: batch axes, derivative indices, then j.
+    Blocks of batch 1 (all three coordinates constant) are copied out to
+    `batch`."""
+    arr = np.stack([np.broadcast_to(b, b.shape[:nderiv] + batch)
+                    for b in blocks], axis=-1)
     return np.ascontiguousarray(
         np.moveaxis(arr, range(nderiv), range(-nderiv - 1, -1)))
 
@@ -486,9 +507,10 @@ def field_sample_upto(spec: BeamSpec, point, order: int,
     pts, single = _as_points(point)
     jets = _field_jets(spec, pts, order,
                        ProfileMemo() if profiles is None else profiles)
-    e = np.stack([j.val for j in jets], axis=-1)
-    jac = _batch_first([j.g for j in jets], 1) if order >= 1 else None
-    hess = _batch_first([j.h for j in jets], 2) if order >= 2 else None
+    batch = pts.shape[:-1]
+    e = _batch_first([j.val for j in jets], 0, batch)
+    jac = _batch_first([j.g for j in jets], 1, batch) if order >= 1 else None
+    hess = _batch_first([j.h for j in jets], 2, batch) if order >= 2 else None
     if single:
         return FieldSample(e[0], None if jac is None else jac[0],
                            None if hess is None else hess[0])

@@ -24,6 +24,14 @@ skipped: a constant is not expanded into zero blocks and `ipow` does not
 multiply by 1.  Both keep every bit of the full computation except the sign
 of an exact zero, which a sum with 0.0 or a product with 1 would turn to
 +0.0.
+
+Batches broadcast as numpy arrays do.  A jet whose batch axes all have
+length 1 is the same function at every point, and an operation joining it
+with a full-batch jet gives a full-batch jet.  The beams use this for
+factors of a coordinate that is equal at every point, such as z on a focal
+plane: they are computed once, not once per point.  numpy's elementwise
+kernels give the same bits on a length-1 operand as on that operand copied
+out to every point; the tests check this for every operation.
 """
 
 from __future__ import annotations
@@ -62,7 +70,8 @@ def _expand(unique, full, ndim):
 
 
 def _sym_hg(h, g, shape):
-    """Symmetrized h_ij g_k on the unique triples, summed left to right."""
+    """Symmetrized h_ij g_k on the unique triples, summed left to right;
+    `shape` is the batch shape of h."""
     terms = _unique(h, _SYM_H, shape) * g.take(_SYM_G, axis=0)
     out = terms[0] + terms[1]
     out += terms[2]
@@ -70,7 +79,11 @@ def _sym_hg(h, g, shape):
 
 
 class Jet:
-    """Taylor data of one scalar function over an arbitrary batch shape."""
+    """Taylor data of one scalar function over an arbitrary batch shape.
+
+    Jets of different batch shapes combine by broadcasting; a batch-1 jet
+    stands for the same value and derivatives at every point.
+    """
 
     __slots__ = ("order", "val", "g", "h", "t")
 
@@ -161,25 +174,24 @@ class Jet:
             )
         o = self._check(other)
         n = self.order
-        shape = self.val.shape
         val = self.val * o.val
         g = h = t = None
         if n >= 1:
             g = self.g * o.val + o.g * self.val
         if n >= 2:
             h = (
-                _unique(self.h, _P_FLAT, shape) * o.val
-                + _unique(o.h, _P_FLAT, shape) * self.val
+                _unique(self.h, _P_FLAT, self.val.shape) * o.val
+                + _unique(o.h, _P_FLAT, o.val.shape) * self.val
                 + self.g.take(_PI, axis=0) * o.g.take(_PJ, axis=0)
                 + o.g.take(_PI, axis=0) * self.g.take(_PJ, axis=0)
             )
             h = _expand(h, _P_FULL, 2)
         if n >= 3:
             t = (
-                _unique(self.t, _T_FLAT, shape) * o.val
-                + _unique(o.t, _T_FLAT, shape) * self.val
-                + _sym_hg(self.h, o.g, shape)
-                + _sym_hg(o.h, self.g, shape)
+                _unique(self.t, _T_FLAT, self.val.shape) * o.val
+                + _unique(o.t, _T_FLAT, o.val.shape) * self.val
+                + _sym_hg(self.h, o.g, self.val.shape)
+                + _sym_hg(o.h, self.g, o.val.shape)
             )
             t = _expand(t, _T_FULL, 3)
         return Jet(n, val, g, h, t)

@@ -254,11 +254,18 @@ def test_shared_profile_memo_is_bytewise_fresh_calls():
         [-0.0, -0.0, 0.0], [WAIST, 0.0, 0.3 * ZR], [0.0, -WAIST, -ZR]]])
     memo = ProfileMemo()
     for order in (0, 1, 2):
-        for beam in _panel_beams():
+        for i, beam in enumerate(_panel_beams()):
             got = field_sample_upto(beam, pts, order, profiles=memo)
             _assert_same_bytes(got, field_sample_upto(beam, pts, order), order)
+            # the LG(1, 0) radial part is held until LG(-1, 0) is built
+            assert len(_radial_keys(memo)) == (i == 0), (order, i)
     # 7 terms per order use 3 profiles: LG(+1,0), LG(-1,0) and HG(1,0)
     assert (memo.built, memo.reused) == (3 * 3, 3 * 4)
+
+
+def _radial_keys(memo):
+    """Keys ((|l|, p), waist, k) of the LG radial parts a memo holds."""
+    return [key for key in memo.jets if isinstance(key[0], tuple)]
 
 
 def test_profile_memo_serves_only_equal_beam_parameters_and_its_points():
@@ -278,6 +285,61 @@ def test_profile_memo_serves_only_equal_beam_parameters_and_its_points():
     for beam in _panel_beams():
         got = field_sample_upto(beam, other, 2, profiles=memo)
         _assert_same_bytes(got, field_sample_upto(beam, other, 2), 2)
+
+
+def _plane_points(z):
+    """Probe points moved onto the plane z, with signed zeros in x and y."""
+    pts = np.concatenate([make_probe_points(), [
+        [-0.0, -0.0, 0.0], [WAIST, -0.0, 0.0], [-0.0, -WAIST, 0.0]]])
+    pts[:, 2] = z
+    return pts
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3 * ZR, -0.3 * ZR])
+def test_focal_plane_batch_is_bytewise_the_full_z_batch(z):
+    plane = _plane_points(z)
+    # one off-plane point makes z vary, so the call builds full-batch z jets
+    mixed = np.concatenate([plane, [[0.1 * WAIST, 0.0, z + 0.2 * ZR]]])
+    for order in (1, 2, 3):
+        assert [c.val.shape for c in _coords(plane, order)] == \
+            [(len(plane),), (len(plane),), (1,)]
+        assert _coords(mixed, order)[2].val.shape == (len(mixed),)
+    for beam in _BITWISE_BEAMS:
+        for order in (0, 1, 2):
+            got = field_sample_upto(beam, plane, order)
+            want = field_sample_upto(beam, mixed, order)
+            for k in range(order + 1):
+                assert got.block(k).tobytes() == \
+                    want.block(k)[:len(plane)].tobytes(), (beam, order, k)
+
+
+def test_constant_coordinates_are_detected_by_their_bits():
+    pts = _plane_points(0.0)
+    pts[::2, 2] = -0.0  # equal under ==, not in their bits
+    assert _coords(pts, 1)[2].val.shape == (len(pts),)
+    pts[:, 2] = 0.0
+    pts[3, 2] = np.nan
+    assert _coords(pts, 1)[2].val.shape == (len(pts),)
+    # a grid of points: every batch axis of a constant coordinate is 1
+    grid = np.zeros((4, 5, 3))
+    grid[..., 0] = np.arange(4.0)[:, None] * WAIST
+    assert [c.val.shape for c in _coords(grid, 2)] == [(4, 5), (1, 1), (1, 1)]
+
+
+def test_identical_points_give_full_batch_first_blocks():
+    point = [0.3 * WAIST, -0.2 * WAIST, 0.3 * ZR]
+    same = np.tile(point, (5, 1))
+    assert [c.val.shape for c in _coords(same, 3)] == [(1,)] * 3
+    for beam in _BITWISE_BEAMS:
+        for order in (0, 1, 2):
+            fs = field_sample_upto(beam, same, order)
+            one = field_sample_upto(beam, point, order)
+            for k in range(order + 1):
+                block = fs.block(k)
+                assert block.shape == (5,) + one.block(k).shape
+                assert block.flags.c_contiguous
+                assert block.tobytes() == np.repeat(
+                    one.block(k)[None], 5, axis=0).tobytes()
 
 
 def test_lengths_outside_the_valid_range_are_rejected():

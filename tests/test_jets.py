@@ -238,3 +238,60 @@ def test_ipow_and_constant_shifts_are_bytewise_the_full_products(probe_points):
             assert _bitwise_equal(jet - c, jet - const)
         # the shift shares the blocks; nothing is copied
         assert (jet + 1.0).t is jet.t
+
+
+def _copied_out(jet, shape):
+    """`jet` of batch (1, ...) with every block repeated out to batch `shape`
+    in fresh memory (np.repeat, not a stride-0 view)."""
+    def rep(block):
+        nderiv = block.ndim - len(shape)
+        for axis, n in enumerate(shape):
+            block = np.repeat(block, n, axis=nderiv + axis)
+        return block
+    blocks = (jet.val, jet.g, jet.h, jet.t)[:jet.order + 1]
+    return Jet(jet.order, *[rep(b) for b in blocks])
+
+
+@pytest.mark.parametrize("shape", [(7,), (37,), (4, 5)])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_batch_one_jets_broadcast_bytewise_as_copied_out(shape, order):
+    rng = np.random.default_rng(31 + order + sum(shape))
+    one = (1,) * len(shape)
+    pts = rng.uniform(-0.8, 0.8, size=shape + (3,))
+    pts.reshape(-1, 3)[:2] = [[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]]
+    z1 = Jet.coordinate(np.full(one + (3,), -0.0), 2, 3)
+    # pairs of (batch-1 jet, full jet): random data, and coordinate jets
+    # whose structural zeros carry both signs
+    pairs = [
+        (random_jet(rng, one), random_jet(rng, shape)),
+        ((z1 * 0.7j + 1.0).reciprocal(),
+         Jet.coordinate(pts, 0, 3) + Jet.coordinate(pts, 1, 3) * -1j),
+    ]
+    for small, full in pairs:
+        small, full = small.truncate(order), full.truncate(order)
+        wide = _copied_out(small, shape)
+        binary = {
+            "+": lambda a, b: a + b,
+            "-": lambda a, b: a - b,
+            "*": lambda a, b: a * b,
+            "/": lambda a, b: a / (b + 2.0),  # the full jet has zeros
+        }
+        for name, op in binary.items():
+            assert _bitwise_equal(op(small, full), op(wide, full)), name
+            assert _bitwise_equal(op(full, small), op(full, wide)), name
+        unary = {
+            "*scalar": lambda a: a * (0.3 - 1.7j),
+            "exp": Jet.exp,
+            "reciprocal": Jet.reciprocal,
+            "sqrt": Jet.sqrt,
+            "arctan": Jet.arctan,
+            **{f"ipow{n}": lambda a, n=n: a.ipow(n) for n in range(4)},
+            **{f"truncate{n}": lambda a, n=n: a.truncate(n)
+               for n in range(order + 1)},
+            **{f"partial{i}": lambda a, i=i: a.partial(i)
+               for i in range(3) if order},
+        }
+        for name, op in unary.items():
+            got = op(small)
+            assert got.val.shape == one, name
+            assert _bitwise_equal(_copied_out(got, shape), op(wide)), name
