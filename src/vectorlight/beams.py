@@ -216,13 +216,11 @@ def _coords(points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
     decide: a batch mixing +0.0 and -0.0, or NaN and numbers, keeps its
     full jet.
     """
+    bits = points.reshape(-1, 3).view(np.uint64)
+    same = (bits == bits[:1]).all(axis=0)
     first = points[(slice(0, 1),) * (points.ndim - 1)]
-    jets = []
-    for i in range(3):
-        bits = points[..., i].view(np.uint64)
-        same = bits.size and (bits == bits.flat[0]).all()
-        jets.append(Jet.coordinate(first if same else points, i, order))
-    return tuple(jets)
+    return tuple(Jet.coordinate(first if same[i] else points, i, order)
+                 for i in range(3))
 
 
 def _laguerre_jet(p: int, alpha: int, arg: Jet) -> Jet:
@@ -390,8 +388,8 @@ def _profile(mode: Mode, waist: float, k: float,
         radial = memo.jets.pop(((al, p), waist, k), None)
         if radial is None:
             radial = _lg_radial(al, p, waist, k, x, y, z)
-        if mode.l and (LGMode(-mode.l, p), waist, k) not in memo.jets:
-            memo.jets[(al, p), waist, k] = radial  # LG(-l, p) will need it
+            if mode.l:
+                memo.jets[(al, p), waist, k] = radial
         f = _vortex(mode.l, waist, x, y) * radial if mode.l else radial
     elif isinstance(mode, HGMode):
         f = _hg_jet(mode, waist, k, x, y, z)
@@ -487,10 +485,11 @@ def _batch_first(blocks, nderiv: int, batch: Tuple[int, ...]) -> np.ndarray:
     into one C-contiguous array: batch axes, derivative indices, then j.
     Blocks of batch 1 (all three coordinates constant) are copied out to
     `batch`."""
-    arr = np.stack([np.broadcast_to(b, b.shape[:nderiv] + batch)
-                    for b in blocks], axis=-1)
-    return np.ascontiguousarray(
-        np.moveaxis(arr, range(nderiv), range(-nderiv - 1, -1)))
+    arr = np.stack(blocks, axis=-1)
+    if arr.shape[nderiv:-1] != batch:
+        arr = np.broadcast_to(arr, arr.shape[:nderiv] + batch + (3,))
+    return np.ascontiguousarray(arr.transpose(
+        *range(nderiv, arr.ndim - 1), *range(nderiv), arr.ndim - 1))
 
 
 def field_sample_upto(spec: BeamSpec, point, order: int,
