@@ -15,6 +15,7 @@ sidecar reproduces the CSV bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import json
@@ -50,9 +51,11 @@ from .special import HalfInt
 
 UM = 1e-6
 
-_COMPONENT_FLAGS = {"Ez": "z", "sigma+": "sigma_plus", "sigma-": "sigma_minus"}
-_COMPONENT_STEMS = {"z": "Ez", "sigma_plus": "sigma_plus",
-                    "sigma_minus": "sigma_minus"}
+# each --component value: its field component and its map's file stem, in
+# the order the maps of a field-map run are written
+_COMPONENTS = {"Ez": ("z", "field_Ez"),
+               "sigma+": ("sigma_plus", "field_sigma_plus"),
+               "sigma-": ("sigma_minus", "field_sigma_minus")}
 
 _AXIS_NAMES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
@@ -181,7 +184,7 @@ _FLAGS = {
                      f"nx,ny with nx*ny <= {MAX_GRID_CELLS}"),
     "--z-plane-um": ("grid.z_plane_um", float, "focal-plane offset"),
     "--component": ("component", str,
-                    f"one of {', '.join(_COMPONENT_FLAGS)} "
+                    f"one of {', '.join(_COMPONENTS)} "
                     "(default: all three)"),
     "--j1": ("transition.j1", str, "lower-level J"),
     "--m1": ("transition.m1", str, "lower-level m"),
@@ -392,24 +395,37 @@ def _build_trap(doc: dict) -> TrapSpec:
         raise ConfigurationError(f"trap: {exc}") from exc
 
 
-def _scan_configs(observables, doc: dict) -> List[ScanConfig]:
-    """One ScanConfig per observable on the grid section `doc`."""
-    extent = _read(doc, "grid", "extent_um", _numbers(_coordinate, 4))
-    res = _read(doc, "grid", "resolution", _numbers(_integer, 2))
-    z_plane = _read(doc, "grid", "z_plane_um", _coordinate) * UM
-    extent = tuple(v * UM for v in extent)
-    return [ScanConfig(obs, extent, res, z_plane=z_plane)
-            for obs in observables]
+def _motion_run(doc: dict):
+    """The beam, geometry, trap, Delta-m, transition at that Delta-m and
+    motional quantum n of a sideband-map or point run document."""
+    beam = _build_beam(doc["beam"])
+    geom = _build_geometry(doc["geometry"])
+    trap = _build_trap(doc["trap"])
+    dm = _read(doc, "", "dm", _integer)
+    trans = _build_transition(doc["transition"], dm)
+    return beam, geom, trap, dm, trans, _read(doc["sideband"], "sideband",
+                                              "n", _count)
 
 
 # ------------------------------------------------------------ file output
 
 
+def _cannot_write(path: str, exc: OSError) -> ConfigurationError:
+    return ConfigurationError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to `path` through a temporary file that never outlives
+    the call; an OSError becomes a ConfigurationError naming `path`."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise _cannot_write(path, exc) from exc
 
 
 def _csv_text(dataset: MapDataset, stem: str) -> str:
@@ -449,14 +465,30 @@ def _sidecar_text(dataset: MapDataset, run_doc: dict, extra: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_map(outdir: str, stem: str, dataset: MapDataset, run_doc: dict,
-               extra: dict) -> List[str]:
-    os.makedirs(outdir, exist_ok=True)
-    csv_path = os.path.join(outdir, stem + ".csv")
-    json_path = os.path.join(outdir, stem + ".json")
-    _atomic_write(csv_path, _csv_text(dataset, stem))
-    _atomic_write(json_path, _sidecar_text(dataset, run_doc, extra))
-    return [csv_path, json_path]
+def _write_maps(args, doc: dict, maps) -> int:
+    """Scan `maps`, each (file stem, observable, run-document echo, sidecar
+    extras), on the grid of `doc`; write each map's CSV and sidecar into
+    args.outdir, then print the paths written, one per line."""
+    grid = doc["grid"]
+    extent = _read(grid, "grid", "extent_um", _numbers(_coordinate, 4))
+    res = _read(grid, "grid", "resolution", _numbers(_integer, 2))
+    z_plane = _read(grid, "grid", "z_plane_um", _coordinate) * UM
+    extent = tuple(v * UM for v in extent)
+    datasets = run_scans([ScanConfig(obs, extent, res, z_plane=z_plane)
+                          for _, obs, _, _ in maps])
+    written = []
+    for (stem, _, run_doc, extra), dataset in zip(maps, datasets):
+        try:
+            os.makedirs(args.outdir, exist_ok=True)
+        except OSError as exc:
+            raise _cannot_write(args.outdir, exc) from exc
+        path = os.path.join(args.outdir, stem)
+        _atomic_write(path + ".csv", _csv_text(dataset, stem))
+        _atomic_write(path + ".json", _sidecar_text(dataset, run_doc, extra))
+        written += [path + ".csv", path + ".json"]
+    for path in written:
+        print(path)
+    return 0
 
 
 def load_map_csv(path: str) -> MapDataset:
@@ -522,24 +554,14 @@ def cmd_field_map(args) -> int:
     doc = _resolve(args)
     beam = _build_beam(doc["beam"])
     wanted = doc.get("component")
-    if wanted:
-        if not isinstance(wanted, str) or wanted not in _COMPONENT_FLAGS:
-            raise ConfigurationError(
-                f"component must be one of {sorted(_COMPONENT_FLAGS)}")
-        components = [_COMPONENT_FLAGS[wanted]]
-    else:
-        components = list(_COMPONENT_STEMS)
-    cfgs = _scan_configs([FieldComponentObservable(beam, comp)
-                          for comp in components], doc["grid"])
-    written = []
-    for comp, dataset in zip(components, run_scans(cfgs)):
-        run_doc = dict(doc)
-        run_doc["component"] = {v: k for k, v in _COMPONENT_FLAGS.items()}[comp]
-        stem = f"field_{_COMPONENT_STEMS[comp]}"
-        written += _write_map(args.outdir, stem, dataset, run_doc,
-                              {"component": comp})
-    _report(written)
-    return 0
+    if wanted and (not isinstance(wanted, str) or wanted not in _COMPONENTS):
+        raise ConfigurationError(
+            f"component must be one of {sorted(_COMPONENTS)}")
+    return _write_maps(args, doc, [
+        (stem, FieldComponentObservable(beam, comp),
+         dict(doc, component=flag), {"component": comp})
+        for flag, (comp, stem) in _COMPONENTS.items()
+        if not wanted or flag == wanted])
 
 
 def _dm_stem(dm: int) -> str:
@@ -554,54 +576,34 @@ def cmd_transition_map(args) -> int:
     dms = ([_read(doc, "", "dm", _integer)] if doc.get("dm") is not None
            else _allowed_dm(tdoc))
     transitions = [_build_transition(tdoc, dm) for dm in dms]
-    cfgs = _scan_configs([TransitionObservable(beam, t, geom)
-                          for t in transitions], doc["grid"])
-    written = []
-    for dm, trans, dataset in zip(dms, transitions, run_scans(cfgs)):
-        run_doc = dict(doc, dm=dm, transition=dict(tdoc, m2=str(trans.m2)))
-        written += _write_map(args.outdir, f"mu_{_dm_stem(dm)}", dataset,
-                              run_doc, {"dm": dm})
-    _report(written)
-    return 0
+    return _write_maps(args, doc, [
+        (f"mu_{_dm_stem(dm)}", TransitionObservable(beam, trans, geom),
+         dict(doc, dm=dm, transition=dict(tdoc, m2=str(trans.m2))), {"dm": dm})
+        for dm, trans in zip(dms, transitions)])
 
 
 def cmd_sideband_map(args) -> int:
     doc = _resolve(args)
-    beam = _build_beam(doc["beam"])
-    geom = _build_geometry(doc["geometry"])
-    trap = _build_trap(doc["trap"])
-    trans = _build_transition(doc["transition"], _read(doc, "", "dm", _integer))
-    n = _read(doc["sideband"], "sideband", "n", _count)
+    beam, geom, trap, _, trans, n = _motion_run(doc)
     branch = doc["sideband"]["branch"]
     if branch not in ("bsb", "rsb"):
         raise ConfigurationError("sideband.branch must be 'bsb' or 'rsb'")
+    run_doc = dict(doc, transition=dict(doc["transition"], m2=str(trans.m2)))
     requests = [("carrier", SidebandRequest("X", n, "carrier"), False)]
     requests += [(f"{branch}_{mode}", SidebandRequest(mode, n, branch), True)
                  for mode in ("X", "Y", "Z")]
-    cfgs = _scan_configs(
-        [SidebandObservable(beam, trap, req, trans, geom, eta_rescale=resc)
-         for _, req, resc in requests], doc["grid"])
-    run_doc = dict(doc, transition=dict(doc["transition"], m2=str(trans.m2)))
-    written = []
-    for (stem, req, resc), dataset in zip(requests, run_scans(cfgs)):
-        extra = {"branch": req.branch, "mode": req.mode, "n": req.n,
-                 "eta_rescaled": resc}
-        written += _write_map(args.outdir, f"sideband_{stem}", dataset,
-                              run_doc, extra)
-    _report(written)
-    return 0
+    return _write_maps(args, doc, [
+        (f"sideband_{stem}",
+         SidebandObservable(beam, trap, req, trans, geom, eta_rescale=resc),
+         run_doc, {"branch": req.branch, "mode": req.mode, "n": req.n,
+                   "eta_rescaled": resc})
+        for stem, req, resc in requests])
 
 
 def cmd_point(args) -> int:
     doc = _resolve(args)
-    beam = _build_beam(doc["beam"])
-    geom = _build_geometry(doc["geometry"])
-    trap = _build_trap(doc["trap"])
-    tdoc = doc["transition"]
+    beam, geom, trap, dm0, trans0, n = _motion_run(doc)
     pos_um = _read(doc, "", "position_um", _numbers(_coordinate, 3))
-    dm0 = _read(doc, "", "dm", _integer)
-    trans0 = _build_transition(tdoc, dm0)
-    n = _read(doc["sideband"], "sideband", "n", _count)
     point = np.array([v * UM for v in pos_um])
 
     # one order-2 sample serves every line: its lower-order blocks are
@@ -609,8 +611,8 @@ def cmd_point(args) -> int:
     sample = field_sample_upto(beam, point, 2)
     comps = _circular(sample.electric)
     mu: Dict[str, List[float]] = {}
-    for dm in _allowed_dm(tdoc):
-        trans = _build_transition(tdoc, dm)
+    for dm in _allowed_dm(doc["transition"]):
+        trans = _build_transition(doc["transition"], dm)
         mu[f"{dm:+d}"] = _complex_pair(relative_strength(sample, trans, geom))
     sidebands = {}
     for mode in ("X", "Y", "Z"):
@@ -663,11 +665,6 @@ def cmd_gnuplot_matrix(args) -> int:
     _atomic_write(args.output, "\n".join(lines) + "\n")
     print(args.output)
     return 0
-
-
-def _report(paths: List[str]) -> None:
-    for p in paths:
-        print(p)
 
 
 # -------------------------------------------------------------- arg parser

@@ -625,6 +625,48 @@ def test_gnuplot_matrix_layout(tmp_path):
     assert all(len(line.split()) == 9 for line in lines[1:])
 
 
+@pytest.mark.parametrize("argv, stems", [
+    (["field-map"], ["field_Ez", "field_sigma_plus", "field_sigma_minus"]),
+    (["field-map", "--component", "sigma-"], ["field_sigma_minus"]),
+    (["transition-map"],
+     ["mu_dm_m2", "mu_dm_m1", "mu_dm_0", "mu_dm_p1", "mu_dm_p2"]),
+    (["transition-map", "--dm", "-1"], ["mu_dm_m1"]),
+    (["sideband-map"], ["sideband_carrier", "sideband_bsb_X",
+                        "sideband_bsb_Y", "sideband_bsb_Z"]),
+])
+def test_map_runs_print_the_paths_they_wrote(tmp_path, capsys, argv, stems):
+    assert run(argv + ["--beam", "lg:1", "--resolution", "4,4",
+                       "-o", tmp_path]) == 0
+    paths = [os.path.join(str(tmp_path), stem + ext)
+             for stem in stems for ext in (".csv", ".json")]
+    assert capsys.readouterr().out == "".join(p + "\n" for p in paths)
+    assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths))
+
+
+@pytest.mark.parametrize("case", ["outdir_is_a_file", "missing_directory",
+                                  "output_is_a_directory"])
+def test_unwritable_output_paths_exit_2(tmp_path, capsys, case):
+    field_map = ["field-map", "--beam", "lg:1", "--component", "Ez",
+                 "--resolution", "4,4", "-o"]
+    assert run(field_map + [tmp_path]) == 0
+    csv = tmp_path / "field_Ez.csv"
+    (tmp_path / "directory").mkdir()
+    argv = {
+        "outdir_is_a_file": field_map + [csv],
+        "missing_directory": ["gnuplot-matrix", csv,
+                              tmp_path / "missing" / "out"],
+        "output_is_a_directory": ["gnuplot-matrix", csv,
+                                  tmp_path / "directory"],
+    }[case]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write")
+    assert "Traceback" not in err
+    assert not [name for _, _, names in os.walk(tmp_path) for name in names
+                if ".tmp." in name]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         run(["--version"])
