@@ -400,12 +400,6 @@ def _profile(mode: Mode, waist: float, k: float,
     return f
 
 
-def _mode_jet(mode: Mode, waist: float, k: float, points: np.ndarray,
-              order: int) -> Jet:
-    return _profile(mode, waist, k, lambda: _coords(points, order),
-                    ProfileMemo())
-
-
 def _as_points(point) -> Tuple[np.ndarray, bool]:
     pts = np.asarray(point, dtype=float)
     if pts.shape[-1:] != (3,):

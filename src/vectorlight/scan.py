@@ -53,6 +53,12 @@ ZERO_FLOOR = 1e-13
 # 8192 did, which leaves room for a caller still holding its previous maps
 _CHUNK = 3072
 
+# field samples one chunk's cache keeps, the oldest dropped first.  It must
+# hold one sample per beam of a same-grid group: the acceptance panel asks
+# for each of its five beams again after the other four, and with room for
+# 4 it evaluates 25 samples for its 70 requests per chunk instead of 15.
+_CACHED_SAMPLES = 6
+
 # Largest grid, in cells.  A CLI map run holds about 65 B per cell at its
 # peak: the grid points (24 B), 8 B per map of a same-grid group and the CSV
 # text of one map; so a 4096 x 4096 grid needs about 1.1 GB.
@@ -74,8 +80,7 @@ class _ChunkSampleCache:
     beams) build each scalar profile once per chunk and order.
     """
 
-    def __init__(self, capacity: int = 6):
-        self._capacity = capacity
+    def __init__(self):
         self._store = {}
         self.profiles = ProfileMemo()
         self.hits = 0
@@ -89,7 +94,7 @@ class _ChunkSampleCache:
             return hit[1]
         self.misses += 1
         fs = field_sample_upto(beam, pts, order, profiles=self.profiles)
-        if len(self._store) >= self._capacity:
+        if len(self._store) >= _CACHED_SAMPLES:
             self._store.pop(next(iter(self._store)))
         self._store[key] = (pts, fs)
         return fs

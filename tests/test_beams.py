@@ -25,7 +25,6 @@ from vectorlight.beams import (
     ModeTerm,
     ProfileMemo,
     _coords,
-    _mode_jet,
     _profile as profile_jet,
     field_components,
     field_sample_upto,
@@ -80,7 +79,8 @@ def hg_reference(m, n, w0, k, x, y, z):
 def _profile(mode, waist, k, point):
     """Scalar profile value(s) of one mode, no plane-wave factor."""
     pts = np.asarray(point, dtype=float)
-    val = _mode_jet(mode, waist, k, np.atleast_2d(pts), 0).val
+    val = profile_jet(mode, waist, k, lambda: _coords(np.atleast_2d(pts), 0),
+                      ProfileMemo()).val
     return val[0] if pts.ndim == 1 else val
 
 
