@@ -119,7 +119,6 @@ class BeamSpec:
     terms: Tuple[Tuple[complex, ModeTerm], ...]
     wavelength: float
     waist: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         lo, hi = LENGTH_RANGE
@@ -148,15 +147,15 @@ class BeamSpec:
 
     @staticmethod
     def lg(l: int, p: int = 0, sigma: int = 1, *, waist: float,
-           wavelength: float, amplitude: float = 1.0) -> "BeamSpec":
+           wavelength: float) -> "BeamSpec":
         term = ModeTerm(LGMode(l, p), sigma)
-        return BeamSpec(((1.0 + 0.0j, term),), wavelength, waist, amplitude)
+        return BeamSpec(((1.0 + 0.0j, term),), wavelength, waist)
 
     @staticmethod
     def hg(m: int, n: int, sigma: int = 1, *, waist: float,
-           wavelength: float, amplitude: float = 1.0) -> "BeamSpec":
+           wavelength: float) -> "BeamSpec":
         term = ModeTerm(HGMode(m, n), sigma)
-        return BeamSpec(((1.0 + 0.0j, term),), wavelength, waist, amplitude)
+        return BeamSpec(((1.0 + 0.0j, term),), wavelength, waist)
 
 
 @dataclass(frozen=True)
@@ -188,8 +187,8 @@ def _radial_term(sign: float) -> Tuple[Tuple[complex, ModeTerm], ...]:
     return ((w + 0.0j, plus), (sign * w + 0.0j, minus))
 
 
-def make_radial_azimuthal(kind: str, waist: float, wavelength: float,
-                          amplitude: float = 1.0) -> BeamSpec:
+def make_radial_azimuthal(kind: str, waist: float,
+                          wavelength: float) -> BeamSpec:
     """Cylindrical vector beam: 'radial' or 'azimuthal' polarization."""
     if kind == "radial":
         terms = _radial_term(+1.0)
@@ -197,7 +196,7 @@ def make_radial_azimuthal(kind: str, waist: float, wavelength: float,
         terms = _radial_term(-1.0)
     else:
         raise ValueError(f"kind must be 'radial' or 'azimuthal', got {kind!r}")
-    return BeamSpec(terms, wavelength, waist, amplitude)
+    return BeamSpec(terms, wavelength, waist)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +437,7 @@ def _field_jets(spec: BeamSpec, points: np.ndarray, order: int,
     for weight, term in spec.terms:
         f = _profile(term.mode, spec.waist, k, coords, memo)
         sig = term.sigma
-        amp = weight * spec.amplitude / math.sqrt(2.0)
+        amp = weight / math.sqrt(2.0)
 
         fx = f.partial(0)
         fy = f.partial(1)

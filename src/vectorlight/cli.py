@@ -34,7 +34,8 @@ from .beams import (
     field_sample_upto,
     make_radial_azimuthal,
 )
-from .coupling import Geometry, Multipole, TransitionSpec, relative_strength
+from .coupling import (Geometry, Multipole, TransitionSpec, coefficients_for,
+                       relative_strength)
 from .errors import ConfigurationError, NumericalError
 from .motion import SidebandRequest, TrapSpec, _line_strength
 from .scan import (
@@ -350,24 +351,21 @@ def _build_beam(doc: dict) -> BeamSpec:
         raise ConfigurationError(f"beam: {exc}") from exc
 
 
-def _build_transition(doc: dict, dm: int) -> TransitionSpec:
+def _transitions(doc: dict, dms=None) -> Dict[int, TransitionSpec]:
+    """The transition at each Delta-m of `dms`, by default at each channel of
+    its multipole, ascending, whose m2 is a projection of J2.  With none, the
+    lowest channel is built, so that TransitionSpec names the fault."""
     try:
-        return TransitionSpec(doc["j1"], doc["m1"], doc["j2"],
-                              HalfInt.coerce(doc["m1"]) + dm,
-                              str(doc["multipole"]))
+        j1, m1, j2 = (HalfInt.coerce(doc[key]) for key in ("j1", "m1", "j2"))
+        multipole = Multipole.parse(str(doc["multipole"]))
+        if dms is None:
+            channels = sorted(coefficients_for(multipole).channels)
+            dms = [dm for dm in channels
+                   if (m1 + dm).is_projection_of(j2)] or channels[:1]
+        return {dm: TransitionSpec(j1, m1, j2, m1 + dm, multipole)
+                for dm in dms}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"transition: {exc}") from exc
-
-
-def _allowed_dm(doc: dict) -> List[int]:
-    """Delta-m values addressable for the configured transition family."""
-    try:
-        j2 = HalfInt.coerce(doc["j2"])
-        m1 = HalfInt.coerce(doc["m1"])
-        rank = Multipole.parse(str(doc["multipole"])).delta_j
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"transition: {exc}") from exc
-    return [dm for dm in range(-rank, rank + 1) if abs(m1 + dm) <= j2]
 
 
 def _build_geometry(doc: dict) -> Geometry:
@@ -402,7 +400,7 @@ def _motion_run(doc: dict):
     geom = _build_geometry(doc["geometry"])
     trap = _build_trap(doc["trap"])
     dm = _read(doc, "", "dm", _integer)
-    trans = _build_transition(doc["transition"], dm)
+    trans = _transitions(doc["transition"], [dm])[dm]
     return beam, geom, trap, dm, trans, _read(doc["sideband"], "sideband",
                                               "n", _count)
 
@@ -573,13 +571,11 @@ def cmd_transition_map(args) -> int:
     beam = _build_beam(doc["beam"])
     geom = _build_geometry(doc["geometry"])
     tdoc = doc["transition"]
-    dms = ([_read(doc, "", "dm", _integer)] if doc.get("dm") is not None
-           else _allowed_dm(tdoc))
-    transitions = [_build_transition(tdoc, dm) for dm in dms]
+    dms = None if doc.get("dm") is None else [_read(doc, "", "dm", _integer)]
     return _write_maps(args, doc, [
         (f"mu_{_dm_stem(dm)}", TransitionObservable(beam, trans, geom),
          dict(doc, dm=dm, transition=dict(tdoc, m2=str(trans.m2))), {"dm": dm})
-        for dm, trans in zip(dms, transitions)])
+        for dm, trans in _transitions(tdoc, dms).items()])
 
 
 def cmd_sideband_map(args) -> int:
@@ -611,8 +607,7 @@ def cmd_point(args) -> int:
     sample = field_sample_upto(beam, point, 2)
     comps = _circular(sample.electric)
     mu: Dict[str, List[float]] = {}
-    for dm in _allowed_dm(doc["transition"]):
-        trans = _build_transition(doc["transition"], dm)
+    for dm, trans in _transitions(doc["transition"]).items():
         mu[f"{dm:+d}"] = _complex_pair(relative_strength(sample, trans, geom))
     sidebands = {}
     for mode in ("X", "Y", "Z"):

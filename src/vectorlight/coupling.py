@@ -26,6 +26,7 @@ from .beams import BeamSpec, FieldSample, field_sample_upto
 from .special import HalfInt, clebsch_gordan, halfint, rotation_matrix
 
 __all__ = [
+    "MAX_J",
     "Multipole",
     "TransitionSpec",
     "Geometry",
@@ -37,6 +38,8 @@ __all__ = [
     "averaged_strength",
     "averaged_strength_rms",
 ]
+
+MAX_J = 200  # Clebsch-Gordan sums are exact, and their cost grows with J
 
 
 class Multipole(enum.Enum):
@@ -69,9 +72,9 @@ class Multipole(enum.Enum):
 class TransitionSpec:
     """Electronic transition |J1 m1> -> |J2 m2> of a given multipole order.
 
-    Projections must be valid for their J.  Selection-rule violations
-    (projection change out of range, triangle rule) are representable and
-    evaluate to exactly zero strength rather than raising.
+    J1 and J2 are at most MAX_J; projections must be valid for their J.
+    Selection-rule violations (projection change out of range, triangle rule)
+    are representable and evaluate to exactly zero strength, not an error.
     """
 
     J1: HalfInt
@@ -83,6 +86,8 @@ class TransitionSpec:
     def __post_init__(self):
         for name in ("J1", "m1", "J2", "m2"):
             object.__setattr__(self, name, halfint(getattr(self, name)))
+        if max(self.J1, self.J2).twice > 2 * MAX_J:
+            raise ValueError(f"J1={self.J1}, J2={self.J2}: J is at most {MAX_J}")
         if not self.m1.is_projection_of(self.J1):
             raise ValueError(f"m1={self.m1} is not a projection of J1={self.J1}")
         if not self.m2.is_projection_of(self.J2):
@@ -95,8 +100,8 @@ class TransitionSpec:
         return self.m2 - self.m1
 
     def triangle_allowed(self) -> bool:
-        dj = HalfInt(2 * self.multipole.delta_j)
-        return abs(self.J1 - dj) <= self.J2 <= self.J1 + dj
+        tj1, tdj = self.J1.twice, 2 * self.multipole.delta_j
+        return abs(tj1 - tdj) <= self.J2.twice <= tj1 + tdj
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +120,10 @@ class Geometry:
         a = np.asarray(axis, dtype=float)
         if a.shape != (3,):
             raise ValueError("axis must be a 3-vector")
-        norm = np.linalg.norm(a)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(a)
+        if not math.isfinite(norm):
+            raise ValueError("axis must have a finite norm")
         if norm == 0.0:
             raise ValueError("axis must be nonzero")
         a = a / norm
@@ -214,19 +222,13 @@ def rotate_coefficients(coeffs: CouplingCoefficients,
 
 def _selection(trans: TransitionSpec):
     """CG weight and integer dm of the only contributing channel, or None."""
-    if not trans.triangle_allowed():
+    tdm, rank = trans.m2.twice - trans.m1.twice, trans.multipole.delta_j
+    if not trans.triangle_allowed() or tdm % 2 or abs(tdm) > 2 * rank:
         return None
-    dm = trans.delta_m
-    if not dm.is_integer:
-        return None
-    dmi = int(float(dm))
-    if abs(dmi) > trans.multipole.delta_j:
-        return None
-    cg = clebsch_gordan(trans.J1, trans.m1, trans.multipole.delta_j, dmi,
-                        trans.J2, trans.m2)
+    cg = clebsch_gordan(trans.J1, trans.m1, rank, tdm // 2, trans.J2, trans.m2)
     if cg == 0.0:
         return None
-    return cg, dmi
+    return cg, tdm // 2
 
 
 def _contract(block: np.ndarray, trans: TransitionSpec, geom: Geometry,

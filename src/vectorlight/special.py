@@ -51,8 +51,10 @@ class HalfInt:
         if isinstance(value, str):
             text = value.strip()
             if "/" in text:
-                num, den = text.split("/")
-                return HalfInt.coerce(Fraction(int(num), int(den)))
+                num, den = map(int, text.split("/"))
+                if den == 0:
+                    raise ValueError(f"{text} has a zero denominator")
+                return HalfInt.coerce(Fraction(num, den))
             return HalfInt.coerce(Fraction(text))
         if isinstance(value, (float, np.floating)):
             doubled = 2.0 * float(value)

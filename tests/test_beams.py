@@ -484,8 +484,7 @@ def test_superposition_matches_weighted_single_terms(beam):
     for order in (0, 1, 2):
         got = field_sample_upto(beam, pts, order)
         parts = [(w, field_sample_upto(BeamSpec(((1.0, t),), beam.wavelength,
-                                                beam.waist, beam.amplitude),
-                                       pts, order))
+                                                beam.waist), pts, order))
                  for w, t in beam.terms]
         for k in range(order + 1):
             want = sum(w * s.block(k) for w, s in parts)

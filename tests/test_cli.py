@@ -6,6 +6,7 @@ can be asserted directly; map files land in pytest temp directories.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -20,8 +21,11 @@ import vectorlight.scan as scan_module
 from vectorlight import FieldComponentObservable, ScanConfig, run_scans
 from vectorlight.beams import BeamSpec
 from vectorlight.cli import _csv_text, load_map_csv, main
+from vectorlight.coupling import Multipole, TransitionSpec
+from vectorlight.errors import ConfigurationError
 from vectorlight.motion import SidebandRequest, sideband_strength_at
 from vectorlight.scan import MapDataset
+from vectorlight.special import HalfInt
 
 
 def run(args):
@@ -129,6 +133,11 @@ def test_run_file_invalid_json_reports_line(tmp_path, capsys):
     ({"beam": {"type": "lg", "l": 1},
       "grid": {"extent_um": [float("-inf"), float("inf"), -1, 1]}},
      "grid.extent_um"),
+    ({"beam": {"type": "lg", "l": 1}, "transition": {"j2": "5/0"}},
+     "transition"),
+    # the axis norm overflows
+    ({"beam": {"type": "lg", "l": 1},
+      "geometry": {"axis": [1e308, 1e308, 0], "theta_deg": 45}}, "geometry"),
 ])
 def test_run_file_bad_value_exits_2_and_names_the_field(tmp_path, capsys, doc,
                                                         field):
@@ -151,6 +160,10 @@ def test_run_file_bad_value_exits_2_and_names_the_field(tmp_path, capsys, doc,
     (["field-map", "--resolution", "4097,4096"], "resolution 4097x4096"),
     (["point", "--n", "-1"], "sideband.n"),
     (["sideband-map", "--n", "-1"], "sideband.n"),
+    (["point", "--m1", "1/0"], "transition"),
+    # just above the stated limit J <= 200
+    (["point", "--j1", "401/2", "--j2", "401/2", "--multipole", "E1"],
+     "transition"),
 ])
 def test_bad_flag_value_exits_2_and_names_the_field(tmp_path, capsys,
                                                     monkeypatch, argv, field):
@@ -233,7 +246,8 @@ def test_point_sidebands_equal_fresh_line_strengths(capsys, extra):
     beam = cli_module._build_beam(doc["beam"])
     trap = cli_module._build_trap(doc["trap"])
     geom = cli_module._build_geometry(doc["geometry"])
-    trans = cli_module._build_transition(doc["transition"], rec["sideband_dm"])
+    dm = rec["sideband_dm"]
+    trans = cli_module._transitions(doc["transition"], [dm])[dm]
     point = np.array(rec["position_um"]) * cli_module.UM
     for mode in ("X", "Y", "Z"):
         for branch in ("carrier", "bsb", "rsb"):
@@ -451,6 +465,64 @@ def test_invalid_quantum_numbers_exit_2(tmp_path, capsys):
     assert "transition" in capsys.readouterr().err
     assert run(["transition-map", "--beam", "lg:1,0", "--m1", "3/2",
                 "--dm", "0", "-o", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    # no Delta-m channel reaches J2, and m1 is not a projection of J1
+    (["--j1", "1/2", "--m1", "7/2"],
+     "transition: m1=7/2 is not a projection of J1=1/2"),
+    # no Delta-m channel reaches J2 from a valid m1
+    (["--j1", "5/2", "--m1", "5/2"],
+     "transition: m2=3/2 is not a projection of J2=1/2"),
+])
+def test_transition_map_without_a_channel_exits_2(tmp_path, capsys, argv,
+                                                  message):
+    outdir = tmp_path / "out"
+    assert run(["transition-map", "--beam", "lg:1", "--j2", "1/2",
+                "--multipole", "E1", "-o", outdir] + argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"configuration error: {message}\n")
+    assert not outdir.exists()
+
+
+def test_default_dm_are_the_channels_transition_spec_accepts():
+    # every 2J1, 2J2 <= 8, every m1 of either parity up to two steps
+    # outside [-J1, J1], and each multipole
+    for multipole, tj1, tj2 in itertools.product(Multipole, range(9),
+                                                 range(9)):
+        for tm1 in range(-tj1 - 4, tj1 + 5):
+            m1 = HalfInt(tm1)
+            doc = {"j1": str(HalfInt(tj1)), "m1": str(m1),
+                   "j2": str(HalfInt(tj2)), "multipole": multipole.value}
+            want = []
+            for dm in range(-multipole.delta_j, multipole.delta_j + 1):
+                with contextlib.suppress(ValueError):
+                    TransitionSpec(HalfInt(tj1), m1, HalfInt(tj2),
+                                   HalfInt(tm1 + 2 * dm), multipole)
+                    want.append(dm)
+            if want:
+                got = cli_module._transitions(doc)
+                assert list(got) == want, doc
+                assert all(t.m2.twice == tm1 + 2 * dm and t.m1 == m1
+                           for dm, t in got.items())
+                continue
+            with pytest.raises(ConfigurationError) as default:
+                cli_module._transitions(doc)
+            assert str(default.value).startswith("transition: "), doc
+            if not m1.is_projection_of(HalfInt(tj1)):
+                with pytest.raises(ConfigurationError) as at_dm0:
+                    cli_module._transitions(doc, [0])
+                assert str(default.value) == str(at_dm0.value), doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["--j1", "201/2", "--j2", "203/2", "--multipole", "E1"],
+    ["--j1", "200", "--m1", "-200", "--j2", "200", "--multipole", "E2_dJ1"],
+])
+def test_angular_momenta_up_to_the_limit_are_valid(capsys, argv):
+    assert run(["point", "--beam", "lg:1"] + argv) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["mu_by_dm"]
 
 
 # ------------------------------------------------------------ sideband-map

@@ -89,6 +89,8 @@ def test_halfint_coercion_and_arithmetic():
     assert not halfint(1).is_projection_of(halfint("5/2"))  # parity mismatch
     with pytest.raises(ValueError):
         halfint(0.3)
+    with pytest.raises(ValueError, match="zero denominator"):
+        halfint("1/0")
     with pytest.raises(TypeError):
         halfint(object())
 
@@ -247,6 +249,7 @@ def cg_mpmath(tj1, tm1, tj2, tm2, tj):
     (115, -113, 4, 2, 117),
     (160, 10, 160, -10, 200),
     (230, 0, 230, 0, 0),
+    (400, 2, 4, 0, 400),  # an E2 line at the limit J <= 200 of TransitionSpec
 ])
 def test_cg_at_large_j_matches_mpmath(tj1, tm1, tj2, tm2, tj):
     # the Racah prefactor alone is past the largest double from 2J = 115 on
