@@ -222,10 +222,10 @@ def rotate_coefficients(coeffs: CouplingCoefficients,
 
 def _selection(trans: TransitionSpec):
     """CG weight and integer dm of the only contributing channel, or None."""
-    tdm, rank = trans.m2.twice - trans.m1.twice, trans.multipole.delta_j
-    if not trans.triangle_allowed() or tdm % 2 or abs(tdm) > 2 * rank:
+    tdm, k = trans.m2.twice - trans.m1.twice, trans.multipole.delta_j
+    if not trans.triangle_allowed() or tdm % 2 or abs(tdm) > 2 * k:
         return None
-    cg = clebsch_gordan(trans.J1, trans.m1, rank, tdm // 2, trans.J2, trans.m2)
+    cg = clebsch_gordan(trans.J1, trans.m1, k, tdm // 2, trans.J2, trans.m2)
     if cg == 0.0:
         return None
     return cg, tdm // 2
