@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -170,10 +170,19 @@ class FieldSample:
     electric: np.ndarray
     jacobian: np.ndarray
     hessian: np.ndarray
+    _peaks: Dict[int, float] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     def block(self, order: int) -> np.ndarray:
         """Derivative block of the given order: 0 electric, 1 jacobian, 2 hessian."""
         return (self.electric, self.jacobian, self.hessian)[order]
+
+    def peak(self, order: int) -> float:
+        """Largest modulus in block(order), computed once per sample."""
+        peak = self._peaks.get(order)
+        if peak is None:
+            peak = self._peaks[order] = float(np.max(np.abs(self.block(order))))
+        return peak
 
 
 def _radial_term(sign: float) -> Tuple[Tuple[complex, ModeTerm], ...]:
@@ -203,23 +212,60 @@ def make_radial_azimuthal(kind: str, waist: float,
 # scalar mode jets
 
 
-def _coords(points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
-    """Jets of x, y and z over the float points (..., 3).
+def _grid_axes(points: np.ndarray):
+    """The points (..., 3) as a tensor grid, or None if they are not one.
 
-    A coordinate whose bits are equal at every point, such as z on a focal
-    plane, gets its jet on the first point alone, of batch shape (1, ...,
-    1).  Every jet built from it alone (the Gouy and curvature parameter,
-    w0/w(z), the HG phase, the plane wave) then stays that small and is
-    computed once; it broadcasts against the full-batch jets of the other
-    coordinates (see `jets`), bit for bit as if copied out.  Bits, not ==,
-    decide: a batch mixing +0.0 and -0.0, or NaN and numbers, keeps its
-    full jet.
+    Returns points of shapes (r, 1, 1, 3), (1, c, 1, 3) and (1, 1, d, 3)
+    whose x, y and z, combined in C order, are the flattened points bit for
+    bit: x is equal over runs of c d points, y over runs of d.  A single
+    point is not looked at, and points that repeat (d > 1 with z equal at
+    every point) are not a grid.
     """
-    bits = points.reshape(-1, 3).view(np.uint64)
-    same = (bits == bits[:1]).all(axis=0)
-    first = points[(slice(0, 1),) * (points.ndim - 1)]
-    return tuple(Jet.coordinate(first if same[i] else points, i, order)
-                 for i in range(3))
+    pts = points.reshape(-1, 3)
+    n = pts.shape[0]
+    if n < 2:
+        return None
+    bits = pts.view(np.uint64)
+    new_x = bits[:, 0] != bits[0, 0]
+    # the first point with another x, and with another x or y (0: none)
+    cd = int(new_x.argmax()) or n
+    d = int((new_x | (bits[:, 1] != bits[0, 1])).argmax()) or n
+    if n % cd or cd % d:
+        return None
+    g = bits.reshape(n // cd, cd // d, d, 3)
+    grid = ((g[..., 0] == g[:, :1, :1, 0]).all()
+            and (g[..., 1] == g[:1, :, :1, 1]).all()
+            and (g[..., 2] == g[:1, :1, :, 2]).all())
+    if not grid or d > 1 and (g[0, 0, :, 2] == g[0, 0, 0, 2]).all():
+        return None
+    p = pts.reshape(g.shape)
+    return p[:, :1, :1], p[:1, :, :1], p[:1, :1, :]
+
+
+def _coords(points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
+    """Jets of x, y and z over the float points (..., 3), each on as few
+    points as the batch allows.
+
+    Points that form a tensor grid in C order (see `_grid_axes`: whole rows
+    of a focal-plane scan, a Gauss-Hermite cloud) give x on batch shape
+    (r, 1, 1), y on (1, c, 1) and z on (1, 1, d).  Otherwise a coordinate
+    whose bits are equal at every point, such as z on a plane of scattered
+    points, gets its jet on the first point alone, of batch shape (1, ...,
+    1), and the others keep the points' batch shape.  A jet built from one
+    coordinate alone (the Gouy and curvature parameter, w0/w(z), the HG
+    phase, the plane wave, an HG profile's H_m(sqrt(2) x / w)) then stays
+    that small and is computed once per value of its coordinate, not once
+    per point; it broadcasts against the jets of the other coordinates (see
+    `jets`), bit for bit as if copied out.  Bits, not ==, decide: +0.0 and
+    -0.0, or NaN and numbers, are two values.
+    """
+    axes = _grid_axes(points)
+    if axes is None:
+        bits = points.reshape(-1, 3).view(np.uint64)
+        same = (bits == bits[:1]).all(axis=0)
+        first = points[(slice(0, 1),) * (points.ndim - 1)]
+        axes = [first if s else points for s in same]
+    return tuple(Jet.coordinate(axes[i], i, order) for i in range(3))
 
 
 def _laguerre_jet(p: int, alpha: int, arg: Jet) -> Jet:
@@ -263,31 +309,39 @@ def _rho2(x: Jet, y: Jet) -> Jet:
     return Jet(x.order, val, g, h)
 
 
-def _lg_radial(al: int, p: int, waist: float, k: float, x: Jet, y: Jet,
-               z: Jet) -> Jet:
-    """Focused Laguerre-Gaussian profile without its vortex factor.
+def _gaussian(waist: float, k: float, order: int, x: Jet, y: Jet, z: Jet,
+              memo: "ProfileMemo") -> Tuple[Jet, Jet, Jet]:
+    """zeta = z/zR, u = 1/(1 + i zeta) and the envelope exp(-rho^2 u / w0^2).
 
-    LG(l, p) is this radial part times ((x +/- i y) sqrt(2)/w0)^|l|, so the
-    terms LG(+l, p) and LG(-l, p) share it.  Written via the complex
-    parameter u = 1/(1 + i z/zR): |u| carries the w0/w(z) amplitude decay,
-    arg(u) one unit of axial phase slippage, and Re(u/w0^2) the Gaussian
-    envelope with Im supplying wavefront curvature.  Every factor is an
-    entire function of the coordinates, so the Taylor jet needs no branch
-    handling.  For p = 0 the Laguerre factor is 1 and is left out.
+    |u| carries the w0/w(z) amplitude decay, arg(u) one unit of axial phase
+    slippage, and Re(u/w0^2) the Gaussian envelope with Im supplying
+    wavefront curvature.  LG and HG profiles of one waist and wavenumber
+    share the envelope, which `memo` holds.
     """
     zr = 0.5 * k * waist**2
     zeta = z * (1.0 / zr)
     u = (zeta * 1.0j + 1.0).reciprocal()
-    rho2 = _rho2(x, y)
+    envelope = memo.jet(("envelope", waist, k), order,
+                        lambda: (_rho2(x, y) * u * (-1.0 / waist**2)).exp())
+    return zeta, u, envelope
 
+
+def _lg_radial(al: int, p: int, waist: float, x: Jet, y: Jet, zeta: Jet,
+               u: Jet, envelope: Jet) -> Jet:
+    """Focused Laguerre-Gaussian profile without its vortex factor.
+
+    LG(l, p) is this radial part times ((x +/- i y) sqrt(2)/w0)^|l|, so the
+    terms LG(+l, p) and LG(-l, p) share it.  Every factor is an entire
+    function of the coordinates, so the Taylor jet needs no branch
+    handling.  For p = 0 the Laguerre factor is 1 and is left out.
+    """
     # u^(|l|+1+p) * (1 - i zeta)^p  ==  (w0/w)^(|l|+1) e^{-i(|l|+2p+1) atan}
     f = u.ipow(al + 1 + p)
     if p:
         conj = zeta * (-1.0j) + 1.0
         # real-valued Laguerre argument 2 rho^2 / w(z)^2, kept as a complex jet
-        arg = rho2 * (u * conj.reciprocal()) * (2.0 / waist**2)
+        arg = _rho2(x, y) * (u * conj.reciprocal()) * (2.0 / waist**2)
         f = _laguerre_jet(p, al, arg) * (f * conj.ipow(p))
-    envelope = (rho2 * u * (-1.0 / waist**2)).exp()
 
     norm = math.sqrt(2.0 * math.factorial(p)
                      / (math.pi * math.factorial(p + al)))
@@ -301,22 +355,16 @@ def _vortex(l: int, waist: float, x: Jet, y: Jet) -> Jet:
     return base.ipow(abs(l))
 
 
-def _hg_jet(mode: HGMode, waist: float, k: float, x: Jet, y: Jet,
-            z: Jet) -> Jet:
+def _hg_jet(mode: HGMode, waist: float, x: Jet, y: Jet, zeta: Jet, u: Jet,
+            envelope: Jet) -> Jet:
     """Focused Hermite-Gaussian profile (no plane-wave factor) as a jet.
 
     A zero order contributes H_0 = 1, which is left out.
     """
     m, n = mode.m, mode.n
-    zr = 0.5 * k * waist**2
-
-    zeta = z * (1.0 / zr)
-    u = (zeta * 1.0j + 1.0).reciprocal()
-    rho2 = _rho2(x, y)
-
     # u covers w0/w and one unit of axial phase; the remaining m+n units
     # are a pure phase built from arctan(zeta).
-    factors = [u, (rho2 * u * (-1.0 / waist**2)).exp()]
+    factors = [u, envelope]
     if m + n:
         # Hermite arguments sqrt(2) x / w(z); w(z)/w0 is a real sqrt jet
         winv = (zeta * zeta + 1.0).sqrt().reciprocal()
@@ -337,64 +385,90 @@ class ProfileMemo:
     """Scalar-profile jets and plane-wave factors built on one point set.
 
     Beams of a figure share modes: radial, azimuthal and lg:+/-1 beams are
-    all made of LG(+/-1, 0) terms.  Passed to every `field_sample_upto` call
-    on the same points, a memo builds each profile, LG radial part and
-    plane-wave factor once, keyed by mode, waist and wavenumber, and serves
-    it to every later term and beam; jets are never mutated, so sharing one
-    leaves every result bitwise the same.  A radial part is dropped once
-    both LG(+l, p) and LG(-l, p) are built.  It holds the jets of one points
-    object (by identity; the points must not change while it serves them)
-    and one field order: a call with other points or another order drops
-    them, so it never keeps more than one order's jets.  A memo serves one
-    thread at a time; a scan gives each chunk its own.  `built` and
-    `reused` count the scalar profiles it built and served again.
+    all made of LG(+/-1, 0) terms, and LG and HG profiles of one waist and
+    wavelength share the Gaussian envelope.  Passed to every
+    `field_sample_upto` call on the same points, a memo builds each
+    profile, LG radial part, envelope and plane-wave factor once, keyed by
+    mode, waist and wavenumber, and serves it to every later term and beam;
+    jets are never mutated, so sharing one leaves every result bitwise the
+    same.  A radial part is dropped once both LG(+l, p) and LG(-l, p) are
+    built.
+
+    Each jet is kept at the deepest order built, and a lower field order is
+    served its `truncate`: a jet's lower blocks never depend on its higher
+    ones, so that is bitwise the jet a direct call builds.  A call needing
+    a deeper jet than the memo holds builds it and replaces the shallower
+    one, so callers that ask for their deepest order first (as a scan
+    chunk does) build each jet once.  The memo holds the jets of one points
+    object (by identity; the points must not change while it serves them):
+    a call with other points drops them.  A memo serves one thread at a
+    time; a scan gives each chunk its own.  `built` and `reused` count the
+    scalar profiles it built and served again.
     """
 
     def __init__(self):
         self.built = 0
         self.reused = 0
-        self._on = None
+        self._points = None
         self.jets: Dict[tuple, Jet] = {}
 
-    def use(self, points: np.ndarray, order: int) -> None:
-        """Serve field order `order` on `points`, dropping any other jets."""
-        if (self._on is None or self._on[0] is not points
-                or self._on[1] != order):
-            self._on = (points, order)
+    def use(self, points: np.ndarray) -> None:
+        """Serve `points`, dropping the jets of any other points."""
+        if self._points is not points:
+            self._points = points
             self.jets = {}
 
+    def get(self, key, order: int, pop: bool = False) -> Optional[Jet]:
+        """The jet held under `key` truncated to `order`, or None if none
+        that deep is held; `pop` also removes it."""
+        jet = (self.jets.pop if pop else self.jets.get)(key, None)
+        if jet is None or jet.order < order:
+            return None
+        return jet if jet.order == order else jet.truncate(order)
 
-def _profile(mode: Mode, waist: float, k: float,
+    def jet(self, key, order: int, build: Callable[[], Jet]) -> Jet:
+        """The jet under `key` at `order`, from `build()` if none that deep
+        is held."""
+        jet = self.get(key, order)
+        if jet is None:
+            jet = self.jets[key] = build()
+        return jet
+
+
+def _profile(mode: Mode, waist: float, k: float, order: int,
              coords: Callable[[], Tuple[Jet, Jet, Jet]],
              memo: ProfileMemo) -> Jet:
-    """Scalar profile (no plane-wave factor) of one mode as a jet.
+    """Scalar profile (no plane-wave factor) of one mode as an `order` jet.
 
-    `memo` holds the profiles and LG radial parts already built on these
-    points, keyed by (mode, waist, k) and ((|l|, p), waist, k): LG(+l, p)
+    `memo` holds the jets already built on these points, keyed by (mode,
+    waist, k), ((|l|, p), waist, k) and ("envelope", waist, k): LG(+l, p)
     and LG(-l, p) share one radial part, which it holds only while one of
-    the two is still to be built.  A missing jet is built from `coords()`
-    and added to it.
+    the two is still to be built, and every profile of one waist and
+    wavenumber shares the envelope.  A missing jet is built from
+    `coords()`, jets of this order, and added to it.
     """
     key = (mode, waist, k)
-    f = memo.jets.get(key)
+    f = memo.get(key, order)
     if f is not None:
         memo.reused += 1
         return f
+    if not isinstance(mode, (LGMode, HGMode)):
+        raise ConfigurationError(
+            f"unsupported mode type {type(mode).__name__}")
     memo.built += 1
     x, y, z = coords()
     if isinstance(mode, LGMode):
         al, p = abs(mode.l), mode.p
-        radial = memo.jets.pop(((al, p), waist, k), None)
+        radial = memo.get(((al, p), waist, k), order, pop=True)
         if radial is None:
-            radial = _lg_radial(al, p, waist, k, x, y, z)
+            radial = _lg_radial(al, p, waist, x, y,
+                                *_gaussian(waist, k, order, x, y, z, memo))
             if mode.l:
                 memo.jets[(al, p), waist, k] = radial
         f = _vortex(mode.l, waist, x, y) * radial if mode.l else radial
-    elif isinstance(mode, HGMode):
-        f = _hg_jet(mode, waist, k, x, y, z)
     else:
-        raise ConfigurationError(
-            f"unsupported mode type {type(mode).__name__}")
+        f = _hg_jet(mode, waist, x, y,
+                    *_gaussian(waist, k, order, x, y, z, memo))
     memo.jets[key] = f
     return f
 
@@ -424,18 +498,16 @@ def _field_jets(spec: BeamSpec, points: np.ndarray, order: int,
     are built only if one of those jets is missing.
     """
     k = spec.wavenumber
-    memo.use(points, order)
+    memo.use(points)
     coords = functools.cache(functools.partial(_coords, points, order + 1))
     # the traveling-wave factor enters here, once per term, never inside
     # the scalar profiles
-    plane = memo.jets.get(("plane", k))
-    if plane is None:
-        plane = memo.jets["plane", k] = \
-            (coords()[2].truncate(order) * (1.0j * k)).exp()
+    plane = memo.jet(("plane", k), order, lambda: (
+        coords()[2].truncate(order) * (1.0j * k)).exp())
 
     ex = ey = ez = None
     for weight, term in spec.terms:
-        f = _profile(term.mode, spec.waist, k, coords, memo)
+        f = _profile(term.mode, spec.waist, k, order + 1, coords, memo)
         sig = term.sigma
         amp = weight / math.sqrt(2.0)
 
@@ -473,16 +545,25 @@ def field_components(spec: BeamSpec, point) -> Dict[str, np.ndarray]:
     return _circular(field_sample_upto(spec, point, 0).electric)
 
 
-def _batch_first(blocks, nderiv: int, batch: Tuple[int, ...]) -> np.ndarray:
-    """Stack E_j derivative blocks (derivative axes first, as jets keep them)
-    into one C-contiguous array: batch axes, derivative indices, then j.
-    Blocks of batch 1 (all three coordinates constant) are copied out to
-    `batch`."""
-    arr = np.stack(blocks, axis=-1)
-    if arr.shape[nderiv:-1] != batch:
-        arr = np.broadcast_to(arr, arr.shape[:nderiv] + batch + (3,))
-    return np.ascontiguousarray(arr.transpose(
-        *range(nderiv, arr.ndim - 1), *range(nderiv), arr.ndim - 1))
+def _batch_first(blocks, nderiv: int, batch: Tuple[int, ...],
+                 grid: Tuple[int, ...]) -> np.ndarray:
+    """Write E_j derivative blocks (derivative axes first, as jets keep them)
+    into one C-contiguous array, in one copy: batch axes, derivative
+    indices, then j.  `grid` is the blocks' batch shape.  Blocks on a
+    tensor grid (see `_coords`) fill the points in C order; blocks of batch
+    1 (all three coordinates constant) are copied out to every point."""
+    tail = (3,) * nderiv
+    out = np.empty(batch + tail + (3,), dtype=complex)
+    if math.prod(grid) == math.prod(batch):
+        view = out.reshape(grid + tail + (3,))
+    else:
+        view, grid = out, batch
+    # derivative axes first, as the blocks have them
+    n = len(grid)
+    view = view.transpose(*range(n, n + nderiv), *range(n), n + nderiv)
+    for j, b in enumerate(blocks):
+        view[..., j] = b
+    return out
 
 
 def field_sample_upto(spec: BeamSpec, point, order: int,
@@ -500,9 +581,12 @@ def field_sample_upto(spec: BeamSpec, point, order: int,
     jets = _field_jets(spec, pts, order,
                        ProfileMemo() if profiles is None else profiles)
     batch = pts.shape[:-1]
-    e = _batch_first([j.val for j in jets], 0, batch)
-    jac = _batch_first([j.g for j in jets], 1, batch) if order >= 1 else None
-    hess = _batch_first([j.h for j in jets], 2, batch) if order >= 2 else None
+    grid = np.broadcast_shapes(*(j.val.shape for j in jets))
+    e = _batch_first([j.val for j in jets], 0, batch, grid)
+    jac = _batch_first([j.g for j in jets], 1, batch, grid) \
+        if order >= 1 else None
+    hess = _batch_first([j.h for j in jets], 2, batch, grid) \
+        if order >= 2 else None
     if single:
         return FieldSample(e[0], None if jac is None else jac[0],
                            None if hess is None else hess[0])

@@ -354,16 +354,24 @@ def _build_beam(doc: dict) -> BeamSpec:
 def _transitions(doc: dict, dms=None) -> Dict[int, TransitionSpec]:
     """The transition at each Delta-m of `dms`, by default at each channel of
     its multipole, ascending, whose m2 is a projection of J2.  With none, the
-    lowest channel is built, so that TransitionSpec names the fault."""
+    lowest channel is built, so that TransitionSpec names the fault.  A
+    Delta-m of `dms` that is not a channel of the multipole is rejected once
+    its transition is valid."""
     try:
         j1, m1, j2 = (HalfInt.coerce(doc[key]) for key in ("j1", "m1", "j2"))
         multipole = Multipole.parse(str(doc["multipole"]))
+        channels = sorted(coefficients_for(multipole).channels)
         if dms is None:
-            channels = sorted(coefficients_for(multipole).channels)
             dms = [dm for dm in channels
                    if (m1 + dm).is_projection_of(j2)] or channels[:1]
-        return {dm: TransitionSpec(j1, m1, j2, m1 + dm, multipole)
-                for dm in dms}
+        specs = {dm: TransitionSpec(j1, m1, j2, m1 + dm, multipole)
+                 for dm in dms}
+        for dm in dms:
+            if dm not in channels:
+                raise ValueError(
+                    f"dm={dm} is not a channel of {multipole.value} "
+                    f"({channels[0]:+d} to {channels[-1]:+d})")
+        return specs
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"transition: {exc}") from exc
 

@@ -166,7 +166,7 @@ def _line_strength(sample: Callable[[np.ndarray, int], FieldSample],
     if req.branch == "carrier":
         fs = sample(points, order)
         vals = relative_strength(fs, trans, geom)
-        return vals, float(np.max(np.abs(fs.block(order))))
+        return vals, fs.peak(order)
     factor = _ladder_factor(req)
     if factor == 0.0:
         # red sideband from the motional ground state: no lower state
@@ -176,7 +176,7 @@ def _line_strength(sample: Callable[[np.ndarray, int], FieldSample],
     fs = sample(points, order + 1)
     grad = strength_gradient(fs, trans, geom)
     vals = _along(grad, trap.axes[idx]) * (z0 * factor)
-    return vals, float(np.max(np.abs(fs.block(order + 1)))) * z0 * factor
+    return vals, fs.peak(order + 1) * z0 * factor
 
 
 def sideband_strength_at(spec: BeamSpec, trap: TrapSpec, req: SidebandRequest,

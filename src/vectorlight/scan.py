@@ -7,10 +7,11 @@ scale factor; a map whose largest modulus is negligible against the reference
 (pure cancellation residue, e.g. the longitudinal component of an azimuthal
 beam) is stored as an exact zero map with scale factor 0.
 
-The maps of one grid are evaluated together chunk by chunk; within a chunk
-they share field samples per beam and order, and scalar profiles across
-beams with equal mode, waist and wavelength.  Maps are the same bit for bit
-as when each is scanned alone.
+The maps of one grid are evaluated together chunk by chunk, each chunk whole
+grid rows; within a chunk they share field samples per beam and order, and
+scalar profiles across beams with equal mode, waist and wavelength and
+across field orders.  Maps are the same bit for bit as when each is scanned
+alone.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class _ChunkSampleCache:
     the dominant cost without changing any computed value.  The samples it
     does compute share one ProfileMemo, so beams with equal modes, waist and
     wavelength (the LG(+/-1, 0) terms of lg:+/-1, radial and azimuthal
-    beams) build each scalar profile once per chunk and order.
+    beams) build each scalar profile once per chunk, at the deepest order
+    the chunk asks for first.
     """
 
     def __init__(self):
@@ -128,8 +130,8 @@ class FieldComponentObservable:
     def evaluate(self, points: np.ndarray,
                  cache: Optional[_ChunkSampleCache] = None
                  ) -> Tuple[np.ndarray, float]:
-        e = _sample(cache, self.beam, points, 0).electric
-        return _circular(e)[self.component], float(np.max(np.abs(e)))
+        fs = _sample(cache, self.beam, points, 0)
+        return _circular(fs.electric)[self.component], fs.peak(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +163,7 @@ class TransitionObservable:
         mu = relative_strength(fs, self.transition, self.geometry)
         # scale of the raw field data entering the contraction; a peak far
         # below it can only be cancellation residue
-        return mu, float(np.max(np.abs(fs.block(order))))
+        return mu, fs.peak(order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,39 +349,63 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _scan_chunk(configs, members, cached, pts, vals, chunk_size,
-                start) -> Tuple[List[float], Tuple[int, ...]]:
-    """Evaluate every group member on one chunk into its slice of `vals`.
+def _depth(observable) -> int:
+    """Deepest field order a built-in observable samples; 0 for others."""
+    if isinstance(observable, TransitionObservable):
+        return observable.transition.multipole.field_order
+    if isinstance(observable, SidebandObservable):
+        return (observable.transition.multipole.field_order
+                + (observable.request.branch != "carrier"))
+    return 0
 
-    Maps that do not store complex values keep only the moduli.  Returns the
-    members' references for this chunk and its counts of sample hits and
-    misses and of profiles built and reused.  Each call has its own sample
-    cache, so concurrent chunks share only disjoint slices of `vals`.
+
+def _chunks(n: int, ny: int, chunk_size: int) -> List[Tuple[int, int]]:
+    """(start, stop) of each chunk of a grid of n points in rows of ny: as
+    many whole rows as fit in chunk_size or, when a row is longer than
+    chunk_size, pieces of one row.  Either way a chunk's points are a
+    tensor grid, and there are at most chunk_size of them."""
+    if ny <= chunk_size:
+        step = chunk_size // ny * ny
+        return [(s, min(s + step, n)) for s in range(0, n, step)]
+    return [(row + s, row + min(s + chunk_size, ny))
+            for row in range(0, n, ny) for s in range(0, ny, chunk_size)]
+
+
+def _scan_chunk(configs, evaluation, cached, pts, vals,
+                bounds) -> Tuple[Dict[int, float], Tuple[int, ...]]:
+    """Evaluate the group members on one chunk into their slices of `vals`,
+    in the order `evaluation` lists their indices.
+
+    Maps that do not store complex values keep only the moduli.  Returns
+    each member's reference for this chunk, by its index, and the chunk's
+    counts of sample hits and misses and of profiles built and reused.
+    Each call has its own sample cache, so concurrent chunks share only
+    disjoint slices of `vals`.
     """
-    chunk = pts[start:start + chunk_size]
+    start, stop = bounds
+    chunk = pts[start:stop]
     cache = _ChunkSampleCache()
-    refs = []
-    for i in members:
+    refs = {}
+    for i in evaluation:
         obs = configs[i].observable
-        v, r = obs.evaluate(chunk, cache) if cached[i] \
+        v, refs[i] = obs.evaluate(chunk, cache) if cached[i] \
             else obs.evaluate(chunk)
-        vals[i][start:start + v.shape[0]] = \
+        vals[i][start:stop] = \
             v if configs[i].store_complex else np.abs(v)
-        refs.append(r)
     return refs, (cache.hits, cache.misses, cache.profiles.built,
                   cache.profiles.reused)
 
 
-def _map_chunks(body, starts, workers: int) -> list:
-    """body(start) for every start, in order; the earliest failure raises."""
+def _map_chunks(body, chunks, workers: int) -> list:
+    """body(chunk) for every chunk, in order; the earliest failure raises."""
     if workers == 1:
-        return [body(s) for s in starts]
+        return [body(c) for c in chunks]
     pool = ThreadPoolExecutor(workers, thread_name_prefix="vectorlight-scan")
     try:
         # each chunk runs in a copy of the caller's context, so settings
         # such as numpy's errstate hold in the workers as they do serially
-        futures = [pool.submit(contextvars.copy_context().run, body, s)
-                   for s in starts]
+        futures = [pool.submit(contextvars.copy_context().run, body, c)
+                   for c in chunks]
         return [f.result() for f in futures]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -390,18 +416,27 @@ def run_scans(configs: Sequence[ScanConfig],
     """Run several scans, reusing field evaluations across same-grid maps.
 
     Scans sharing a grid are walked chunk by chunk together so observables
-    built on the same beam draw on one field evaluation.  The chunks of a
-    grid run on a thread pool of min(chunks, usable CPUs) workers, usable
-    CPUs taken from the process's CPU affinity; a single chunk or a single
-    CPU runs in the calling thread.  An observable must therefore be safe
-    to call from several threads at once (the built-in ones are pure).
-    Memory grows with workers x chunk_size.  Results are bitwise identical
-    to a serial run and to running each scan alone, in the input order; if
-    chunks raise, the exception of the earliest one in grid order
-    propagates.  One debug record per grid on the ``vectorlight.scan``
-    logger reports its maps, points, chunks, workers and elapsed seconds,
-    then, summed over its chunks, field-sample cache hits and misses and
-    scalar profiles built and reused.
+    built on the same beam draw on one field evaluation.  A chunk is whole
+    grid rows: `chunk_size` is rounded down to a multiple of the row length
+    ny.  When a row is longer than `chunk_size`, each row is cut into
+    chunks of `chunk_size` points and its rest.  A chunk's points are then
+    a tensor grid, so factors of one coordinate are built once per row,
+    column or plane (see `beams._coords`).  Within a chunk the built-in observables run
+    deepest field order first (a stable sort, other observables counting as
+    order 0), so lower orders are served from the profiles the deepest
+    built.  The chunks of a grid run on a thread pool of min(chunks, usable
+    CPUs) workers, usable CPUs taken from the process's CPU affinity; a
+    single chunk or a single CPU runs in the calling thread.  An observable
+    must therefore be safe to call from several threads at once (the
+    built-in ones are pure).  Memory grows with workers x chunk_size.
+    Results are bitwise identical to a serial run and to running each scan
+    alone, in the input order.  If chunks raise, the exception of the
+    earliest one in grid order propagates; within a chunk, that of the
+    first observable to raise in evaluation order.  One debug record per
+    grid on the ``vectorlight.scan`` logger reports its maps, points,
+    chunks, workers and elapsed seconds, then, summed over its chunks,
+    field-sample cache hits and misses and scalar profiles built and
+    reused.
     """
     configs = list(configs)
     out: List[MapDataset] = [None] * len(configs)
@@ -416,20 +451,22 @@ def run_scans(configs: Sequence[ScanConfig],
         vals = {i: np.empty(n, dtype=complex if configs[i].store_complex
                              else float) for i in members}
         cached = {i: _accepts_cache(configs[i].observable) for i in members}
-        starts = range(0, n, chunk_size)
-        workers = min(len(starts), _usable_cpus())
-        body = functools.partial(_scan_chunk, configs, members, cached, pts,
-                                 vals, chunk_size)
-        chunk_refs, chunk_counts = zip(*_map_chunks(body, starts, workers))
-        for k, i in enumerate(members):
+        evaluation = sorted(members,
+                            key=lambda i: -_depth(configs[i].observable))
+        chunks = _chunks(n, configs[members[0]].resolution[1], chunk_size)
+        workers = min(len(chunks), _usable_cpus())
+        body = functools.partial(_scan_chunk, configs, evaluation, cached,
+                                 pts, vals)
+        chunk_refs, chunk_counts = zip(*_map_chunks(body, chunks, workers))
+        for i in members:
             ref = 0.0
             for refs in chunk_refs:
-                ref = max(ref, refs[k])
+                ref = max(ref, refs[i])
             out[i] = _finalize(configs[i], vals.pop(i), ref)
         _log.debug("scanned %d maps on %d points in %d chunks with %d "
                    "workers: %.3f s; field samples %d hits, %d misses; "
                    "scalar profiles %d built, %d reused", len(members), n,
-                   len(starts), workers, time.perf_counter() - t0,
+                   len(chunks), workers, time.perf_counter() - t0,
                    *map(sum, zip(*chunk_counts)))
     return out
 

@@ -79,8 +79,8 @@ def hg_reference(m, n, w0, k, x, y, z):
 def _profile(mode, waist, k, point):
     """Scalar profile value(s) of one mode, no plane-wave factor."""
     pts = np.asarray(point, dtype=float)
-    val = profile_jet(mode, waist, k, lambda: _coords(np.atleast_2d(pts), 0),
-                      ProfileMemo()).val
+    val = profile_jet(mode, waist, k, 0,
+                      lambda: _coords(np.atleast_2d(pts), 0), ProfileMemo()).val
     return val[0] if pts.ndim == 1 else val
 
 
@@ -227,7 +227,7 @@ def test_profiles_are_bytewise_the_full_factor_formulas(order):
     for beam in _BITWISE_BEAMS:
         memo = ProfileMemo()  # shared by the terms, as in one field evaluation
         for _, term in beam.terms:
-            got = profile_jet(term.mode, WAIST, K, lambda: coords, memo)
+            got = profile_jet(term.mode, WAIST, K, order, lambda: coords, memo)
             want = profile_full(term.mode, WAIST, K, coords)
             for name in ("val", "g", "h", "t")[:order + 1]:
                 assert getattr(got, name).tobytes() == \
@@ -340,6 +340,98 @@ def test_identical_points_give_full_batch_first_blocks():
                 assert block.flags.c_contiguous
                 assert block.tobytes() == np.repeat(
                     one.block(k)[None], 5, axis=0).tobytes()
+
+
+def _tensor_points(xs, ys, zs):
+    """Every (x, y, z) of the three value lists, x slowest: shape (n, 3)."""
+    grid = np.meshgrid(xs, ys, zs, indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=-1)
+
+
+def _grid_rows(nx=40, ny=24, z=0.2 * ZR):
+    """Whole rows of a focal-plane grid (x slowest, as scans order it), with
+    a -0.0 row and a -0.0 column next to +0.0 ones."""
+    xs = np.linspace(-2 * WAIST, 2 * WAIST, nx)
+    ys = np.linspace(-2 * WAIST, 2 * WAIST, ny)
+    xs[[3, 4]] = [-0.0, 0.0]
+    ys[[5, 6]] = [0.0, -0.0]
+    return _tensor_points(xs, ys, [z])
+
+
+def _cloud(n=15):
+    """An n^3 Gauss-Hermite cloud built as averaged_strength builds it."""
+    nodes, _ = np.polynomial.hermite.hermgauss(n)
+    widths = np.array([12e-9, 9e-9, 14e-9]) * math.sqrt(2.0)
+    center = np.array([0.3 * WAIST, -0.2 * WAIST, 0.1 * ZR])
+    return center + _tensor_points(*(w * nodes for w in widths))
+
+
+def _assert_sample_bytes(pts, want, order, index=slice(None)):
+    """The sample of `pts` equals rows `index` of the sample `want`."""
+    for beam, fs in want.items():
+        got = field_sample_upto(beam, pts, order)
+        for k in range(order + 1):
+            assert got.block(k).tobytes() == \
+                want[beam].block(k)[index].tobytes(), (beam, order, k)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_tensor_grid_points_are_bytewise_the_flat_path(order):
+    beams = _panel_beams() + _BITWISE_BEAMS
+    rng = np.random.default_rng(17)
+    rows = [(40, 1, 1), (1, 24, 1), (1, 1, 1)]
+    for pts, axes in ((_grid_rows(), rows), (_grid_rows(z=-0.0), rows),
+                      (_cloud(), [(15, 1, 1), (1, 15, 1), (1, 1, 15)])):
+        n = len(pts)
+        row = n // axes[0][0]
+        assert [c.val.shape for c in _coords(pts, order + 1)] == axes
+        want = {beam: field_sample_upto(beam, pts, order) for beam in beams}
+        # permuted, the points are no grid and take the flat path
+        perm = rng.permutation(n)
+        assert _coords(pts[perm], order + 1)[0].val.shape == (n,)
+        _assert_sample_bytes(pts[perm], want, order, perm)
+        # a ragged chunk, starting and ending inside a grid row
+        assert _coords(pts[29:n - 7], order + 1)[0].val.shape == (n - 36,)
+        _assert_sample_bytes(pts[29:n - 7], want, order, slice(29, n - 7))
+        # five whole rows alone, and the points in a batch of more axes
+        _assert_sample_bytes(pts[:5 * row], want, order, slice(0, 5 * row))
+        for beam in beams[:5]:
+            fs = field_sample_upto(beam, pts.reshape(-1, 5, 3), order)
+            for k in range(order + 1):
+                assert fs.block(k).shape[:2] == (n // 5, 5)
+                assert fs.block(k).tobytes() == want[beam].block(k).tobytes()
+
+
+def test_repeated_points_are_not_a_grid():
+    # equal points in runs: z is equal at every point, so it keeps batch 1
+    pts = np.repeat(_tensor_points([0.1 * WAIST, 0.2 * WAIST],
+                                   [0.3 * WAIST, -0.3 * WAIST], [0.0]), 3,
+                    axis=0)
+    assert [c.val.shape for c in _coords(pts, 1)] == [(12,), (12,), (1,)]
+    # a grid found along z alone, and along y alone
+    line = _tensor_points([0.1 * WAIST], [0.2 * WAIST], [0.0, 0.5 * ZR, ZR])
+    assert [c.val.shape for c in _coords(line, 1)] == \
+        [(1, 1, 1), (1, 1, 1), (1, 1, 3)]
+    line = _tensor_points([0.1 * WAIST], [0.2 * WAIST, -0.0, 0.0], [ZR])
+    assert [c.val.shape for c in _coords(line, 1)] == \
+        [(1, 1, 1), (1, 3, 1), (1, 1, 1)]
+
+
+def test_lower_orders_served_from_a_deeper_memo_are_bytewise_direct_calls():
+    # the panel's order, deepest first, on a grid and on scattered points
+    for pts in (_grid_rows(8, 8), make_probe_points()):
+        memo = ProfileMemo()
+        for order in (2, 1, 0):
+            built = memo.built
+            for beam in _panel_beams():
+                got = field_sample_upto(beam, pts, order, profiles=memo)
+                _assert_same_bytes(got, field_sample_upto(beam, pts, order),
+                                   order)
+            # LG(+1, 0), LG(-1, 0) and HG(1, 0) are built at order 2 only
+            assert memo.built - built == (3 if order == 2 else 0), order
+        assert (memo.built, memo.reused) == (3, 4 + 7 + 7)
+        # one envelope serves the LG and HG profiles of one waist
+        assert sum(key[0] == "envelope" for key in memo.jets) == 1
 
 
 def test_lengths_outside_the_valid_range_are_rejected():

@@ -485,6 +485,32 @@ def test_transition_map_without_a_channel_exits_2(tmp_path, capsys, argv,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("transition-map", []),
+    ("sideband-map", ["--resolution", "4,4"]),
+    ("point", ["--position-um=0.1,0.2,0"]),
+])
+def test_dm_outside_the_multipole_channels_exits_2(tmp_path, capsys, command,
+                                                   argv):
+    # m2 = m1 + 3 is a projection of J2 = 9/2, but E2 has channels -2..2
+    outdir = tmp_path / "out"
+    out_flags = [] if command == "point" else ["-o", outdir]
+    assert run([command, "--beam", "lg:1", "--j1", "5/2", "--m1", "1/2",
+                "--j2", "9/2", "--dm", "3"] + argv + out_flags) == 2
+    assert capsys.readouterr() == (
+        "", "configuration error: transition: dm=3 is not a channel of "
+            "E2_dJ2 (-2 to +2)\n")
+    assert not outdir.exists()
+    # an E2 dJ=1 or E1 transition has channels -1..1 only
+    for multipole in ("E2_dJ1", "E1"):
+        assert run([command, "--beam", "lg:1", "--j1", "5/2", "--m1", "1/2",
+                    "--j2", "7/2", "--multipole", multipole, "--dm", "-2"]
+                   + argv + out_flags) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: transition: dm=-2 is not a channel of "
+            f"{multipole} (-1 to +1)\n")
+
+
 def test_default_dm_are_the_channels_transition_spec_accepts():
     # every 2J1, 2J2 <= 8, every m1 of either parity up to two steps
     # outside [-J1, J1], and each multipole

@@ -241,12 +241,13 @@ def test_ipow_and_constant_shifts_are_bytewise_the_full_products(probe_points):
 
 
 def _copied_out(jet, shape):
-    """`jet` of batch (1, ...) with every block repeated out to batch `shape`
-    in fresh memory (np.repeat, not a stride-0 view)."""
+    """`jet` with every block repeated along its batch axes of length 1 out to
+    batch `shape`, in fresh memory (np.repeat, not a stride-0 view)."""
     def rep(block):
         nderiv = block.ndim - len(shape)
         for axis, n in enumerate(shape):
-            block = np.repeat(block, n, axis=nderiv + axis)
+            if block.shape[nderiv + axis] == 1:
+                block = np.repeat(block, n, axis=nderiv + axis)
         return block
     blocks = (jet.val, jet.g, jet.h, jet.t)[:jet.order + 1]
     return Jet(jet.order, *[rep(b) for b in blocks])
@@ -267,9 +268,18 @@ def test_batch_one_jets_broadcast_bytewise_as_copied_out(shape, order):
         ((z1 * 0.7j + 1.0).reciprocal(),
          Jet.coordinate(pts, 0, 3) + Jet.coordinate(pts, 1, 3) * -1j),
     ]
-    for small, full in pairs:
-        small, full = small.truncate(order), full.truncate(order)
-        wide = _copied_out(small, shape)
+    if len(shape) == 2:
+        # a row jet (r, 1) with a column jet (1, c), as the x and y jets of a
+        # tensor grid are: each broadcasts along the other's axis
+        rows, cols = (shape[0], 1), (1, shape[1])
+        pairs += [
+            (random_jet(rng, rows), random_jet(rng, cols)),
+            (Jet.coordinate(pts[:, :1], 0, 3) * 0.7j + 1.0,
+             Jet.coordinate(pts[:1], 1, 3) * -1j + 1.0),
+        ]
+    for small, other in pairs:
+        small, other = small.truncate(order), other.truncate(order)
+        wide, other_wide = _copied_out(small, shape), _copied_out(other, shape)
         binary = {
             "+": lambda a, b: a + b,
             "-": lambda a, b: a - b,
@@ -277,8 +287,8 @@ def test_batch_one_jets_broadcast_bytewise_as_copied_out(shape, order):
             "/": lambda a, b: a / (b + 2.0),  # the full jet has zeros
         }
         for name, op in binary.items():
-            assert _bitwise_equal(op(small, full), op(wide, full)), name
-            assert _bitwise_equal(op(full, small), op(full, wide)), name
+            assert _bitwise_equal(op(small, other), op(wide, other_wide)), name
+            assert _bitwise_equal(op(other, small), op(other_wide, wide)), name
         unary = {
             "*scalar": lambda a: a * (0.3 - 1.7j),
             "exp": Jet.exp,
@@ -293,5 +303,5 @@ def test_batch_one_jets_broadcast_bytewise_as_copied_out(shape, order):
         }
         for name, op in unary.items():
             got = op(small)
-            assert got.val.shape == one, name
+            assert got.val.shape == small.val.shape, name
             assert _bitwise_equal(_copied_out(got, shape), op(wide)), name

@@ -6,6 +6,8 @@ rho = w0/sqrt(2) (set the radial derivative to zero).  Grid assertions
 locate peaks only to within one cell.
 """
 
+import dataclasses
+import functools
 import sys
 import threading
 import time
@@ -332,6 +334,91 @@ def test_grid_record_reports_sample_and_profile_counts(caplog):
     # radial beam reuses the LG(+1, 0) profile of lg:1 and builds LG(-1, 0)
     assert record.args[5:] == (3 * 2, 3 * 2, 3 * 2, 3 * 1)
     assert "3 reused" in record.getMessage()
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _RescaledSideband(SidebandObservable):
+    """A built-in observable (so it runs at its field order) whose reference
+    is scaled: a large `ref_scale` turns its map into a zero map."""
+
+    ref_scale: float = 1.0
+
+    def evaluate(self, points, cache=None):
+        vals, ref = super().evaluate(points, cache)
+        return vals, ref * self.ref_scale
+
+
+class _Constant:
+    """Not a built-in observable: 0.5 everywhere, with its own reference."""
+
+    name = "constant"
+
+    def __init__(self, ref, error=None):
+        self.ref, self.error = ref, error
+
+    def evaluate(self, points, cache=None):
+        if self.error is not None:
+            raise self.error
+        return np.full(points.shape[0], 0.5 + 0j), self.ref
+
+
+def test_deepest_order_first_keeps_each_maps_reference():
+    # evaluated deepest field order first: the two order-2 sidebands, the
+    # order-1 maps, then the order-0 and other observables; each map keeps
+    # its own reference, so its own zero decision and scale factor
+    sideband = functools.partial(_RescaledSideband, lg_beam(), trap(),
+                                 transition=quad_transition(1))
+    observables = [
+        FieldComponentObservable(lg_beam(), "z"),
+        _Constant(1e14),  # 0.5 <= 1e-13 * 1e14: a zero map
+        TransitionObservable(lg_beam(), quad_transition(1)),
+        sideband(request=SidebandRequest("X", 0, "bsb"), ref_scale=1e20),
+        _Constant(1.0),
+        sideband(request=SidebandRequest("Y", 0, "bsb")),
+        sideband(request=SidebandRequest("X", 0, "carrier"), ref_scale=1e20),
+    ]
+    cfgs = [ScanConfig(o, EXTENT, (16, 16)) for o in observables]
+    grouped = run_scans(cfgs, chunk_size=64)
+    assert [d.scale_factor == 0.0 for d in grouped] == \
+        [False, True, False, True, False, False, True]
+    assert grouped[4].scale_factor == 0.5
+    for cfg, d in zip(cfgs, grouped):
+        solo = run_scan(cfg)
+        assert solo.scale_factor == d.scale_factor
+        assert solo.values.tobytes() == d.values.tobytes()
+
+
+def test_first_observable_to_raise_in_evaluation_order_propagates():
+    class Fails(_RescaledSideband):
+        def evaluate(self, points, cache=None):
+            raise ValueError("order 2")
+
+    deep = Fails(lg_beam(), trap(), SidebandRequest("X", 0, "bsb"),
+                 quad_transition(1))
+    cfgs = [ScanConfig(o, EXTENT, (8, 8))
+            for o in (_Constant(1.0, ValueError("order 0")), deep)]
+    with pytest.raises(ValueError, match="^order 2$"):
+        run_scans(cfgs)
+
+
+def test_chunks_are_whole_grid_rows_and_build_each_profile_once(caplog):
+    # one beam at orders 0, 1 and 2: per chunk, the order-2 sample builds
+    # LG(1, 0) at order 3 and the two lower orders reuse it
+    obs = [FieldComponentObservable(lg_beam(), "z"),
+           TransitionObservable(lg_beam(), quad_transition(1)),
+           SidebandObservable(lg_beam(), trap(),
+                              SidebandRequest("X", 0, "bsb"),
+                              quad_transition(1))]
+    for chunk, chunks in ((64, 3), (50, 4), (10, 16), (3, 64)):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="vectorlight.scan"):
+            run_scans([ScanConfig(o, EXTENT, (16, 10)) for o in obs],
+                      chunk_size=chunk)
+        (record,) = [r for r in caplog.records if r.name == "vectorlight.scan"]
+        # 16 rows of 10 points: 6, 5 or 1 rows per chunk, or each row in
+        # pieces of 3, 3, 3 and 1 points
+        assert record.args[1:3] == (160, chunks)
+        assert record.args[5:] == (0, 3 * chunks, 1 * chunks, 2 * chunks)
 
 
 def test_run_scans_keeps_input_order_across_mixed_grids():
