@@ -181,7 +181,8 @@ class FieldSample:
         """Largest modulus in block(order), computed once per sample."""
         peak = self._peaks.get(order)
         if peak is None:
-            peak = self._peaks[order] = float(np.max(np.abs(self.block(order))))
+            peak = float(np.max(np.abs(self.block(order))))
+            self._peaks[order] = peak
         return peak
 
 

@@ -421,22 +421,22 @@ def run_scans(configs: Sequence[ScanConfig],
     ny.  When a row is longer than `chunk_size`, each row is cut into
     chunks of `chunk_size` points and its rest.  A chunk's points are then
     a tensor grid, so factors of one coordinate are built once per row,
-    column or plane (see `beams._coords`).  Within a chunk the built-in observables run
-    deepest field order first (a stable sort, other observables counting as
-    order 0), so lower orders are served from the profiles the deepest
-    built.  The chunks of a grid run on a thread pool of min(chunks, usable
-    CPUs) workers, usable CPUs taken from the process's CPU affinity; a
-    single chunk or a single CPU runs in the calling thread.  An observable
-    must therefore be safe to call from several threads at once (the
-    built-in ones are pure).  Memory grows with workers x chunk_size.
-    Results are bitwise identical to a serial run and to running each scan
-    alone, in the input order.  If chunks raise, the exception of the
-    earliest one in grid order propagates; within a chunk, that of the
-    first observable to raise in evaluation order.  One debug record per
-    grid on the ``vectorlight.scan`` logger reports its maps, points,
-    chunks, workers and elapsed seconds, then, summed over its chunks,
-    field-sample cache hits and misses and scalar profiles built and
-    reused.
+    column or plane (see `beams._coords`).  Within a chunk the built-in
+    observables run deepest field order first (a stable sort, other
+    observables counting as order 0), so lower orders are served from the
+    profiles the deepest built.  The chunks of a grid run on a thread pool
+    of min(chunks, usable CPUs) workers, usable CPUs taken from the
+    process's CPU affinity; a single chunk or a single CPU runs in the
+    calling thread.  An observable must therefore be safe to call from
+    several threads at once (the built-in ones are pure).  Memory grows
+    with workers x chunk_size.  Results are bitwise identical to a serial
+    run and to running each scan alone, in the input order.  If chunks
+    raise, the exception of the earliest one in grid order propagates;
+    within a chunk, that of the first observable to raise in evaluation
+    order.  One debug record per grid on the ``vectorlight.scan`` logger
+    reports its maps, points, chunks, workers and elapsed seconds, then,
+    summed over its chunks, field-sample cache hits and misses and scalar
+    profiles built and reused.
     """
     configs = list(configs)
     out: List[MapDataset] = [None] * len(configs)

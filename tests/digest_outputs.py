@@ -144,7 +144,8 @@ def _cli_cases():
 
 def _run_cli(argv, out: str):
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)
         except SystemExit as exc:

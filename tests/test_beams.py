@@ -79,8 +79,8 @@ def hg_reference(m, n, w0, k, x, y, z):
 def _profile(mode, waist, k, point):
     """Scalar profile value(s) of one mode, no plane-wave factor."""
     pts = np.asarray(point, dtype=float)
-    val = profile_jet(mode, waist, k, 0,
-                      lambda: _coords(np.atleast_2d(pts), 0), ProfileMemo()).val
+    coords = _coords(np.atleast_2d(pts), 0)
+    val = profile_jet(mode, waist, k, 0, lambda: coords, ProfileMemo()).val
     return val[0] if pts.ndim == 1 else val
 
 
