@@ -16,8 +16,10 @@ this file.  Items:
   stdout and stderr, and the name and bytes of every file it left, with the
   directory's path replaced by ``OUT``;
 - ``sample:<beam>:<points>``: field samples at orders 0, 1 and 2 on whole
-  grid rows, a ragged chunk, signed-zero rows, a Gauss-Hermite cloud, that
-  cloud permuted, and single points;
+  grid rows, a ragged chunk, scattered points on one plane with +0.0 and
+  -0.0 z, 5 identical points, equal points in runs of 3, grid rows in a
+  (4, 5) batch, signed-zero rows, a Gauss-Hermite cloud, that cloud
+  permuted, and single points;
 - ``average:<beam>:<dm>``: Gauss-Hermite averaged strengths and their rms.
 """
 
@@ -201,7 +203,16 @@ def _point_sets():
     cloud = np.array([0.3 * W0, -0.2 * W0, 0.1 * W0]) + np.stack(
         [c.ravel() for c in q], axis=-1)
     perm = cloud[np.random.default_rng(5).permutation(len(cloud))]
+    scattered = np.random.default_rng(6).uniform(-2 * W0, 2 * W0, (40, 3))
+    scattered[:, 2] = 0.0
+    scattered[::3, 2] = -0.0
+    small = ScanConfig(grid.observable, grid.extent, (4, 5),
+                       z_plane=-0.3 * W0).grid_points()
     return {"rows": pts[5 * 48:17 * 48], "ragged": pts[100:700],
+            "plane-signed-z": scattered,
+            "identical": np.tile([0.3 * W0, -0.2 * W0, 0.1 * W0], (5, 1)),
+            "runs-of-3": np.repeat(pts[5 * 48:7 * 48:8], 3, axis=0),
+            "rows-4x5": small.reshape(4, 5, 3),
             "signed-zero-rows": signed, "cloud": cloud, "cloud-permuted": perm,
             "cloud-3d": cloud.reshape(15, 15, 15, 3),
             "point": np.array([0.3 * W0, -0.2 * W0, 0.1 * W0]),
