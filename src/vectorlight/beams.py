@@ -218,9 +218,9 @@ def _grid_axes(points: np.ndarray):
 
     Returns points of shapes (r, 1, 1, 3), (1, c, 1, 3) and (1, 1, d, 3)
     whose x, y and z, combined in C order, are the flattened points bit for
-    bit: x is equal over runs of c d points, y over runs of d.  A single
-    point is not looked at, and points that repeat (d > 1 with z equal at
-    every point) are not a grid.
+    bit: x is equal over runs of c d points, y over runs of d.  Points that
+    repeat are a grid too (N identical points are 1 x 1 x N), as bits
+    decide; a single point is not looked at.
     """
     pts = points.reshape(-1, 3)
     n = pts.shape[0]
@@ -237,7 +237,7 @@ def _grid_axes(points: np.ndarray):
     grid = ((g[..., 0] == g[:, :1, :1, 0]).all()
             and (g[..., 1] == g[:1, :, :1, 1]).all()
             and (g[..., 2] == g[:1, :1, :, 2]).all())
-    if not grid or d > 1 and (g[0, 0, :, 2] == g[0, 0, 0, 2]).all():
+    if not grid:
         return None
     p = pts.reshape(g.shape)
     return p[:, :1, :1], p[:1, :, :1], p[:1, :1, :]
@@ -248,11 +248,9 @@ def _coords(points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
     points as the batch allows.
 
     Points that form a tensor grid in C order (see `_grid_axes`: whole rows
-    of a focal-plane scan, a Gauss-Hermite cloud) give x on batch shape
-    (r, 1, 1), y on (1, c, 1) and z on (1, 1, d).  Otherwise a coordinate
-    whose bits are equal at every point, such as z on a plane of scattered
-    points, gets its jet on the first point alone, of batch shape (1, ...,
-    1), and the others keep the points' batch shape.  A jet built from one
+    of a focal-plane scan, a Gauss-Hermite cloud, repeated points) give x
+    on batch shape (r, 1, 1), y on (1, c, 1) and z on (1, 1, d); other
+    points keep x, y and z on their own batch.  A jet built from one
     coordinate alone (the Gouy and curvature parameter, w0/w(z), the HG
     phase, the plane wave, an HG profile's H_m(sqrt(2) x / w)) then stays
     that small and is computed once per value of its coordinate, not once
@@ -262,10 +260,7 @@ def _coords(points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
     """
     axes = _grid_axes(points)
     if axes is None:
-        bits = points.reshape(-1, 3).view(np.uint64)
-        same = (bits == bits[:1]).all(axis=0)
-        first = points[(slice(0, 1),) * (points.ndim - 1)]
-        axes = [first if s else points for s in same]
+        axes = (points,) * 3
     return tuple(Jet.coordinate(axes[i], i, order) for i in range(3))
 
 
@@ -550,18 +545,15 @@ def _batch_first(blocks, nderiv: int, batch: Tuple[int, ...],
                  grid: Tuple[int, ...]) -> np.ndarray:
     """Write E_j derivative blocks (derivative axes first, as jets keep them)
     into one C-contiguous array, in one copy: batch axes, derivative
-    indices, then j.  `grid` is the blocks' batch shape.  Blocks on a
-    tensor grid (see `_coords`) fill the points in C order; blocks of batch
-    1 (all three coordinates constant) are copied out to every point."""
+    indices, then j.  `grid` is the blocks' batch shape, the points' grid
+    shape (see `_coords`) or their batch: a view of that shape fills the
+    points in C order, and a block smaller than it broadcasts."""
     tail = (3,) * nderiv
     out = np.empty(batch + tail + (3,), dtype=complex)
-    if math.prod(grid) == math.prod(batch):
-        view = out.reshape(grid + tail + (3,))
-    else:
-        view, grid = out, batch
     # derivative axes first, as the blocks have them
     n = len(grid)
-    view = view.transpose(*range(n, n + nderiv), *range(n), n + nderiv)
+    view = out.reshape(grid + tail + (3,)).transpose(
+        *range(n, n + nderiv), *range(n), n + nderiv)
     for j, b in enumerate(blocks):
         view[..., j] = b
     return out

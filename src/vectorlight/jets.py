@@ -25,13 +25,15 @@ multiply by 1.  Both keep every bit of the full computation except the sign
 of an exact zero, which a sum with 0.0 or a product with 1 would turn to
 +0.0.
 
-Batches broadcast as numpy arrays do.  A jet whose batch axes all have
-length 1 is the same function at every point, and an operation joining it
-with a full-batch jet gives a full-batch jet.  The beams use this for
-factors of a coordinate that is equal at every point, such as z on a focal
-plane: they are computed once, not once per point.  numpy's elementwise
-kernels give the same bits on a length-1 operand as on that operand copied
-out to every point; the tests check this for every operation.
+Batches broadcast as numpy arrays do.  A jet with a batch axis of length 1
+is the same function all along that axis, and an operation joining it with
+a jet that is longer there gives the longer batch.  The beams use this on
+points that form a tensor grid, where x, y and z each vary along one batch
+axis (see `beams._coords`): a factor of one coordinate, such as z on a
+focal plane, is computed once per value of that coordinate, not once per
+point.  numpy's elementwise kernels give the same bits on a length-1
+operand as on that operand copied out along the axis; the tests check this
+for every operation.
 """
 
 from __future__ import annotations

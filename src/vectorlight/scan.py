@@ -21,6 +21,7 @@ import functools
 import inspect
 import logging
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,12 +55,6 @@ ZERO_FLOOR = 1e-13
 # 8192 did, which leaves room for a caller still holding its previous maps
 _CHUNK = 3072
 
-# field samples one chunk's cache keeps, the oldest dropped first.  It must
-# hold one sample per beam of a same-grid group: the acceptance panel asks
-# for each of its five beams again after the other four, and with room for
-# 4 it evaluates 25 samples for its 70 requests per chunk instead of 15.
-_CACHED_SAMPLES = 6
-
 # Largest grid, in cells.  A CLI map run holds about 65 B per cell at its
 # peak: the grid points (24 B), 8 B per map of a same-grid group and the CSV
 # text of one map; so a 4096 x 4096 grid needs about 1.1 GB.
@@ -75,38 +70,31 @@ class _ChunkSampleCache:
 
     Several maps of the same figure column (one beam, many transition
     channels) consume an identical FieldSample; caching it per chunk removes
-    the dominant cost without changing any computed value.  The samples it
-    does compute share one ProfileMemo, so beams with equal modes, waist and
-    wavelength (the LG(+/-1, 0) terms of lg:+/-1, radial and azimuthal
-    beams) build each scalar profile once per chunk, at the deepest order
-    the chunk asks for first.
+    the dominant cost without changing any computed value.  A scan chunk
+    asks for each (beam, order) pair in one run (see `run_scans`), so the
+    cache keeps only the latest sample.  The samples it does compute share
+    one ProfileMemo, so beams with equal modes, waist and wavelength (the
+    LG(+/-1, 0) terms of lg:+/-1, radial and azimuthal beams) build each
+    scalar profile once per chunk, at the deepest order the chunk asks for
+    first.
     """
 
     def __init__(self):
-        self._store = {}
+        self._latest = (None, None, None)  # (id(beam), order), points, sample
         self.profiles = ProfileMemo()
         self.hits = 0
         self.misses = 0
 
     def sample(self, beam: BeamSpec, pts: np.ndarray, order: int):
-        key = (id(beam), order)
-        hit = self._store.get(key)
-        if hit is not None and hit[0] is pts:
+        key, held, fs = self._latest
+        if key == (id(beam), order) and held is pts:
             self.hits += 1
-            return hit[1]
+            return fs
         self.misses += 1
+        self._latest = (None, None, None)  # freed before the next is built
         fs = field_sample_upto(beam, pts, order, profiles=self.profiles)
-        if len(self._store) >= _CACHED_SAMPLES:
-            self._store.pop(next(iter(self._store)))
-        self._store[key] = (pts, fs)
+        self._latest = ((id(beam), order), pts, fs)
         return fs
-
-
-def _sample(cache: Optional[_ChunkSampleCache], beam: BeamSpec,
-            pts: np.ndarray, order: int):
-    if cache is None:
-        return field_sample_upto(beam, pts, order)
-    return cache.sample(beam, pts, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +118,7 @@ class FieldComponentObservable:
     def evaluate(self, points: np.ndarray,
                  cache: Optional[_ChunkSampleCache] = None
                  ) -> Tuple[np.ndarray, float]:
-        fs = _sample(cache, self.beam, points, 0)
+        fs = (cache or _ChunkSampleCache()).sample(self.beam, points, 0)
         return _circular(fs.electric)[self.component], fs.peak(0)
 
 
@@ -159,7 +147,7 @@ class TransitionObservable:
                  cache: Optional[_ChunkSampleCache] = None
                  ) -> Tuple[np.ndarray, float]:
         order = self.transition.multipole.field_order
-        fs = _sample(cache, self.beam, points, order)
+        fs = (cache or _ChunkSampleCache()).sample(self.beam, points, order)
         mu = relative_strength(fs, self.transition, self.geometry)
         # scale of the raw field data entering the contraction; a peak far
         # below it can only be cancellation residue
@@ -211,7 +199,8 @@ class SidebandObservable:
     def evaluate(self, points: np.ndarray,
                  cache: Optional[_ChunkSampleCache] = None
                  ) -> Tuple[np.ndarray, float]:
-        sample = functools.partial(_sample, cache, self.beam)
+        sample = functools.partial((cache or _ChunkSampleCache()).sample,
+                                   self.beam)
         vals, ref = _line_strength(sample, points, self.trap, self.request,
                                    self.transition, self.geometry)
         if self.eta_rescale and self.request.branch != "carrier":
@@ -227,7 +216,8 @@ class ScanConfig:
 
     `extent` is (x_min, x_max, y_min, y_max); grid nodes sit at cell centers
     so refining the resolution never evaluates exactly on the domain edge.
-    A grid has at most MAX_GRID_CELLS cells, and its coordinates lie within
+    `resolution` is two integers >= 2 (a float equal to an integer counts),
+    a grid has at most MAX_GRID_CELLS cells, and its coordinates lie within
     +/- the upper end of beams.LENGTH_RANGE.
     """
 
@@ -247,9 +237,12 @@ class ScanConfig:
         if not all(abs(v) <= bound for v in ext + (float(self.z_plane),)):
             raise ConfigurationError(
                 f"extent and z_plane must lie within +/-{bound:g} m")
-        res = tuple(int(v) for v in self.resolution)
-        if len(res) != 2 or res[0] < 2 or res[1] < 2:
+        res = tuple(self.resolution)
+        if len(res) != 2 or not all(
+                isinstance(v, numbers.Integral) or isinstance(v, numbers.Real)
+                and float(v).is_integer() for v in res) or min(res) < 2:
             raise ConfigurationError("resolution must be two integers >= 2")
+        res = tuple(int(v) for v in res)
         if res[0] * res[1] > MAX_GRID_CELLS:
             raise ConfigurationError(
                 f"resolution {res[0]}x{res[1]} is more than {MAX_GRID_CELLS} "
@@ -359,6 +352,20 @@ def _depth(observable) -> int:
     return 0
 
 
+def _evaluation_order(configs, members) -> List[int]:
+    """The group members deepest field order first (see `_depth`), then by
+    beam in order of first appearance, an observable without a `beam`
+    being its own group.  The sort is stable, and every request of a chunk
+    for one (beam, order) pair comes in one run."""
+    groups: Dict[int, int] = {}
+    keys = {}
+    for i in members:
+        obs = configs[i].observable
+        group = groups.setdefault(id(getattr(obs, "beam", obs)), len(groups))
+        keys[i] = (-_depth(obs), group)
+    return sorted(members, key=keys.__getitem__)
+
+
 def _chunks(n: int, ny: int, chunk_size: int) -> List[Tuple[int, int]]:
     """(start, stop) of each chunk of a grid of n points in rows of ny: as
     many whole rows as fit in chunk_size or, when a row is longer than
@@ -418,26 +425,33 @@ def run_scans(configs: Sequence[ScanConfig],
     Scans sharing a grid are walked chunk by chunk together so observables
     built on the same beam draw on one field evaluation.  A chunk is whole
     grid rows: `chunk_size` is rounded down to a multiple of the row length
-    ny.  When a row is longer than `chunk_size`, each row is cut into
-    chunks of `chunk_size` points and its rest.  A chunk's points are then
-    a tensor grid, so factors of one coordinate are built once per row,
-    column or plane (see `beams._coords`).  Within a chunk the built-in
-    observables run deepest field order first (a stable sort, other
-    observables counting as order 0), so lower orders are served from the
-    profiles the deepest built.  The chunks of a grid run on a thread pool
-    of min(chunks, usable CPUs) workers, usable CPUs taken from the
-    process's CPU affinity; a single chunk or a single CPU runs in the
+    ny.  When a row is longer than `chunk_size`, each row is cut into chunks
+    of `chunk_size` points and its rest.  A chunk's points are then a tensor
+    grid, so factors of one coordinate are built once per row, column or
+    plane (see `beams._coords`).  `chunk_size` must be a positive integer.
+    Within a chunk the built-in observables run deepest field order first,
+    so lower orders are served from the profiles the deepest built, then
+    beam by beam in order of first appearance (a stable sort; other
+    observables count as order 0, and one without a `beam` is its own
+    group).  Each (beam, order) sample is then asked for in one run, and the
+    chunk's cache keeps only the latest.  The chunks of a grid run on a
+    thread pool of min(chunks, usable CPUs) workers, usable CPUs taken from
+    the process's CPU affinity; a single chunk or a single CPU runs in the
     calling thread.  An observable must therefore be safe to call from
-    several threads at once (the built-in ones are pure).  Memory grows
-    with workers x chunk_size.  Results are bitwise identical to a serial
-    run and to running each scan alone, in the input order.  If chunks
-    raise, the exception of the earliest one in grid order propagates;
-    within a chunk, that of the first observable to raise in evaluation
-    order.  One debug record per grid on the ``vectorlight.scan`` logger
-    reports its maps, points, chunks, workers and elapsed seconds, then,
-    summed over its chunks, field-sample cache hits and misses and scalar
-    profiles built and reused.
+    several threads at once (the built-in ones are pure).  Memory grows with
+    workers x chunk_size.  Results are bitwise identical to a serial run and
+    to running each scan alone, in the input order.  If chunks raise, the
+    exception of the earliest one in grid order propagates; within a chunk,
+    that of the first observable to raise in evaluation order.  One debug
+    record per grid on the ``vectorlight.scan`` logger reports its maps,
+    points, chunks, workers and elapsed seconds, then, summed over its
+    chunks, field-sample cache hits and misses and scalar profiles built and
+    reused.
     """
+    if isinstance(chunk_size, bool) \
+            or not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
+        raise ConfigurationError(
+            f"chunk_size must be a positive integer, got {chunk_size!r}")
     configs = list(configs)
     out: List[MapDataset] = [None] * len(configs)
     groups: Dict[tuple, List[int]] = {}
@@ -451,8 +465,7 @@ def run_scans(configs: Sequence[ScanConfig],
         vals = {i: np.empty(n, dtype=complex if configs[i].store_complex
                              else float) for i in members}
         cached = {i: _accepts_cache(configs[i].observable) for i in members}
-        evaluation = sorted(members,
-                            key=lambda i: -_depth(configs[i].observable))
+        evaluation = _evaluation_order(configs, members)
         chunks = _chunks(n, configs[members[0]].resolution[1], chunk_size)
         workers = min(len(chunks), _usable_cpus())
         body = functools.partial(_scan_chunk, configs, evaluation, cached,

@@ -298,11 +298,12 @@ def _plane_points(z):
 @pytest.mark.parametrize("z", [0.0, 0.3 * ZR, -0.3 * ZR])
 def test_focal_plane_batch_is_bytewise_the_full_z_batch(z):
     plane = _plane_points(z)
-    # one off-plane point makes z vary, so the call builds full-batch z jets
+    # scattered points are no grid, so x, y and z stay on their batch, on
+    # one plane as with one off-plane point
     mixed = np.concatenate([plane, [[0.1 * WAIST, 0.0, z + 0.2 * ZR]]])
     for order in (1, 2, 3):
         assert [c.val.shape for c in _coords(plane, order)] == \
-            [(len(plane),), (len(plane),), (1,)]
+            [(len(plane),)] * 3
         assert _coords(mixed, order)[2].val.shape == (len(mixed),)
     for beam in _BITWISE_BEAMS:
         for order in (0, 1, 2):
@@ -314,22 +315,31 @@ def test_focal_plane_batch_is_bytewise_the_full_z_batch(z):
 
 
 def test_constant_coordinates_are_detected_by_their_bits():
-    pts = _plane_points(0.0)
-    pts[::2, 2] = -0.0  # equal under ==, not in their bits
+    # whole rows on one plane: a grid, with z on one value
+    pts = _tensor_points(np.arange(4.0) * WAIST, np.arange(5.0) * WAIST, [0.0])
+    assert [c.val.shape for c in _coords(pts, 1)] == \
+        [(4, 1, 1), (1, 5, 1), (1, 1, 1)]
+    pts[::2, 2] = -0.0  # equal under ==, not in their bits: no grid
     assert _coords(pts, 1)[2].val.shape == (len(pts),)
     pts[:, 2] = 0.0
     pts[3, 2] = np.nan
     assert _coords(pts, 1)[2].val.shape == (len(pts),)
-    # a grid of points: every batch axis of a constant coordinate is 1
+    pts[:, 2] = np.nan  # unequal under ==, equal in their bits: a grid
+    assert _coords(pts, 1)[2].val.shape == (1, 1, 1)
+    # a (4, 5) batch with y and z constant: 4 x values, each repeated 5
+    # times, are a 4 x 1 x 5 grid
     grid = np.zeros((4, 5, 3))
     grid[..., 0] = np.arange(4.0)[:, None] * WAIST
-    assert [c.val.shape for c in _coords(grid, 2)] == [(4, 5), (1, 1), (1, 1)]
+    assert [c.val.shape for c in _coords(grid, 2)] == \
+        [(4, 1, 1), (1, 1, 1), (1, 1, 5)]
 
 
 def test_identical_points_give_full_batch_first_blocks():
     point = [0.3 * WAIST, -0.2 * WAIST, 0.3 * ZR]
     same = np.tile(point, (5, 1))
-    assert [c.val.shape for c in _coords(same, 3)] == [(1,)] * 3
+    # a 1 x 1 x 5 grid
+    assert [c.val.shape for c in _coords(same, 3)] == \
+        [(1, 1, 1), (1, 1, 1), (1, 1, 5)]
     for beam in _BITWISE_BEAMS:
         for order in (0, 1, 2):
             fs = field_sample_upto(beam, same, order)
@@ -402,12 +412,21 @@ def test_tensor_grid_points_are_bytewise_the_flat_path(order):
                 assert fs.block(k).tobytes() == want[beam].block(k).tobytes()
 
 
-def test_repeated_points_are_not_a_grid():
-    # equal points in runs: z is equal at every point, so it keeps batch 1
+def test_repeated_points_are_a_grid():
+    # equal points in runs of 3: a 2 x 2 x 3 grid, z repeated along its
+    # last axis
     pts = np.repeat(_tensor_points([0.1 * WAIST, 0.2 * WAIST],
                                    [0.3 * WAIST, -0.3 * WAIST], [0.0]), 3,
                     axis=0)
-    assert [c.val.shape for c in _coords(pts, 1)] == [(12,), (12,), (1,)]
+    assert [c.val.shape for c in _coords(pts, 1)] == \
+        [(2, 1, 1), (1, 2, 1), (1, 1, 3)]
+    for beam in _panel_beams():
+        for order in (0, 1, 2):
+            got = field_sample_upto(beam, pts, order)
+            once = field_sample_upto(beam, pts[::3], order)
+            for k in range(order + 1):
+                assert got.block(k).tobytes() == \
+                    np.repeat(once.block(k), 3, axis=0).tobytes()
     # a grid found along z alone, and along y alone
     line = _tensor_points([0.1 * WAIST], [0.2 * WAIST], [0.0, 0.5 * ZR, ZR])
     assert [c.val.shape for c in _coords(line, 1)] == \

@@ -94,6 +94,12 @@ def test_config_validation():
     for res in ((4096, 4097), (2, 4096 * 4096), (10**9, 10**9)):
         with pytest.raises(ConfigurationError, match="cells"):
             ScanConfig(obs, EXTENT, res)
+    # grid sizes are integers, also when given as floats
+    assert ScanConfig(obs, EXTENT, (16.0, np.int64(8))).resolution == (16, 8)
+    for res in ((4.7, 4), (16, 2.5), (16, "8"), (16, float("nan")),
+                (float("inf"), 16)):
+        with pytest.raises(ConfigurationError, match="two integers >= 2"):
+            ScanConfig(obs, EXTENT, res)
     # coordinates within +/- 1e6 m, where their squares stay finite
     ScanConfig(obs, (-1e6, 1e6, -1e6, 1e6), (16, 16), z_plane=-1e6)
     for ext, z in (((-1e302, 1e302, -1.0, 1.0), 0.0),
@@ -399,6 +405,47 @@ def test_first_observable_to_raise_in_evaluation_order_propagates():
             for o in (_Constant(1.0, ValueError("order 0")), deep)]
     with pytest.raises(ValueError, match="^order 2$"):
         run_scans(cfgs)
+
+
+def test_interleaved_beams_raise_in_depth_then_beam_order():
+    # one depth: the maps of lg:1 run before those of lg:-1
+    first, second = _Constant(1.0), _Constant(1.0, ValueError("lg:-1"))
+    third = _Constant(1.0, ValueError("lg:1"))
+    first.beam = third.beam = lg_beam(1)
+    second.beam = lg_beam(-1)
+    cfgs = [ScanConfig(o, EXTENT, (8, 8)) for o in (first, second, third)]
+    with pytest.raises(ValueError, match="^lg:1$"):
+        run_scans(cfgs)
+
+
+def test_one_sample_per_beam_and_order_per_chunk(caplog):
+    # seven beams, one transition map each, then the beams again: every
+    # (beam, order) pair is evaluated once per chunk and served once more
+    beams = [lg_beam(1), lg_beam(-1), lg_beam(2), lg_beam(0),
+             BeamSpec.hg(1, 0, waist=W0, wavelength=WAVELENGTH),
+             make_radial_azimuthal("radial", waist=W0, wavelength=WAVELENGTH),
+             make_radial_azimuthal("azimuthal", waist=W0,
+                                   wavelength=WAVELENGTH)]
+    cfgs = [ScanConfig(TransitionObservable(b, quad_transition(dm)), EXTENT,
+                       (16, 16)) for dm in (0, 1) for b in beams]
+    with caplog.at_level("DEBUG", logger="vectorlight.scan"):
+        grouped = run_scans(cfgs)
+    (record,) = [r for r in caplog.records if r.name == "vectorlight.scan"]
+    assert record.args[1:3] == (256, 1)
+    assert record.args[5:7] == (7, 7)
+    for cfg, d in zip(cfgs, grouped):
+        assert run_scan(cfg).values.tobytes() == d.values.tobytes()
+
+
+def test_chunk_size_must_be_a_positive_integer():
+    cfg = ScanConfig(FieldComponentObservable(lg_beam(), "z"), EXTENT, (4, 4))
+    for bad in (0, -5, 2.5, "8", True, None):
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            run_scans([cfg], chunk_size=bad)
+    with pytest.raises(ConfigurationError, match="chunk_size"):
+        run_scan(cfg, chunk_size=0)
+    want = run_scan(cfg).values.tobytes()
+    assert run_scan(cfg, chunk_size=np.int64(5)).values.tobytes() == want
 
 
 def test_chunks_are_whole_grid_rows_and_build_each_profile_once(caplog):
