@@ -258,9 +258,7 @@ def _coords(points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
     `jets`), bit for bit as if copied out.  Bits, not ==, decide: +0.0 and
     -0.0, or NaN and numbers, are two values.
     """
-    axes = _grid_axes(points)
-    if axes is None:
-        axes = (points,) * 3
+    axes = _grid_axes(points) or (points,) * 3
     return tuple(Jet.coordinate(axes[i], i, order) for i in range(3))
 
 
