@@ -425,28 +425,26 @@ def run_scans(configs: Sequence[ScanConfig],
     Scans sharing a grid are walked chunk by chunk together so observables
     built on the same beam draw on one field evaluation.  A chunk is whole
     grid rows: `chunk_size` is rounded down to a multiple of the row length
-    ny.  When a row is longer than `chunk_size`, each row is cut into chunks
-    of `chunk_size` points and its rest.  A chunk's points are then a tensor
-    grid, so factors of one coordinate are built once per row, column or
-    plane (see `beams._coords`).  `chunk_size` must be a positive integer.
-    Within a chunk the built-in observables run deepest field order first,
-    so lower orders are served from the profiles the deepest built, then
-    beam by beam in order of first appearance (a stable sort; other
-    observables count as order 0, and one without a `beam` is its own
-    group).  Each (beam, order) sample is then asked for in one run, and the
-    chunk's cache keeps only the latest.  The chunks of a grid run on a
-    thread pool of min(chunks, usable CPUs) workers, usable CPUs taken from
-    the process's CPU affinity; a single chunk or a single CPU runs in the
+    ny.  When a row is longer than `chunk_size`, each row is cut into
+    chunks of `chunk_size` points and its rest.  A chunk's points are then
+    a tensor grid, so factors of one coordinate are built once per row,
+    column or plane (see `beams._coords`).  Within a chunk the built-in
+    observables run deepest field order first, then beam by beam (see
+    `_evaluation_order`), so the deepest profiles serve lower orders and
+    one cached sample suffices.  The chunks of a grid run on a thread pool
+    of min(chunks, usable CPUs) workers, usable CPUs taken from the
+    process's CPU affinity; a single chunk or a single CPU runs in the
     calling thread.  An observable must therefore be safe to call from
-    several threads at once (the built-in ones are pure).  Memory grows with
-    workers x chunk_size.  Results are bitwise identical to a serial run and
-    to running each scan alone, in the input order.  If chunks raise, the
-    exception of the earliest one in grid order propagates; within a chunk,
-    that of the first observable to raise in evaluation order.  One debug
-    record per grid on the ``vectorlight.scan`` logger reports its maps,
-    points, chunks, workers and elapsed seconds, then, summed over its
-    chunks, field-sample cache hits and misses and scalar profiles built and
-    reused.
+    several threads at once (the built-in ones are pure).  Memory grows
+    with workers x chunk_size.  Results are bitwise identical to a serial
+    run and to running each scan alone, in the input order.  If chunks
+    raise, the exception of the earliest one in grid order propagates;
+    within a chunk, that of the first observable to raise in evaluation
+    order.  One debug record per grid on the ``vectorlight.scan`` logger
+    reports its maps, points, chunks, workers and elapsed seconds, then,
+    summed over its chunks, field-sample cache hits and misses and scalar
+    profiles built and reused.  A `chunk_size` that is not a positive
+    integer raises ConfigurationError.
     """
     if isinstance(chunk_size, bool) \
             or not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
