@@ -186,7 +186,11 @@ def _beams():
     return {"lg1": lg(1), "lgm1": lg(-1), "hg10": hg(1, 0),
             "radial": make_radial_azimuthal("radial", W0, WAVELENGTH),
             "azimuthal": make_radial_azimuthal("azimuthal", W0, WAVELENGTH),
-            "lg2p1": lg(2, 1), "hg31": hg(3, 1), "lg0": lg(0)}
+            "lg2p1": lg(2, 1), "hg31": hg(3, 1), "lg0": lg(0),
+            # every Laguerre and Hermite ladder term, including degrees
+            # below zero and the mode-order limits
+            "lg2p3": lg(2, 3), "lgm3p2": lg(-3, 2), "lg0p90": lg(0, 90),
+            "hg30,0": hg(30, 0), "hg22": hg(2, 2), "hg0,15": hg(0, 15)}
 
 
 def _point_sets():
