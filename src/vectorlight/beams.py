@@ -178,10 +178,11 @@ class FieldSample:
         return (self.electric, self.jacobian, self.hessian)[order]
 
     def peak(self, order: int) -> float:
-        """Largest modulus in block(order), computed once per sample."""
+        """Largest modulus in block(order), 0.0 for an empty block, computed
+        once per sample."""
         peak = self._peaks.get(order)
         if peak is None:
-            peak = float(np.max(np.abs(self.block(order))))
+            peak = float(np.max(np.abs(self.block(order)), initial=0.0))
             self._peaks[order] = peak
         return peak
 
@@ -263,29 +264,19 @@ def _coords(points: np.ndarray, order: int) -> Tuple[Jet, Jet, Jet]:
 
 
 def _laguerre_jet(p: int, alpha: int, arg: Jet) -> Jet:
-    # dL_p^a/dx = -L_{p-1}^{a+1}; out-of-range degree contributes zero.
-    def dk(pp, aa, sign):
-        if pp < 0:
-            return np.zeros_like(arg.val)
-        return sign * laguerre(pp, aa, arg.val)
-
-    return arg.compose(dk(p, alpha, 1.0),
-                       dk(p - 1, alpha + 1, -1.0),
-                       dk(p - 2, alpha + 2, 1.0),
-                       dk(p - 3, alpha + 3, -1.0))
+    # d^k L_p^a/dx^k = (-1)^k L_{p-k}^{a+k}; a degree below zero contributes
+    # zeros (not a sign times zeros, which could be -0.0)
+    return arg.compose(*(
+        (-1.0) ** k * laguerre(p - k, alpha + k, arg.val) if k <= p
+        else np.zeros_like(arg.val) for k in range(arg.order + 1)))
 
 
 def _hermite_jet(n: int, arg: Jet) -> Jet:
-    # H_n' = 2 n H_{n-1}
-    def dk(nn, scale):
-        if nn < 0:
-            return np.zeros_like(arg.val)
-        return scale * hermite(nn, arg.val)
-
-    return arg.compose(dk(n, 1.0),
-                       dk(n - 1, 2.0 * n),
-                       dk(n - 2, 4.0 * n * (n - 1)),
-                       dk(n - 3, 8.0 * n * (n - 1) * (n - 2)))
+    # d^k H_n/dx^k = 2^k n!/(n-k)! H_{n-k}, the factor exact for n <= 30; a
+    # degree below zero contributes zeros
+    return arg.compose(*(
+        2.0 ** k * math.perm(n, k) * hermite(n - k, arg.val) if k <= n
+        else np.zeros_like(arg.val) for k in range(arg.order + 1)))
 
 
 def _rho2(x: Jet, y: Jet) -> Jet:
@@ -573,12 +564,8 @@ def field_sample_upto(spec: BeamSpec, point, order: int,
                        ProfileMemo() if profiles is None else profiles)
     batch = pts.shape[:-1]
     grid = np.broadcast_shapes(*(j.val.shape for j in jets))
-    e = _batch_first([j.val for j in jets], 0, batch, grid)
-    jac = _batch_first([j.g for j in jets], 1, batch, grid) \
-        if order >= 1 else None
-    hess = _batch_first([j.h for j in jets], 2, batch, grid) \
-        if order >= 2 else None
+    blocks = [_batch_first(b, k, batch, grid)
+              for k, b in enumerate(zip(*(j.blocks for j in jets)))]
     if single:
-        return FieldSample(e[0], None if jac is None else jac[0],
-                           None if hess is None else hess[0])
-    return FieldSample(e, jac, hess)
+        blocks = [b[0] for b in blocks]
+    return FieldSample(*blocks, *(None,) * (2 - order))

@@ -7,6 +7,12 @@ propagation through arithmetic (Leibniz rule) and smooth unary composition
 mode functions out of these, so every spatial derivative it reports is exact
 rather than numerical.
 
+The value and the derivative blocks form one sequence, `Jet.blocks`, and
+every operation that treats the blocks alike (sums, negation, products with
+a scalar, `truncate`, `partial`) runs over it.  Only products of two jets
+and compositions are written out order by order, since their Leibniz and
+Faa di Bruno terms differ with the order.
+
 Derivative blocks are stored components-first, with the batch axes last:
 for values of shape B, g[i] = d_i f is (3, *B), h[i, j] = d_i d_j f is
 (3, 3, *B) and t[i, j, k] = d_i d_j d_k f is (3, 3, 3, *B), so every
@@ -62,8 +68,10 @@ _SYM_G = np.stack([_TK, _TJ, _TI])
 
 
 def _unique(block, flat, shape):
-    """Entries `flat` of a symmetric block, its derivative axes flattened."""
-    return block.reshape((-1,) + shape).take(flat, axis=0)
+    """Entries `flat` of a symmetric block, its derivative axes flattened;
+    `shape` is the block's batch shape."""
+    nderiv = block.ndim - len(shape)
+    return block.reshape((3 ** nderiv,) + shape).take(flat, axis=0)
 
 
 def _expand(unique, full, ndim):
@@ -108,6 +116,12 @@ class Jet:
             raise ValueError(f"expected derivative block of shape {shape}")
         return arr
 
+    @property
+    def blocks(self):
+        """The value and derivative blocks up to this jet's order:
+        (val, g, h, t)[:order + 1]."""
+        return (self.val, self.g, self.h, self.t)[:self.order + 1]
+
     # ------------------------------------------------------------ builders
 
     @classmethod
@@ -135,26 +149,14 @@ class Jet:
         if not isinstance(other, Jet):
             # a constant has no derivatives: shift the value, share the blocks
             return Jet(self.order, self.val + np.asarray(other, dtype=complex),
-                       self.g, self.h, self.t)
+                       *self.blocks[1:])
         o = self._check(other)
-        return Jet(
-            self.order,
-            self.val + o.val,
-            None if self.order < 1 else self.g + o.g,
-            None if self.order < 2 else self.h + o.h,
-            None if self.order < 3 else self.t + o.t,
-        )
+        return Jet(self.order, *(a + b for a, b in zip(self.blocks, o.blocks)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(
-            self.order,
-            -self.val,
-            None if self.order < 1 else -self.g,
-            None if self.order < 2 else -self.h,
-            None if self.order < 3 else -self.t,
-        )
+        return Jet(self.order, *(-b for b in self.blocks))
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -167,13 +169,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):  # scalar fast path
             c = complex(other)
-            return Jet(
-                self.order,
-                self.val * c,
-                None if self.order < 1 else self.g * c,
-                None if self.order < 2 else self.h * c,
-                None if self.order < 3 else self.t * c,
-            )
+            return Jet(self.order, *(b * c for b in self.blocks))
         o = self._check(other)
         n = self.order
         val = self.val * o.val
@@ -275,23 +271,10 @@ class Jet:
         """View of this jet carrying only derivative blocks up to `order`."""
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
-        return Jet(
-            order,
-            self.val,
-            None if order < 1 else self.g,
-            None if order < 2 else self.h,
-            None if order < 3 else self.t,
-        )
+        return Jet(order, self.val, *self.blocks[1:order + 1])
 
     def partial(self, index: int) -> "Jet":
         """Jet (one order lower) of the derivative d_index f."""
         if self.order < 1:
             raise ValueError("cannot take a derivative of an order-0 jet")
-        n = self.order - 1
-        return Jet(
-            n,
-            self.g[index],
-            None if n < 1 else self.h[index],
-            None if n < 2 else self.t[index],
-            None,
-        )
+        return Jet(self.order - 1, *(b[index] for b in self.blocks[1:]))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vectorlight import beams
 from vectorlight.beams import (
     LENGTH_RANGE,
     BeamSpec,
@@ -25,6 +26,8 @@ from vectorlight.beams import (
     ModeTerm,
     ProfileMemo,
     _coords,
+    _hermite_jet,
+    _laguerre_jet,
     _profile as profile_jet,
     field_components,
     field_sample_upto,
@@ -232,6 +235,37 @@ def test_profiles_are_bytewise_the_full_factor_formulas(order):
             for name in ("val", "g", "h", "t")[:order + 1]:
                 assert getattr(got, name).tobytes() == \
                     getattr(want, name).tobytes(), (term.mode, name)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_ladders_evaluate_only_the_degrees_their_order_needs(order,
+                                                             monkeypatch):
+    arg = _coords(make_probe_points() / WAIST, 3)[0] * 0.8 + 0.1
+    # (ladder, degrees it may evaluate, deepest first)
+    ladders = [(lambda a, n=n: _hermite_jet(n, a), [(n - k,) for k in range(4)])
+               for n in (0, 1, 4)]
+    ladders += [(lambda a, p=p: _laguerre_jet(p, 2, a),
+                 [(p - k, 2 + k) for k in range(4)]) for p in (0, 2, 3)]
+    # lower blocks never depend on higher ones: the order-3 ladder truncated
+    # is the reference
+    wants = [ladder(arg).truncate(order) for ladder, _ in ladders]
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(args[:-1])
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(beams, "hermite", counted(beams.hermite))
+    monkeypatch.setattr(beams, "laguerre", counted(beams.laguerre))
+    for (ladder, degrees), want in zip(ladders, wants):
+        calls.clear()
+        got = ladder(arg.truncate(order))
+        # degrees 0 .. top, at most order + 1 of them; none below zero
+        assert calls == [d for d in degrees[:order + 1] if d[0] >= 0]
+        assert [b.tobytes() for b in got.blocks] == \
+            [b.tobytes() for b in want.blocks]
 
 
 def _panel_beams(waist=WAIST, wavelength=WAVELENGTH):
@@ -689,6 +723,18 @@ def test_field_sample_consistency(probe_points):
         low = field_sample_upto(beam, probe_points[3], order)
         for k in range(order + 1):
             assert np.array_equal(low.block(k), single.block(k))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_empty_batches_give_empty_blocks(order):
+    for beam in _BITWISE_BEAMS:
+        fs = field_sample_upto(beam, np.zeros((0, 3)), order)
+        for k in range(3):
+            if k <= order:
+                assert fs.block(k).shape == (0,) + (3,) * (k + 1)
+                assert fs.peak(k) == 0.0
+            else:
+                assert fs.block(k) is None
 
 
 def test_gaussian_peak_stationary():

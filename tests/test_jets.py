@@ -213,6 +213,45 @@ def _bitwise_equal(a, b, zero_signs=True):
         for name in ("val", "g", "h", "t")[:a.order + 1])
 
 
+def _same_blocks(jet, want):
+    """The blocks of `jet` are the arrays `want`, byte for byte."""
+    return len(jet.blocks) == len(want) and all(
+        got.shape == w.shape and got.tobytes() == w.tobytes()
+        for got, w in zip(jet.blocks, want))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_blockwise_operations_are_the_numpy_operations_on_each_block(order):
+    rng = np.random.default_rng(60 + order)
+    a = random_jet(rng, (7,)).truncate(order)
+    b = random_jet(rng, (7,)).truncate(order)
+    a.val[0] = -0.0  # a signed zero in the value, which a constant shifts
+    c = 0.3 - 1.7j
+    assert len(a.blocks) == order + 1
+    assert a.blocks[0] is a.val
+    assert _same_blocks(a + b, [x + y for x, y in zip(a.blocks, b.blocks)])
+    assert _same_blocks(-a, [-x for x in a.blocks])
+    assert _same_blocks(a - b, [x - y for x, y in zip(a.blocks, b.blocks)])
+    assert _same_blocks(a * c, [x * c for x in a.blocks])
+    assert _same_blocks(c * a, [x * c for x in a.blocks])
+    for shifted, value in ((a + c, a.val + c), (c + a, a.val + c),
+                           (a - c, a.val - c), (a + 0.0, a.val + 0.0)):
+        assert _same_blocks(shifted, [value] + list(a.blocks[1:]))
+        # the shift moves the value only and shares every other block
+        assert all(x is y for x, y in zip(shifted.blocks[1:], a.blocks[1:]))
+    for k in range(order + 1):
+        low = a.truncate(k)
+        assert low.order == k and len(low.blocks) == k + 1
+        assert all(x is y for x, y in zip(low.blocks, a.blocks))
+    for i in range(3 if order else 0):
+        d = a.partial(i)
+        assert d.order == order - 1
+        assert _same_blocks(d, [x[i] for x in a.blocks[1:]])
+        # views of the parent's blocks, not copies
+        assert all(np.shares_memory(x, y)
+                   for x, y in zip(d.blocks, a.blocks[1:]))
+
+
 def test_ipow_and_constant_shifts_are_bytewise_the_full_products(probe_points):
     rng = np.random.default_rng(5)
     x = Jet.coordinate(probe_points, 0, 3)
@@ -249,8 +288,7 @@ def _copied_out(jet, shape):
             if block.shape[nderiv + axis] == 1:
                 block = np.repeat(block, n, axis=nderiv + axis)
         return block
-    blocks = (jet.val, jet.g, jet.h, jet.t)[:jet.order + 1]
-    return Jet(jet.order, *[rep(b) for b in blocks])
+    return Jet(jet.order, *[rep(b) for b in jet.blocks])
 
 
 @pytest.mark.parametrize("shape", [(7,), (37,), (4, 5)])
