@@ -262,7 +262,7 @@ def test_ladders_evaluate_only_the_degrees_their_order_needs(order,
     for (ladder, degrees), want in zip(ladders, wants):
         calls.clear()
         got = ladder(arg.truncate(order))
-        # degrees 0 .. top, at most order + 1 of them; none below zero
+        # from the top degree down, at most order + 1; none below zero
         assert calls == [d for d in degrees[:order + 1] if d[0] >= 0]
         assert [b.tobytes() for b in got.blocks] == \
             [b.tobytes() for b in want.blocks]

@@ -205,12 +205,10 @@ def test_third_order_kernels_match_full_tensor_oracle_and_are_symmetric(shape):
 
 def _bitwise_equal(a, b, zero_signs=True):
     """Blocks byte for byte equal; with zero_signs False, -0.0 counts as 0.0."""
-    def data(jet, name):
-        block = getattr(jet, name)
+    def data(block):
         return (block if zero_signs else block + 0.0).tobytes()
     return a.order == b.order and all(
-        data(a, name) == data(b, name)
-        for name in ("val", "g", "h", "t")[:a.order + 1])
+        data(x) == data(y) for x, y in zip(a.blocks, b.blocks))
 
 
 def _same_blocks(jet, want):
