@@ -15,6 +15,10 @@ this file.  Items:
 - ``cli:<label>``: one in-process CLI run in a fresh directory: exit code,
   stdout and stderr, and the name and bytes of every file it left, with the
   directory's path replaced by ``OUT``;
+- ``runfile:<label>``: one in-process CLI run from a run file, digested as a
+  ``cli:`` item: the re-run of each sidecar's ``run`` echo of a map run or
+  of a point record's, run files that are bad input, and run files with
+  fields that their subcommand does not take;
 - ``sample:<beam>:<points>``: field samples at orders 0, 1 and 2 on whole
   grid rows, a ragged chunk, scattered points on one plane with +0.0 and
   -0.0 z, 5 identical points, equal points in runs of 3, grid rows in a
@@ -28,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import sys
@@ -173,6 +178,81 @@ def cli_runs() -> None:
             _emit(f"cli:{kind}:{' '.join(argv)}", _sha(*_run_cli(args, out)))
 
 
+# -------------------------------------------------------------- run files
+
+# flag runs whose sidecars' and record's `run` echoes are re-run
+_RERUNS = [
+    ["field-map", "--beam", "lg:2,1", "--sigma", "-1", "--z-plane-um", "0.4",
+     "--resolution", "24,20"],
+    ["transition-map", "--beam", "hg:1,0", "--theta-deg", "30", "--axis", "x",
+     "--resolution", "24,20"],
+    ["sideband-map", "--beam", "lg:1", "--branch", "rsb", "--n", "1",
+     "--frequencies-mhz", "1,1.5,2", "--resolution", "16,16"],
+    ["point", "--beam", "radial", "--j2", "3/2", "--multipole", "E1",
+     "--position-um=0.3,-0.2,0.1"],
+]
+
+_TRANSITION = {"j1": "1/2", "m1": "1/2", "j2": "3/2", "multipole": "E1"}
+_TRAP = {"mass_amu": 40.0, "frequencies_mhz": [1.0, 1.0, 1.0]}
+
+# run files given as JSON text: (label, subcommand, text)
+_RUN_FILES = [
+    ("unknown-field", "field-map",
+     json.dumps({"beam": {"type": "lg", "l": 1, "waste_um": 1.0}})),
+    ("invalid-json", "field-map", '{\n  "beam": {,}\n}\n'),
+    ("beam-not-an-object", "field-map", json.dumps({"beam": 5})),
+    ("field-map-with-transition-and-trap", "field-map",
+     json.dumps({"beam": {"type": "lg", "l": 1},
+                 "grid": {"resolution": [8, 8]},
+                 "transition": _TRANSITION, "trap": _TRAP})),
+    ("point-with-grid-and-sideband-branch", "point",
+     json.dumps({"beam": {"type": "radial"}, "grid": {"resolution": [8, 8]},
+                 "sideband": {"n": 1, "branch": "rsb"}})),
+]
+
+
+def _from_run_file(command: str, out: str, name: str, text: str):
+    """Chunks of a run of `command` from a run file holding `text`."""
+    path = os.path.join(out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    args = [command, "--run-file", path]
+    if command != "point":
+        args += ["-o", os.path.join(out, "again")]
+    return _run_cli(args, out)
+
+
+def run_file_runs() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, argv in enumerate(_RERUNS):
+            out = os.path.join(tmp, f"rerun{k}")
+            os.makedirs(out)
+            command = argv[0]
+            if command == "point":
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    assert cli.main(argv) == 0
+                echoes = [("record", json.loads(stdout.getvalue())["run"])]
+            else:
+                first = os.path.join(out, "first")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv + ["-o", first]) == 0
+                echoes = []
+                for name in sorted(os.listdir(first)):
+                    if name.endswith(".json"):
+                        with open(os.path.join(first, name), "rb") as fh:
+                            echoes.append((name[:-5], json.load(fh)["run"]))
+            for stem, echo in echoes:
+                chunks = _from_run_file(command, out, f"{stem}.run.json",
+                                        json.dumps(echo))
+                _emit(f"runfile:rerun:{' '.join(argv)}:{stem}", _sha(*chunks))
+        for label, command, text in _RUN_FILES:
+            out = os.path.join(tmp, label)
+            os.makedirs(out)
+            chunks = _from_run_file(command, out, "run.json", text)
+            _emit(f"runfile:{command}:{label}", _sha(*chunks))
+
+
 # --------------------------------------------------------- field samples
 
 
@@ -250,6 +330,7 @@ def averages() -> None:
 def main() -> int:
     panel()
     cli_runs()
+    run_file_runs()
     samples()
     averages()
     return 0
