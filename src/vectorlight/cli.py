@@ -6,7 +6,11 @@ gnuplot-matrix (converts a map CSV to a gnuplot nonuniform-matrix file).
 Conventions at this interface: lengths in micrometers, trap frequencies in
 MHz (as omega / 2 pi), mass in atomic mass units, angles in degrees.  A run
 is one document: the subcommand's defaults, deep-merged with the sections of
-a --run-file, then with the flags given on the command line.  Exit codes: 0
+a --run-file, then with the flags given on the command line.  One table,
+`_FIELDS`, declares each field of the document by its path, with its default
+and, if a flag sets it, the flag, its converter and its help; a subcommand
+names the sections it takes and the defaults it replaces, and its flags,
+help, defaults and run-file schema all follow from them.  Exit codes: 0
 success, 2 configuration error, 3 numerical failure.  Every map is written
 as a CSV grid plus a JSON sidecar; re-running the `run` document echoed in a
 sidecar reproduces the CSV bit for bit.
@@ -16,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import functools
 import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,64 +66,31 @@ _AXIS_NAMES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 # ----------------------------------------------------------- run documents
 #
-# Strict schema: every physical quantity carries its unit in the key name,
-# unknown fields are rejected with the offending path in the message.
-
-_SCHEMA = {
-    "observable": None,
-    "component": None,
-    "dm": None,
-    "position_um": None,
-    "beam": {"type": None, "l": None, "p": None, "m": None, "n": None,
-             "sigma": None, "waist_um": None, "wavelength_um": None},
-    "grid": {"extent_um": None, "resolution": None, "z_plane_um": None},
-    "transition": {"j1": None, "m1": None, "j2": None, "m2": None,
-                   "multipole": None},
-    "geometry": {"theta_deg": None, "axis": None},
-    "trap": {"mass_amu": None, "frequencies_mhz": None},
-    "sideband": {"n": None, "branch": None},
-}
+# Strict schema: every physical quantity carries its unit in the key name.
+# A run-file field that the subcommand does not take is rejected with its
+# path in the message, as the matching flag is.
 
 # mode indices of each beam type; they default to 0, and the sigma of an LG
 # or HG beam to +1
 _MODE_INDICES = {"lg": ("l", "p"), "hg": ("m", "n"), "radial": (),
                  "azimuthal": ()}
 
-# Each subcommand's defaults.  The grid extent defaults to +/- 2 waists of
-# the merged beam, so it is filled in after the merge.
-_BEAM = {"waist_um": 1.0, "wavelength_um": 0.729}
-_GRID = {"resolution": [256, 256], "z_plane_um": 0.0}
-_TRANSITION = {"transition": {"j1": "1/2", "m1": "1/2", "j2": "5/2",
-                              "multipole": "E2_dJ2"},
-               "geometry": {"theta_deg": 0.0, "axis": "y"}}
-_MOTION = {"dm": 1, "trap": {"mass_amu": 40.0,
-                             "frequencies_mhz": [1.0, 1.0, 1.0]},
-           "sideband": {"n": 0}}
-_DEFAULTS = {
-    "field-map": {"observable": "field", "beam": _BEAM, "grid": _GRID},
-    "transition-map": {"observable": "transition", "beam": _BEAM,
-                       "grid": _GRID, **_TRANSITION},
-    "sideband-map": {"observable": "sideband", "beam": _BEAM, "grid": _GRID,
-                     **_TRANSITION, **_MOTION,
-                     "sideband": dict(_MOTION["sideband"], branch="bsb")},
-    "point": {"observable": "point", "beam": _BEAM, **_TRANSITION, **_MOTION,
-              "position_um": [0.0, 0.0, 0.0]},
-}
 
-
-def _check_fields(doc: dict, schema: dict, path: str = "") -> None:
+def _check_fields(doc: dict, fields: dict, sections: set,
+                  path: str = "") -> None:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"run file: '{path or '<root>'}' must be an object")
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
-        if key not in schema:
+        if where in sections:
+            _check_fields(value, fields, sections, where)
+        elif where not in fields:
             raise ConfigurationError(f"run file: unknown field '{where}'")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            _check_fields(value, sub, where)
 
 
-def load_run_file(path: str) -> dict:
+def load_run_file(path: str, fields: dict) -> dict:
+    """The run document in the JSON file `path`; each of its fields must be
+    a path of `fields`, the fields of one subcommand."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -130,7 +100,7 @@ def load_run_file(path: str) -> dict:
         raise ConfigurationError(
             f"run file: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    _check_fields(doc, _SCHEMA)
+    _check_fields(doc, fields, {path.rpartition(".")[0] for path in fields})
     return doc
 
 
@@ -170,51 +140,86 @@ def _whole(text: str):
     return int(value) if value.is_integer() else value
 
 
-# Every configuration flag: its run-document path, the converter of its text
-# and its help.  Only flags given on the command line enter the document.
-_FLAGS = {
-    "--beam": ("beam", _beam_flag,
-               "lg:<l>[,<p>] | hg:<m>,<n> | radial | azimuthal"),
-    "--sigma": ("beam.sigma", _sigma,
-                "polarization of LG and HG beams: -1, 0, or +1"),
-    "--waist-um": ("beam.waist_um", float, "beam waist"),
-    "--wavelength-um": ("beam.wavelength_um", float, "wavelength"),
-    "--extent-um": ("grid.extent_um", _comma_list(float),
-                    "x_min,x_max,y_min,y_max (default: +/- 2 waists)"),
-    "--resolution": ("grid.resolution", _comma_list(_whole),
-                     f"nx,ny with nx*ny <= {MAX_GRID_CELLS}"),
-    "--z-plane-um": ("grid.z_plane_um", float, "focal-plane offset"),
-    "--component": ("component", str,
-                    f"one of {', '.join(_COMPONENTS)} "
-                    "(default: all three)"),
-    "--j1": ("transition.j1", str, "lower-level J"),
-    "--m1": ("transition.m1", str, "lower-level m"),
-    "--j2": ("transition.j2", str, "upper-level J"),
-    "--multipole": ("transition.multipole", str, "E1 | E2_dJ1 | E2_dJ2"),
-    "--dm": ("dm", int, "Delta-m channel"),
-    "--theta-deg": ("geometry.theta_deg", float,
-                    "quantization-axis tilt"),
-    "--axis": ("geometry.axis", str, "rotation axis: x, y, or z"),
-    "--mass-amu": ("trap.mass_amu", float, "ion mass"),
-    "--frequencies-mhz": ("trap.frequencies_mhz", _comma_list(float),
-                          "trap frequencies omega/2pi for X,Y,Z in MHz"),
-    "--n": ("sideband.n", int, "initial motional quantum"),
-    "--branch": ("sideband.branch", str,
-                 "sideband branch of the mode maps: bsb or rsb"),
-    "--position-um": ("position_um", _comma_list(float), "x,y,z"),
+class _Field(NamedTuple):
+    """A run-document field: its default (None: none; a list default is a
+    tuple, which every run document can share) and, if a flag sets the
+    field, the flag, the converter of the flag's text and its help."""
+    default: object = None
+    flag: Optional[str] = None
+    convert: Optional[Callable] = None
+    help: str = ""
+
+
+# Every run-document field, by its path; a subcommand's flags appear in this
+# order.  Only flags given on the command line enter the document.
+_FIELDS = {
+    "observable": _Field(),
+    "beam": _Field(None, "--beam", _beam_flag,
+                   "lg:<l>[,<p>] | hg:<m>,<n> | radial | azimuthal"),
+    **{f"beam.{key}": _Field() for key in ("type", "l", "p", "m", "n")},
+    "beam.sigma": _Field(None, "--sigma", _sigma,
+                         "polarization of LG and HG beams: -1, 0, or +1"),
+    "beam.waist_um": _Field(1.0, "--waist-um", float, "beam waist"),
+    "beam.wavelength_um": _Field(0.729, "--wavelength-um", float,
+                                 "wavelength"),
+    # the extent defaults to +/- 2 waists of the merged beam
+    "grid.extent_um": _Field(None, "--extent-um", _comma_list(float),
+                             "x_min,x_max,y_min,y_max "
+                             "(default: +/- 2 waists)"),
+    "grid.resolution": _Field((256, 256), "--resolution", _comma_list(_whole),
+                              f"nx,ny with nx*ny <= {MAX_GRID_CELLS}"),
+    "grid.z_plane_um": _Field(0.0, "--z-plane-um", float,
+                              "focal-plane offset"),
+    "component": _Field(None, "--component", str,
+                        f"one of {', '.join(_COMPONENTS)} (default: all three)"),
+    "transition.j1": _Field("1/2", "--j1", str, "lower-level J"),
+    "transition.m1": _Field("1/2", "--m1", str, "lower-level m"),
+    "transition.j2": _Field("5/2", "--j2", str, "upper-level J"),
+    "transition.m2": _Field(),
+    "transition.multipole": _Field("E2_dJ2", "--multipole", str,
+                                   "E1 | E2_dJ1 | E2_dJ2"),
+    "dm": _Field(None, "--dm", int, "Delta-m channel"),
+    "geometry.theta_deg": _Field(0.0, "--theta-deg", float,
+                                 "quantization-axis tilt"),
+    "geometry.axis": _Field("y", "--axis", str, "rotation axis: x, y, or z"),
+    "trap.mass_amu": _Field(40.0, "--mass-amu", float, "ion mass"),
+    "trap.frequencies_mhz": _Field((1.0, 1.0, 1.0), "--frequencies-mhz",
+                                   _comma_list(float),
+                                   "trap frequencies omega/2pi for X,Y,Z "
+                                   "in MHz"),
+    "sideband.n": _Field(0, "--n", int, "initial motional quantum"),
+    "sideband.branch": _Field("bsb", "--branch", str,
+                              "sideband branch of the mode maps: bsb or rsb"),
+    "position_um": _Field((0.0, 0.0, 0.0), "--position-um",
+                          _comma_list(float), "x,y,z"),
 }
 
-_BEAM_FLAGS = ("--beam", "--sigma", "--waist-um", "--wavelength-um")
-_GRID_FLAGS = ("--extent-um", "--resolution", "--z-plane-um")
-_TRANSITION_FLAGS = ("--j1", "--m1", "--j2", "--multipole", "--dm",
-                     "--theta-deg", "--axis")
-_TRAP_FLAGS = ("--mass-amu", "--frequencies-mhz", "--n")
+_FLAGS = {field.flag for field in _FIELDS.values() if field.flag}
 
 _RUN_FILE_HELP = (
     "JSON run document (strict schema). Precedence: defaults < run file < "
     "explicit flags; --beam replaces the file's beam type and mode indices. "
     "Numbers must be finite, and a grid has at most "
     f"{MAX_GRID_CELLS} cells.")
+
+
+def _command_fields(takes: Sequence[str], overrides: dict) -> dict:
+    """The fields of a subcommand, in table order: each path that `takes`
+    names or that lies in a section it names, and each path of `overrides`,
+    whose default replaces the table's."""
+    fields = {path: field for path, field in _FIELDS.items()
+              if path in takes or path.partition(".")[0] in takes
+              or path in overrides}
+    for path, default in overrides.items():
+        fields[path] = fields[path]._replace(default=default)
+    return fields
+
+
+def _place(doc: dict, path: str, value) -> None:
+    """Merge `value` into `doc` at the document path `path`."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    _merge(doc, value)
 
 
 def _merge(doc: dict, over: dict) -> None:
@@ -247,29 +252,29 @@ def _complete_beam(beam: dict) -> None:
 def _resolve(args) -> dict:
     """The run document: the subcommand's defaults, then the run file's
     sections, then the flags given explicitly."""
-    defaults = _DEFAULTS[args.command]
-    doc = copy.deepcopy(defaults)
+    doc: dict = {}
+    for path, field in args.fields.items():
+        if field.default is not None:
+            _place(doc, path, field.default)
     if args.run_file:
-        _merge(doc, load_run_file(args.run_file))
+        _merge(doc, load_run_file(args.run_file, args.fields))
     given = vars(args)
     if "beam" in given:
         # a --beam mode replaces the file's: none of its mode indices survive
         for key in ("type", "l", "p", "m", "n"):
             doc["beam"].pop(key, None)
-    for flag, (path, convert, _) in _FLAGS.items():
-        dest = flag[2:].replace("-", "_")
+    for path, field in args.fields.items():
+        dest = field.flag[2:].replace("-", "_") if field.flag else None
         if dest not in given:
             continue
         try:
-            value = convert(given[dest])
+            value = field.convert(given[dest])
         except ValueError as exc:
-            raise ConfigurationError(f"{flag}: {exc}") from exc
-        for key in reversed(path.split(".")):
-            value = {key: value}
-        _merge(doc, value)
-    doc["observable"] = defaults["observable"]
+            raise ConfigurationError(f"{field.flag}: {exc}") from exc
+        _place(doc, path, value)
+    doc["observable"] = args.fields["observable"].default
     _complete_beam(doc["beam"])
-    if "grid" in defaults:
+    if "grid.extent_um" in args.fields:
         w = 2.0 * _read(doc["beam"], "beam", "waist_um", _length)
         doc["grid"].setdefault("extent_um", [-w, w, -w, w])
     return doc
@@ -498,9 +503,11 @@ def _write_maps(args, doc: dict, maps) -> int:
 
 
 def load_map_csv(path: str) -> MapDataset:
-    """Rebuild a MapDataset (values, grid, scale) from a map CSV file."""
+    """Rebuild a MapDataset (values, grid, scale) from a map CSV file; a
+    non-finite number or a ragged row is a ConfigurationError naming its
+    line or header."""
     meta: Dict[str, str] = {}
-    rows = []
+    rows, linenos = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -514,11 +521,16 @@ def load_map_csv(path: str) -> MapDataset:
                         meta[key.strip()] = val.strip()
                     continue
                 try:
-                    rows.append([float(v) for v in line.split(",")])
+                    row = [float(v) for v in line.split(",")]
+                    if rows and len(row) != len(rows[0]):
+                        raise ValueError(f"{len(row)} values, the first row "
+                                         f"has {len(rows[0])}")
                 except ValueError as exc:
                     raise ConfigurationError(
                         f"{path}: line {lineno}: not a map CSV row ({exc})"
                     ) from exc
+                rows.append(row)
+                linenos.append(lineno)
     except OSError as exc:
         raise ConfigurationError(f"cannot read map file: {exc}") from exc
     required = {"scale_factor", "z_plane_um", "x_centers_um", "y_centers_um"}
@@ -526,13 +538,23 @@ def load_map_csv(path: str) -> MapDataset:
     if missing:
         raise ConfigurationError(
             f"{path}: not a map CSV (missing header {sorted(missing)})")
+    values = np.array(rows, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ConfigurationError(
+            f"{path}: line {linenos[i]}: not a map CSV row (must be finite, "
+            f"got {float(values[i, j])!r})")
+
+    def centers(text: str) -> np.ndarray:
+        return np.array([_finite(v) for v in text.split(",")]) * UM
+
     try:
-        values = np.array(rows, dtype=float)
-        xs = np.array([float(v) for v in meta["x_centers_um"].split(",")]) * UM
-        ys = np.array([float(v) for v in meta["y_centers_um"].split(",")]) * UM
-        scale = float(meta["scale_factor"])
-        z_plane = float(meta["z_plane_um"]) * UM
-    except ValueError as exc:
+        xs = _read(meta, "", "x_centers_um", centers)
+        ys = _read(meta, "", "y_centers_um", centers)
+        scale = _read(meta, "", "scale_factor", _finite)
+        z_plane = _read(meta, "", "z_plane_um", _finite) * UM
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: malformed map header ({exc})") from exc
     if values.ndim != 2 or values.shape != (xs.size, ys.size):
         raise ConfigurationError(f"{path}: data shape {values.shape} does not"
@@ -672,35 +694,24 @@ def cmd_gnuplot_matrix(args) -> int:
 
 # -------------------------------------------------------------- arg parser
 
-# the run-document subcommands: command, handler, help, configuration flags
+# the run-document subcommands: command, handler, help, the fields it takes
+# (a section name takes every field of the section) and the defaults that
+# replace the table's
 _RUN_COMMANDS = (
     ("field-map", cmd_field_map, "field component modulus maps",
-     _BEAM_FLAGS + _GRID_FLAGS + ("--component",)),
+     ("beam", "grid", "component"), {"observable": "field"}),
     ("transition-map", cmd_transition_map,
      "relative strength maps, one per addressable Delta-m unless --dm is "
-     "given", _BEAM_FLAGS + _GRID_FLAGS + _TRANSITION_FLAGS),
+     "given", ("beam", "grid", "transition", "dm", "geometry"),
+     {"observable": "transition"}),
     ("sideband-map", cmd_sideband_map,
      "carrier plus X/Y/Z sideband strength maps",
-     _BEAM_FLAGS + _GRID_FLAGS + _TRANSITION_FLAGS + _TRAP_FLAGS
-     + ("--branch",)),
+     ("beam", "grid", "transition", "dm", "geometry", "trap", "sideband"),
+     {"observable": "sideband", "dm": 1}),
     ("point", cmd_point, "single-point JSON diagnostic record",
-     _BEAM_FLAGS + _TRANSITION_FLAGS + _TRAP_FLAGS + ("--position-um",)),
+     ("beam", "transition", "dm", "geometry", "trap", "sideband.n",
+      "position_um"), {"observable": "point", "dm": 1}),
 )
-
-
-def _add_flags(p: argparse.ArgumentParser, command: str,
-               flags: Sequence[str]) -> None:
-    """Add configuration flags; their help shows the command's defaults."""
-    for flag in flags:
-        path, _, text = _FLAGS[flag]
-        default = _DEFAULTS[command]
-        for key in path.split("."):
-            default = default.get(key) if isinstance(default, dict) else None
-        if isinstance(default, list):
-            default = ",".join(map(str, default))
-        if default is not None and not isinstance(default, dict):
-            text += f" (default: {default})"
-        p.add_argument(flag, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -711,16 +722,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, func, text, flags in _RUN_COMMANDS:
+    for command, func, text, takes, overrides in _RUN_COMMANDS:
         # flags that are not given stay out of the namespace, so only
         # explicit flags override the run file
         p = sub.add_parser(command, help=text,
                            argument_default=argparse.SUPPRESS)
         p.add_argument("--run-file", default=None, help=_RUN_FILE_HELP)
-        _add_flags(p, command, flags)
+        fields = _command_fields(takes, overrides)
+        for field in fields.values():
+            if field.flag:
+                default = field.default
+                if isinstance(default, tuple):
+                    default = ",".join(map(str, default))
+                p.add_argument(field.flag, help=field.help if default is None
+                               else f"{field.help} (default: {default})")
         if command != "point":
             p.add_argument("--outdir", "-o", default=".")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, fields=fields)
 
     p = sub.add_parser("compare", help="difference statistics of two map CSVs")
     p.add_argument("first")
@@ -757,7 +775,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(_attach_flag_values(
         sys.argv[1:] if argv is None else argv))
-    if args.command in _DEFAULTS and not args.run_file and "beam" not in args:
+    if "fields" in args and not args.run_file and "beam" not in args:
         parser.exit(2, f"{parser.prog}: error: missing required field "
                        f"'--beam' (or provide --run-file)\n")
     try:

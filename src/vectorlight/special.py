@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -147,12 +148,6 @@ def _check_jm(tj: int, tm: int, label: str):
         raise ValueError(f"{label}: |m| cannot exceed j")
 
 
-def _fact(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative factorial")
-    return math.factorial(n)
-
-
 def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
     """Clebsch-Gordan coefficient <j1 m1 j2 m2 | j m> (Condon-Shortley).
 
@@ -185,21 +180,21 @@ def _clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tj: int,
     b = (tj1 - tj2 + tj) // 2
     c = (-tj1 + tj2 + tj) // 2
     pref2 = Fraction(tj + 1)
-    pref2 *= Fraction(_fact(a) * _fact(b) * _fact(c), _fact((tj1 + tj2 + tj) // 2 + 1))
+    pref2 *= Fraction(factorial(a) * factorial(b) * factorial(c), factorial((tj1 + tj2 + tj) // 2 + 1))
     for tjj, tmm in ((tj, tm), (tj1, tm1), (tj2, tm2)):
-        pref2 *= _fact((tjj + tmm) // 2) * _fact((tjj - tmm) // 2)
+        pref2 *= factorial((tjj + tmm) // 2) * factorial((tjj - tmm) // 2)
 
     k_min = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
     k_max = min(a, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
     total = Fraction(0)
     for k in range(k_min, k_max + 1):
         den = (
-            _fact(k)
-            * _fact(a - k)
-            * _fact((tj1 - tm1) // 2 - k)
-            * _fact((tj2 + tm2) // 2 - k)
-            * _fact((tj - tj2 + tm1) // 2 + k)
-            * _fact((tj - tj1 - tm2) // 2 + k)
+            factorial(k)
+            * factorial(a - k)
+            * factorial((tj1 - tm1) // 2 - k)
+            * factorial((tj2 + tm2) // 2 - k)
+            * factorial((tj - tj2 + tm1) // 2 + k)
+            * factorial((tj - tj1 - tm2) // 2 + k)
         )
         total += Fraction(-1 if k % 2 else 1, den)
     if total == 0:

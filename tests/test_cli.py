@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -114,6 +115,72 @@ def test_run_file_invalid_json_reports_line(tmp_path, capsys):
     bad.write_text('{\n  "beam": {,}\n}\n')
     assert run(["field-map", "--run-file", bad, "-o", tmp_path]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+# a valid value of every run-document field
+_VALID_FIELDS = {
+    "observable": "field",
+    "beam": {"type": "hg", "m": 1, "n": 0},
+    "beam.type": "lg", "beam.l": 2, "beam.p": 1, "beam.m": 1, "beam.n": 0,
+    "beam.sigma": -1, "beam.waist_um": 1.5, "beam.wavelength_um": 0.8,
+    "grid.extent_um": [-1, 1, -1, 1], "grid.resolution": [4, 4],
+    "grid.z_plane_um": 0.1,
+    "component": "Ez",
+    "transition.j1": "1/2", "transition.m1": "-1/2", "transition.j2": "5/2",
+    "transition.m2": "3/2", "transition.multipole": "E2_dJ1",
+    "dm": 1,
+    "geometry.theta_deg": 30.0, "geometry.axis": "x",
+    "trap.mass_amu": 9.0, "trap.frequencies_mhz": [1.0, 2.0, 3.0],
+    "sideband.n": 1, "sideband.branch": "rsb",
+    "position_um": [0.1, 0.0, -0.2],
+}
+
+# the sections and fields each subcommand takes; every one takes observable
+_TAKES = {
+    "field-map": ("beam", "grid", "component"),
+    "transition-map": ("beam", "grid", "transition", "dm", "geometry"),
+    "sideband-map": ("beam", "grid", "transition", "dm", "geometry", "trap",
+                     "sideband"),
+    "point": ("beam", "transition", "dm", "geometry", "trap", "sideband.n",
+              "position_um"),
+}
+
+
+def test_every_field_has_a_valid_value():
+    assert set(_VALID_FIELDS) == set(cli_module._FIELDS)
+
+
+@pytest.mark.parametrize("command", sorted(_TAKES))
+def test_run_file_takes_exactly_the_fields_of_its_subcommand(tmp_path, capsys,
+                                                             command):
+    takes = _TAKES[command]
+    sections = {path.split(".")[0] for path in takes}
+    for k, (path, value) in enumerate(_VALID_FIELDS.items()):
+        doc = {"beam": {"type": "lg", "l": 1}}
+        section, _, key = path.rpartition(".")
+        if section:
+            doc.setdefault(section, {})[key] = value
+        else:
+            doc[path] = value
+        run_file = tmp_path / f"{k}.json"
+        run_file.write_text(json.dumps(doc))
+        argv = [command, "--run-file", run_file]
+        if command != "point":
+            argv += ["--resolution", "4,4", "-o", tmp_path / str(k)]
+        code = run(argv)
+        out, err = capsys.readouterr()
+        if (path == "observable" or path in takes
+                or path.split(".")[0] in takes):
+            assert (code, err) == (0, ""), path
+        else:
+            # a section the subcommand does not take is named as a whole
+            named = path if path.split(".")[0] in sections \
+                else path.split(".")[0]
+            assert code == 2, path
+            assert err == ("configuration error: run file: unknown field "
+                           f"'{named}'\n"), path
+            assert out == ""
+            assert not (tmp_path / str(k)).exists()
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -683,6 +750,37 @@ def test_compare_rejects_non_map_file(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("this,is,not\na,map,file\n")
     assert run(["compare", junk, junk]) == 2
+
+
+@pytest.mark.parametrize("line, old, new, where", [
+    (11, r"^[^,]*,", "nan,", "line 11"),
+    (12, r",[^,]*$", ",inf", "line 12"),
+    (13, r"^[^,]*,", "-inf,", "line 13"),
+    (14, r",[^,]*$", "", "line 14"),
+    (15, r"$", ",0.5", "line 15"),
+    (4, r": .*", ": nan", "scale_factor"),
+    (5, r": .*", ": inf", "z_plane_um"),
+    (7, r": [^,]*", ": nan", "x_centers_um"),
+    (8, r",[^,]*$", ",-inf", "y_centers_um"),
+])
+def test_non_finite_or_ragged_map_csv_exits_2(tmp_path, capsys, line, old,
+                                              new, where):
+    assert run(["field-map", "--beam", "lg:1", "--component", "Ez",
+                "--resolution", "8,6", "-o", tmp_path]) == 0
+    good = tmp_path / "field_Ez.csv"
+    lines = good.read_text().split("\n")
+    lines[line - 1] = re.sub(old, new, lines[line - 1], count=1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    capsys.readouterr()
+    for argv in (["compare", good, bad], ["compare", bad, good],
+                 ["gnuplot-matrix", bad, tmp_path / "bad.mat"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"configuration error: {bad}: ")
+        assert where in err and "Traceback" not in err
+    assert not (tmp_path / "bad.mat").exists()
 
 
 def test_csv_rows_match_per_element_formula():
