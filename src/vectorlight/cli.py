@@ -76,16 +76,18 @@ _MODE_INDICES = {"lg": ("l", "p"), "hg": ("m", "n"), "radial": (),
                  "azimuthal": ()}
 
 
-def _check_fields(doc: dict, fields: dict, sections: set,
-                  path: str = "") -> None:
+def _check_fields(doc: dict, fields: dict, path: str = "") -> None:
+    """Reject any key of `doc`, the object at document path `path`, that is
+    not one level of a path of `fields`: a key holding a '.' is one."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"run file: '{path or '<root>'}' must be an object")
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
-        if where in sections:
-            _check_fields(value, fields, sections, where)
-        elif where not in fields:
+        section = any(name.startswith(f"{where}.") for name in fields)
+        if "." in key or not (section or where in fields):
             raise ConfigurationError(f"run file: unknown field '{where}'")
+        if section:
+            _check_fields(value, fields, where)
 
 
 def load_run_file(path: str, fields: dict) -> dict:
@@ -100,7 +102,7 @@ def load_run_file(path: str, fields: dict) -> dict:
         raise ConfigurationError(
             f"run file: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    _check_fields(doc, fields, {path.rpartition(".")[0] for path in fields})
+    _check_fields(doc, fields)
     return doc
 
 

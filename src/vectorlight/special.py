@@ -13,7 +13,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -180,21 +179,23 @@ def _clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tj: int,
     b = (tj1 - tj2 + tj) // 2
     c = (-tj1 + tj2 + tj) // 2
     pref2 = Fraction(tj + 1)
-    pref2 *= Fraction(factorial(a) * factorial(b) * factorial(c), factorial((tj1 + tj2 + tj) // 2 + 1))
+    pref2 *= Fraction(math.factorial(a) * math.factorial(b) * math.factorial(c),
+                      math.factorial((tj1 + tj2 + tj) // 2 + 1))
     for tjj, tmm in ((tj, tm), (tj1, tm1), (tj2, tm2)):
-        pref2 *= factorial((tjj + tmm) // 2) * factorial((tjj - tmm) // 2)
+        pref2 *= (math.factorial((tjj + tmm) // 2)
+                  * math.factorial((tjj - tmm) // 2))
 
     k_min = max(0, (tj2 - tj - tm1) // 2, (tj1 + tm2 - tj) // 2)
     k_max = min(a, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
     total = Fraction(0)
     for k in range(k_min, k_max + 1):
         den = (
-            factorial(k)
-            * factorial(a - k)
-            * factorial((tj1 - tm1) // 2 - k)
-            * factorial((tj2 + tm2) // 2 - k)
-            * factorial((tj - tj2 + tm1) // 2 + k)
-            * factorial((tj - tj1 - tm2) // 2 + k)
+            math.factorial(k)
+            * math.factorial(a - k)
+            * math.factorial((tj1 - tm1) // 2 - k)
+            * math.factorial((tj2 + tm2) // 2 - k)
+            * math.factorial((tj - tj2 + tm1) // 2 + k)
+            * math.factorial((tj - tj1 - tm2) // 2 + k)
         )
         total += Fraction(-1 if k % 2 else 1, den)
     if total == 0:

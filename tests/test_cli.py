@@ -183,6 +183,27 @@ def test_run_file_takes_exactly_the_fields_of_its_subcommand(tmp_path, capsys,
             assert not (tmp_path / str(k)).exists()
 
 
+@pytest.mark.parametrize("extra, field", [
+    ({"geometry.theta_deg": 30}, "geometry.theta_deg"),
+    ({"beam.waist_um": 2.0}, "beam.waist_um"),
+    ({"": {"observable": "transition"}}, ""),
+    ({"geometry": {"": 30}}, "geometry."),
+    ({"geometry": {"theta_deg.x": 30}}, "geometry.theta_deg.x"),
+])
+def test_run_file_key_is_one_level_of_a_field_path(tmp_path, capsys, extra,
+                                                   field):
+    # a dotted key names no field, though its dotted form is a field's path
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({"beam": {"type": "lg", "l": 1}, **extra}))
+    argv = ["transition-map", "--run-file", run_file, "--resolution", "4,4",
+            "-o", tmp_path / "out"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "configuration error: run file: unknown field "
+                              f"'{field}'\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"beam": {"type": "lg", "l": "a"}}, "beam.l"),
     ({"beam": {"type": "lg", "l": 1, "waist_um": -1}}, "beam.waist_um"),
