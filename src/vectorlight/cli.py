@@ -630,6 +630,8 @@ def cmd_sideband_map(args) -> int:
 
 def cmd_point(args) -> int:
     doc = _resolve(args)
+    # m2 follows from each Delta-m, so a run file's m2 is not echoed
+    doc["transition"].pop("m2", None)
     beam, geom, trap, dm0, trans0, n = _motion_run(doc)
     pos_um = _read(doc, "", "position_um", _numbers(_coordinate, 3))
     point = np.array([v * UM for v in pos_um])

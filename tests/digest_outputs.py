@@ -24,7 +24,11 @@ this file.  Items:
   -0.0 z, 5 identical points, equal points in runs of 3, grid rows in a
   (4, 5) batch, signed-zero rows, a Gauss-Hermite cloud, that cloud
   permuted, and single points;
-- ``average:<beam>:<dm>``: Gauss-Hermite averaged strengths and their rms.
+- ``average:<beam>:<dm>``: Gauss-Hermite averaged strengths and their rms;
+- ``average:reordered|other|tilted:<beam>:<dm>``: the same clouds again,
+  rms first and interleaved with another cloud, that other cloud, and the
+  first cloud at a tilted quantization axis; a ``reordered`` line equals
+  the ``average`` line of its beam and dm.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import tempfile
 
 import numpy as np
 
-from vectorlight import (BeamSpec, FieldComponentObservable, HalfInt,
-                         ScanConfig, TransitionSpec,
+from vectorlight import (BeamSpec, FieldComponentObservable, Geometry,
+                         HalfInt, ScanConfig, TransitionSpec,
                          averaged_strength, averaged_strength_rms,
                          field_sample_upto, make_radial_azimuthal, run_scans)
 from vectorlight import cli
@@ -315,16 +319,39 @@ def samples() -> None:
 
 
 def averages() -> None:
+    center, widths = [0.2 * W0, -0.4 * W0, 0.1 * W0], [1e-8, 1.1e-8, 1.2e-8]
+    other = [-0.3 * W0, 0.1 * W0, -0.2 * W0]
+    tilted = Geometry(math.radians(30), (1.0, 0.0, 0.0))
     for name, beam in _beams().items():
         for dm in (-2, 0, 1):
             m1 = HalfInt(1)
             trans = TransitionSpec("1/2", m1, "5/2", m1 + HalfInt(2 * dm),
                                    "E2_dJ2")
-            center, widths = [0.2 * W0, -0.4 * W0, 0.1 * W0], [1e-8, 1.1e-8,
-                                                               1.2e-8]
             avg = averaged_strength(beam, center, widths, trans)
             rms = averaged_strength_rms(beam, center, widths, trans)
             _emit(f"average:{name}:{dm}", _sha(repr((avg, rms)).encode()))
+    # the same clouds again in another order, so the held cloud is hit:
+    # rms first, interleaved with another cloud, then at a tilted geometry;
+    # each ``reordered`` line equals the ``average`` line of its beam and dm
+    for name, beam in _beams().items():
+        for dm in (-2, 0, 1):
+            m1 = HalfInt(1)
+            trans = TransitionSpec("1/2", m1, "5/2", m1 + HalfInt(2 * dm),
+                                   "E2_dJ2")
+            rms = averaged_strength_rms(beam, center, widths, trans)
+            avg_other = averaged_strength(beam, other, widths, trans)
+            avg = averaged_strength(beam, center, widths, trans)
+            rms_other = averaged_strength_rms(beam, other, widths, trans)
+            rms_tilted = averaged_strength_rms(beam, center, widths, trans,
+                                               tilted)
+            avg_tilted = averaged_strength(beam, center, widths, trans,
+                                           tilted)
+            _emit(f"average:reordered:{name}:{dm}",
+                  _sha(repr((avg, rms)).encode()))
+            _emit(f"average:other:{name}:{dm}",
+                  _sha(repr((avg_other, rms_other)).encode()))
+            _emit(f"average:tilted:{name}:{dm}",
+                  _sha(repr((avg_tilted, rms_tilted)).encode()))
 
 
 def main() -> int:

@@ -480,6 +480,18 @@ def test_rerunning_any_flag_runs_echo_reproduces_its_files(data, command, beam):
                     assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("m2", ["99/2", "3/2", "-1/2"])
+def test_point_record_does_not_echo_a_run_files_m2(tmp_path, m2):
+    # point derives m2 from each Delta-m, so a run file's m2 is not echoed,
+    # valid or not, and the echo re-runs to the same record
+    doc = {"beam": {"type": "radial"}, "transition": {"m2": m2}}
+    record = _rerun(tmp_path, "point", doc)
+    echo = json.loads(record)["run"]
+    assert "m2" not in echo["transition"]
+    assert record == _run_quietly(["point", "--beam", "radial"])
+    assert _rerun(tmp_path, "point", echo) == record
+
+
 def test_scan_telemetry_is_logged_out_of_band(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(scan_module, "_usable_cpus", lambda: 2)
     beam = BeamSpec.lg(1, 0, sigma=1, waist=1e-6, wavelength=0.729e-6)

@@ -6,13 +6,16 @@ transformed into the atom frame (vector components and derivative indices
 alike) and contracted with the unrotated tables.  Both paths must agree to high precision.
 """
 
+import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vectorlight import coupling
 from vectorlight.beams import (
     BeamSpec,
     FieldSample,
@@ -371,3 +374,158 @@ def test_averaging_validation():
         averaged_strength(beam, (0, 0, 0), (1e-9, 1e-9), trans)
     with pytest.raises(ValueError):
         averaged_strength(beam, (0, 0, 0), (1e-9,) * 3, trans, quadrature_order=0)
+
+
+# ---------------------------------------------------------------------------
+# the held cloud: consecutive calls on one cloud share one field sample
+
+_CENTER_A = (0.2 * WAIST, -0.4 * WAIST, 0.1 * WAIST)
+_CENTER_B = (-0.3 * WAIST, 0.1 * WAIST, -0.2 * WAIST)
+_WIDTHS = (1.0e-8, 1.1e-8, 1.2e-8)
+
+
+def _bits(value) -> bytes:
+    return np.array(value).tobytes()
+
+
+def _fresh(monkeypatch, func, *args, **kwargs):
+    """`func` evaluated with no cloud held, so it samples the field."""
+    monkeypatch.setattr(coupling, "_held_cloud", None)
+    return func(*args, **kwargs)
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """The list of (points shape, order) of every field sample taken."""
+    calls = []
+
+    def counting(spec, points, order, *rest):
+        calls.append((np.shape(points), order))
+        return field_sample_upto(spec, points, order, *rest)
+
+    monkeypatch.setattr(coupling, "_held_cloud", None)
+    monkeypatch.setattr(coupling, "field_sample_upto", counting)
+    return calls
+
+
+def test_held_cloud_serves_average_and_rms_in_any_order(monkeypatch):
+    beam = make_radial_azimuthal("radial", WAIST, WAVELENGTH)
+    other = BeamSpec.hg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
+    trans = transition(1)
+    funcs = {"avg": averaged_strength, "rms": averaged_strength_rms}
+    clouds = {"A": (beam, _CENTER_A), "B": (beam, _CENTER_B),
+              "C": (other, _CENTER_A)}
+    fresh = {(f, c): _bits(_fresh(monkeypatch, funcs[f], b, ctr, _WIDTHS,
+                                  trans))
+             for f in funcs for c, (b, ctr) in clouds.items()}
+    orders = [["avg", "rms"], ["rms", "avg"], ["rms", "rms", "avg", "avg"]]
+    for seq in orders:
+        for cloud_seq in (["A", "B", "A"], ["A", "C", "A"], ["B", "A", "B"]):
+            monkeypatch.setattr(coupling, "_held_cloud", None)
+            for c in cloud_seq:
+                b, ctr = clouds[c]
+                for f in seq:
+                    got = funcs[f](b, ctr, _WIDTHS, trans)
+                    assert _bits(got) == fresh[f, c], (seq, cloud_seq, c, f)
+
+
+def test_one_field_sample_serves_every_transition_and_geometry(monkeypatch,
+                                                               field_calls):
+    beam = BeamSpec.lg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
+    geoms = [None, Geometry(0.4), Geometry(1.1, (1.0, 0.5, -0.2))]
+    e2 = [transition(dm, mp) for mp in (Multipole.E2_DJ1, Multipole.E2_DJ2)
+          for dm in range(-mp.delta_j, mp.delta_j + 1)]
+    e1 = [transition(dm, Multipole.E1) for dm in (-1, 0, 1)]
+    expected = []
+    for trans in e2 + e1:
+        for geom in geoms:
+            for func in (averaged_strength, averaged_strength_rms):
+                args = (beam, _CENTER_A, _WIDTHS, trans, geom)
+                expected.append(_bits(_fresh(monkeypatch, func, *args)))
+    del field_calls[:]
+    monkeypatch.setattr(coupling, "_held_cloud", None)
+    got = [_bits(func(beam, _CENTER_A, _WIDTHS, trans, geom))
+           for trans in e2 + e1 for geom in geoms
+           for func in (averaged_strength, averaged_strength_rms)]
+    assert got == expected
+    # one sample at the E2 field order, then one at the E1 order
+    assert field_calls == [((15 ** 3, 3), 1), ((15 ** 3, 3), 0)]
+
+
+def test_held_cloud_is_matched_by_beam_and_bits(field_calls):
+    beam = BeamSpec.lg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
+    trans = transition(1, Multipole.E2_DJ1)
+    widths = np.array(_WIDTHS)
+    wider = widths.copy()
+    wider[1] = np.nextafter(wider[1], np.inf)
+    calls = [
+        (beam, (0.0, 0.0, 0.0), widths, 15, 1),
+        (beam, (0.0, 0.0, 0.0), widths, 15, 1),  # the same cloud: a hit
+        (beam, (-0.0, 0.0, 0.0), widths, 15, 2),  # a signed zero apart
+        (beam, (0.0, 0.0, 0.0), widths, 15, 3),
+        (beam, (0.0, 0.0, 0.0), wider, 15, 4),  # a width one ulp apart
+        (beam, (0.0, 0.0, 0.0), wider, 15, 4),
+        (beam, (0.0, 0.0, 0.0), wider, 9, 5),  # another quadrature order
+        (beam, (0.0, 0.0, 0.0), wider, 9.0, 5),  # the same order as a float
+        # an equal beam, but another object
+        (BeamSpec.lg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH),
+         (0.0, 0.0, 0.0), wider, 9, 6),
+    ]
+    for spec, center, w, order, n in calls:
+        averaged_strength_rms(spec, center, w, trans, quadrature_order=order)
+        assert len(field_calls) == n, (center, w, order)
+
+
+def test_invalid_cloud_raises_right_after_a_valid_call():
+    beam = BeamSpec.lg(0, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
+    trans = transition(1, multipole=Multipole.E2_DJ1)
+    bad = [((0.0, 1e-9, 1e-9), 15), ((-1e-9, 1e-9, 1e-9), 15),
+           ((1e-9, 1e-9), 15), ((1e-9,) * 4, 15), ((1e-9,) * 3, 0),
+           ((1e-9,) * 3, -3), ((1e-9,) * 3, 2.5)]
+    for widths, order in bad:
+        for func in (averaged_strength, averaged_strength_rms):
+            func(beam, (0, 0, 0), (1e-9,) * 3, trans)
+            with pytest.raises(ValueError):
+                func(beam, (0, 0, 0), widths, trans, quadrature_order=order)
+
+
+def test_threads_alternating_clouds_get_fresh_results(monkeypatch):
+    beam = make_radial_azimuthal("azimuthal", WAIST, WAVELENGTH)
+    trans = transition(0)
+    clouds = [_CENTER_A, _CENTER_B]
+    fresh = [(_bits(_fresh(monkeypatch, averaged_strength, beam, c, _WIDTHS,
+                           trans)),
+              _bits(_fresh(monkeypatch, averaged_strength_rms, beam, c,
+                           _WIDTHS, trans)))
+             for c in clouds]
+    barrier = threading.Barrier(2)
+
+    def work(first):
+        barrier.wait()
+        got = []
+        for k in range(12):
+            c = (first + k) % 2
+            got.append((c, _bits(averaged_strength(beam, clouds[c], _WIDTHS,
+                                                   trans)),
+                        _bits(averaged_strength_rms(beam, clouds[c], _WIDTHS,
+                                                    trans))))
+        return got
+
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(work, (0, 1)))
+    for got in results:
+        assert [(a, r) for _, a, r in got] == [fresh[c] for c, _, _ in got]
+
+
+def test_held_arrays_are_read_only():
+    beam = BeamSpec.hg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
+    for multipole in (Multipole.E1, Multipole.E2_DJ2):
+        averaged_strength(beam, _CENTER_A, _WIDTHS, transition(0, multipole))
+        sample = coupling._held_cloud[2]
+        blocks = [sample.block(k)
+                  for k in range(multipole.field_order + 1)]
+        nodes, weights = coupling._gauss_hermite(15)
+        for arr in blocks + [nodes, weights]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
