@@ -284,7 +284,9 @@ def _gauss_hermite(order: int):
 
 
 # the last cloud's (beam, key, sample): a beam is matched by identity and the
-# rest by bits, so a hit returns exactly the sample a new evaluation would
+# rest by bits, so a hit returns exactly the sample a new evaluation would.
+# Threads read and replace the tuple whole, so they need no lock: at worst
+# two of them each evaluate a cloud.
 _held_cloud = None
 
 

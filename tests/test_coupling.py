@@ -8,6 +8,7 @@ alike) and contracted with the unrotated tables.  Both paths must agree to high 
 
 import concurrent.futures
 import math
+import sys
 import threading
 
 import numpy as np
@@ -490,31 +491,46 @@ def test_invalid_cloud_raises_right_after_a_valid_call():
 
 
 def test_threads_alternating_clouds_get_fresh_results(monkeypatch):
-    beam = make_radial_azimuthal("azimuthal", WAIST, WAVELENGTH)
-    trans = transition(0)
-    clouds = [_CENTER_A, _CENTER_B]
-    fresh = [(_bits(_fresh(monkeypatch, averaged_strength, beam, c, _WIDTHS,
-                           trans)),
-              _bits(_fresh(monkeypatch, averaged_strength_rms, beam, c,
-                           _WIDTHS, trans)))
-             for c in clouds]
-    barrier = threading.Barrier(2)
+    # more threads than cores, switching often: a sample handed to the wrong
+    # cloud, transition or field order would change some result's bits
+    radial = make_radial_azimuthal("radial", WAIST, WAVELENGTH)
+    clouds = [(radial, _CENTER_A), (radial, _CENTER_B),
+              (BeamSpec.lg(-1, 0, +1, waist=WAIST, wavelength=WAVELENGTH),
+               _CENTER_A)]
+    transitions = [transition(0), transition(1, Multipole.E1)]
+    cases = [(c, t) for c in range(len(clouds))
+             for t in range(len(transitions))]
+
+    def evaluate(c, t):
+        beam, center = clouds[c]
+        return (_bits(averaged_strength(beam, center, _WIDTHS,
+                                        transitions[t])),
+                _bits(averaged_strength_rms(beam, center, _WIDTHS,
+                                            transitions[t])))
+
+    fresh = {}
+    for case in cases:
+        monkeypatch.setattr(coupling, "_held_cloud", None)
+        fresh[case] = evaluate(*case)
+    barrier = threading.Barrier(4, timeout=60)
 
     def work(first):
         barrier.wait()
-        got = []
-        for k in range(12):
-            c = (first + k) % 2
-            got.append((c, _bits(averaged_strength(beam, clouds[c], _WIDTHS,
-                                                   trans)),
-                        _bits(averaged_strength_rms(beam, clouds[c], _WIDTHS,
-                                                    trans))))
-        return got
+        order = [cases[(first + k) % len(cases)] for k in range(3 * len(cases))]
+        return [(case, evaluate(*case)) for case in order]
 
-    with concurrent.futures.ThreadPoolExecutor(2) as pool:
-        results = list(pool.map(work, (0, 1)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(work, first) for first in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
     for got in results:
-        assert [(a, r) for _, a, r in got] == [fresh[c] for c, _, _ in got]
+        assert len(got) == 3 * len(cases)
+        for case, bits in got:
+            assert bits == fresh[case], case
 
 
 def test_held_arrays_are_read_only():
