@@ -28,7 +28,10 @@ this file.  Items:
 - ``average:reordered|other|tilted:<beam>:<dm>``: the same clouds again,
   rms first and interleaved with another cloud, that other cloud, and the
   first cloud at a tilted quantization axis; a ``reordered`` line equals
-  the ``average`` line of its beam and dm.
+  the ``average`` line of its beam and dm;
+- ``average:e1-after-e2|e1-first:<beam>:<dm>``: E1 averaged strengths and
+  their rms on the same clouds, taken right after an E2 pair on the cloud,
+  and taken first with the E2 pair after them.
 """
 
 from __future__ import annotations
@@ -352,6 +355,28 @@ def averages() -> None:
                   _sha(repr((avg_other, rms_other)).encode()))
             _emit(f"average:tilted:{name}:{dm}",
                   _sha(repr((avg_tilted, rms_tilted)).encode()))
+    # E1 and E2 on each cloud: E1 right after each E2 pair, then, on the
+    # next pass, every E1 channel first and the E2 channels after them
+    m1 = HalfInt(1)
+    channels = [(dm1, TransitionSpec("1/2", m1, "5/2", m1 + HalfInt(2 * dm),
+                                     "E2_dJ2"),
+                 TransitionSpec("1/2", m1, "3/2", m1 + HalfInt(2 * dm1), "E1"))
+                for dm, dm1 in ((-2, -1), (0, 0), (1, 1))]
+
+    def pair(beam, trans):
+        return (averaged_strength(beam, center, widths, trans),
+                averaged_strength_rms(beam, center, widths, trans))
+
+    for name, beam in _beams().items():
+        for dm1, e2, e1 in channels:
+            pair(beam, e2)
+            _emit(f"average:e1-after-e2:{name}:{dm1}",
+                  _sha(repr(pair(beam, e1)).encode()))
+    for name, beam in _beams().items():
+        e1_first = [pair(beam, e1) for _, _, e1 in channels]
+        for (dm1, e2, _), e1_pair in zip(channels, e1_first):
+            _emit(f"average:e1-first:{name}:{dm1}",
+                  _sha(repr((e1_pair, pair(beam, e2))).encode()))
 
 
 def main() -> int:
