@@ -40,7 +40,7 @@ from .beams import (
 from .coupling import (Geometry, Multipole, TransitionSpec, coefficients_for,
                        relative_strength)
 from .errors import ConfigurationError, NumericalError
-from .motion import SidebandRequest, TrapSpec, _line_strength
+from .motion import SidebandRequest, TrapSpec, _line_order, _line_strength
 from .scan import (
     MAX_GRID_CELLS,
     FieldComponentObservable,
@@ -636,21 +636,21 @@ def cmd_point(args) -> int:
     pos_um = _read(doc, "", "position_um", _numbers(_coordinate, 3))
     point = np.array([v * UM for v in pos_um])
 
-    # one order-2 sample serves every line: its lower-order blocks are
-    # bitwise those of a lower-order sample
-    sample = field_sample_upto(beam, point, 2)
+    lines = [(b if b == "carrier" else f"{b}_{m}", SidebandRequest(m, n, b))
+             for m in ("X", "Y", "Z") for b in ("carrier", "bsb", "rsb")]
+    # one sample at the deepest line's order serves every line: its
+    # lower-order blocks are bitwise those of a lower-order sample
+    sample = field_sample_upto(
+        beam, point, max(_line_order(req, trans0) for _, req in lines))
     comps = _circular(sample.electric)
     mu: Dict[str, List[float]] = {}
     for dm, trans in _transitions(doc["transition"]).items():
         mu[f"{dm:+d}"] = _complex_pair(relative_strength(sample, trans, geom))
     sidebands = {}
-    for mode in ("X", "Y", "Z"):
-        for branch in ("carrier", "bsb", "rsb"):
-            req = SidebandRequest(mode, n, branch)
-            val = _line_strength(lambda pts, order: sample, point, trap, req,
-                                 trans0, geom)[0]
-            key = branch if branch == "carrier" else f"{branch}_{mode}"
-            sidebands[key] = _complex_pair(complex(val))
+    for key, req in lines:
+        val = _line_strength(lambda pts, order: sample, point, trap, req,
+                             trans0, geom)[0]
+        sidebands[key] = _complex_pair(complex(val))
 
     record = {
         "tool_version": __version__,

@@ -284,7 +284,8 @@ def _gauss_hermite(order: int):
 
 
 # the last cloud's (beam, key, sample): a beam is matched by identity and the
-# rest by bits, so a hit returns exactly the sample a new evaluation would.
+# rest by bits, and the sample serves every field order it holds a block of,
+# so a hit returns exactly the blocks a new evaluation would.
 # Threads read and replace the tuple whole, so they need no lock: at worst
 # two of them each evaluate a cloud.
 _held_cloud = None
@@ -292,13 +293,15 @@ _held_cloud = None
 
 def _cloud_sample(spec: BeamSpec, center, widths: np.ndarray, order: int,
                   field_order: int) -> FieldSample:
-    """Read-only field sample on the cloud's quadrature points, evaluated
-    once for consecutive calls on one cloud."""
+    """Field sample, with a `field_order` block, on the cloud's quadrature
+    points.  The last cloud's sample is held and serves each later call on
+    that cloud whose block it has."""
     global _held_cloud
     c = np.asarray(center, dtype=float)
-    key = (c.shape, c.tobytes(), widths.tobytes(), order, field_order)
+    key = (c.shape, c.tobytes(), widths.tobytes(), order)
     held = _held_cloud
-    if held is not None and held[0] is spec and held[1] == key:
+    if held is not None and held[0] is spec and held[1] == key \
+            and held[2].block(field_order) is not None:
         return held[2]
     nodes = _gauss_hermite(order)[0]
     # |psi|^2 with per-axis RMS width s gives exp(-q^2 / 2 s^2): substitute
@@ -335,8 +338,9 @@ def averaged_strength(spec: BeamSpec, center, widths, trans: TransitionSpec,
     `widths` are per-axis RMS widths of the wavepacket probability density.
     The field on the cloud's quadrature points is evaluated once for
     consecutive calls on one cloud (the same beam object, the same bits of
-    `center` and `widths`, the same quadrature and field order), whatever
-    their transition or geometry; only the last cloud is held.
+    `center` and `widths`, the same quadrature order), whatever their
+    transition or geometry, unless a later call's multipole needs a deeper
+    field order than the held sample has; only the last cloud is held.
     """
     w3, mu = _quadrature_strengths(spec, center, widths, trans,
                                    geom or Geometry(), quadrature_order)

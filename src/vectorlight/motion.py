@@ -152,6 +152,12 @@ def _ladder_factor(req: SidebandRequest) -> float:
     return math.sqrt(float(req.n))
 
 
+def _line_order(req: SidebandRequest, trans: TransitionSpec) -> int:
+    """Field order a line samples: its transition's for the carrier, one
+    more for a sideband, whose first-order term is the strength's gradient."""
+    return trans.multipole.field_order + (req.branch != "carrier")
+
+
 def _line_strength(sample: Callable[[np.ndarray, int], FieldSample],
                    points: np.ndarray, trap: TrapSpec, req: SidebandRequest,
                    trans: TransitionSpec, geom: Geometry):
@@ -162,7 +168,7 @@ def _line_strength(sample: Callable[[np.ndarray, int], FieldSample],
     field block contracted, carried through the same factors as the values;
     a strength far below it is cancellation residue.
     """
-    order = trans.multipole.field_order
+    order = _line_order(req, trans)
     if req.branch == "carrier":
         fs = sample(points, order)
         vals = relative_strength(fs, trans, geom)
@@ -173,10 +179,10 @@ def _line_strength(sample: Callable[[np.ndarray, int], FieldSample],
         return np.zeros(points.shape[:-1], dtype=complex), 1.0
     idx = trap.mode_index(req.mode)
     z0 = zero_point_length(trap.mass, trap.frequencies[idx])
-    fs = sample(points, order + 1)
+    fs = sample(points, order)
     grad = strength_gradient(fs, trans, geom)
     vals = _along(grad, trap.axes[idx]) * (z0 * factor)
-    return vals, fs.peak(order + 1) * z0 * factor
+    return vals, fs.peak(order) * z0 * factor
 
 
 def sideband_strength_at(spec: BeamSpec, trap: TrapSpec, req: SidebandRequest,

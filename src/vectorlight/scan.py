@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .beams import (LENGTH_RANGE, BeamSpec, ProfileMemo, _circular,
                     field_sample_upto)
 from .coupling import Geometry, TransitionSpec, relative_strength
 from .errors import ConfigurationError, NumericalError
-from .motion import SidebandRequest, TrapSpec, _line_strength, lamb_dicke
+from .motion import (SidebandRequest, TrapSpec, _line_order, _line_strength,
+                     lamb_dicke)
 
 __all__ = [
     "FieldComponentObservable",
@@ -97,16 +98,24 @@ class _ChunkSampleCache:
         return fs
 
 
+def _require(kind: str, *pairs) -> None:
+    """Raise ConfigurationError unless each (value, class) pair matches."""
+    for value, cls in pairs:
+        if not isinstance(value, cls):
+            raise ConfigurationError(
+                f"{kind} observable needs a {cls.__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class FieldComponentObservable:
     """Modulus map source for one longitudinal or circular field component."""
 
     beam: BeamSpec
     component: str
+    field_order: ClassVar[int] = 0
 
     def __post_init__(self):
-        if not isinstance(self.beam, BeamSpec):
-            raise ConfigurationError("field observable needs a BeamSpec")
+        _require("field", (self.beam, BeamSpec))
         if self.component not in _COMPONENTS:
             raise ConfigurationError(
                 f"component must be one of {_COMPONENTS}, got {self.component!r}")
@@ -131,22 +140,23 @@ class TransitionObservable:
     geometry: Geometry = None
 
     def __post_init__(self):
-        if not isinstance(self.beam, BeamSpec):
-            raise ConfigurationError("transition observable needs a BeamSpec")
-        if not isinstance(self.transition, TransitionSpec):
-            raise ConfigurationError("transition observable needs a TransitionSpec")
-        if self.geometry is None:
-            object.__setattr__(self, "geometry", Geometry())
+        _require("transition", (self.beam, BeamSpec),
+                 (self.transition, TransitionSpec))
+        object.__setattr__(self, "geometry", self.geometry or Geometry())
 
     @property
     def name(self) -> str:
         t = self.transition
         return f"mu:dm={float(t.delta_m):+g}:{t.multipole.value}"
 
+    @property
+    def field_order(self) -> int:
+        return self.transition.multipole.field_order
+
     def evaluate(self, points: np.ndarray,
                  cache: Optional[_ChunkSampleCache] = None
                  ) -> Tuple[np.ndarray, float]:
-        order = self.transition.multipole.field_order
+        order = self.field_order
         fs = (cache or _ChunkSampleCache()).sample(self.beam, points, order)
         mu = relative_strength(fs, self.transition, self.geometry)
         # scale of the raw field data entering the contraction; a peak far
@@ -172,21 +182,19 @@ class SidebandObservable:
     eta_rescale: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.beam, BeamSpec):
-            raise ConfigurationError("sideband observable needs a BeamSpec")
-        if not isinstance(self.trap, TrapSpec):
-            raise ConfigurationError("sideband observable needs a TrapSpec")
-        if not isinstance(self.request, SidebandRequest):
-            raise ConfigurationError("sideband observable needs a SidebandRequest")
-        if not isinstance(self.transition, TransitionSpec):
-            raise ConfigurationError("sideband observable needs a TransitionSpec")
-        if self.geometry is None:
-            object.__setattr__(self, "geometry", Geometry())
+        _require("sideband", (self.beam, BeamSpec), (self.trap, TrapSpec),
+                 (self.request, SidebandRequest),
+                 (self.transition, TransitionSpec))
+        object.__setattr__(self, "geometry", self.geometry or Geometry())
 
     @property
     def name(self) -> str:
         r = self.request
         return f"sideband:{r.branch}:{r.mode}:n={r.n}"
+
+    @property
+    def field_order(self) -> int:
+        return _line_order(self.request, self.transition)
 
     def _eta(self) -> float:
         idx = self.trap.mode_index(self.request.mode)
@@ -342,27 +350,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _depth(observable) -> int:
-    """Deepest field order a built-in observable samples; 0 for others."""
-    if isinstance(observable, TransitionObservable):
-        return observable.transition.multipole.field_order
-    if isinstance(observable, SidebandObservable):
-        return (observable.transition.multipole.field_order
-                + (observable.request.branch != "carrier"))
-    return 0
-
-
 def _evaluation_order(configs, members) -> List[int]:
-    """The group members deepest field order first (see `_depth`), then by
-    beam in order of first appearance, an observable without a `beam`
-    being its own group.  The sort is stable, and every request of a chunk
-    for one (beam, order) pair comes in one run."""
+    """The group members deepest `field_order` first, 0 for an observable
+    that states none, then by beam in order of first appearance, an
+    observable without a `beam` being its own group.  The sort is stable,
+    and every request of a chunk for one (beam, order) pair comes in one
+    run."""
     groups: Dict[int, int] = {}
     keys = {}
     for i in members:
         obs = configs[i].observable
         group = groups.setdefault(id(getattr(obs, "beam", obs)), len(groups))
-        keys[i] = (-_depth(obs), group)
+        keys[i] = (-getattr(obs, "field_order", 0), group)
     return sorted(members, key=keys.__getitem__)
 
 
@@ -428,8 +427,9 @@ def run_scans(configs: Sequence[ScanConfig],
     ny.  When a row is longer than `chunk_size`, each row is cut into
     chunks of `chunk_size` points and its rest.  A chunk's points are then
     a tensor grid, so factors of one coordinate are built once per row,
-    column or plane (see `beams._coords`).  Within a chunk the built-in
-    observables run deepest field order first, then beam by beam (see
+    column or plane (see `beams._coords`).  Within a chunk the observables
+    run deepest `field_order` first, the order of the field sample each
+    takes (0 for one that states none), then beam by beam (see
     `_evaluation_order`), so the deepest profiles serve lower orders and
     one cached sample suffices.  The chunks of a grid run on a thread pool
     of min(chunks, usable CPUs) workers, usable CPUs taken from the

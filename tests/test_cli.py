@@ -327,7 +327,7 @@ def test_point_with_non_finite_output_exits_3(capsys, argv):
      "-0.4,0.1,0.2"],
 ])
 def test_point_sidebands_equal_fresh_line_strengths(capsys, extra):
-    # the record's one order-2 sample gives the values of per-line samples
+    # the record's one sample gives the values of per-line samples
     assert run(["point", "--beam", "radial"] + extra) == 0
     rec = json.loads(capsys.readouterr().out)
     doc = rec["run"]
@@ -715,6 +715,30 @@ def test_point_vortex_center_has_single_open_channel(capsys):
     assert rec["sidebands"]["carrier"] == [0.0, 0.0]
     assert rec["sidebands"]["bsb_X"] != [0.0, 0.0]
     assert rec["sidebands"]["rsb_X"] == [0.0, 0.0]  # no level below n=0
+
+
+def test_point_takes_one_sample_at_its_deepest_line_order(monkeypatch):
+    # a sideband needs one order more than its transition: 1 for E1, 2 for
+    # E2; an order-2 sample gives the E1 record the same bytes
+    real = cli_module.field_sample_upto
+    orders = []
+
+    def counting(spec, point, k):
+        orders.append(k)
+        return real(spec, point, k)
+
+    def order_2(spec, point, k):
+        return real(spec, point, 2)
+
+    argv = ["point", "--beam", "radial", "--position-um=0.3,-0.2,0.1"]
+    for extra, order in ((["--multipole", "E1", "--j2", "3/2"], 1),
+                         ([], 2)):
+        del orders[:]
+        monkeypatch.setattr(cli_module, "field_sample_upto", counting)
+        record = _run_quietly(argv + extra)
+        assert orders == [order]
+        monkeypatch.setattr(cli_module, "field_sample_upto", order_2)
+        assert _run_quietly(argv + extra) == record
 
 
 def test_point_azimuthal_longitudinal_component_is_zero(capsys):

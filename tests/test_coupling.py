@@ -439,20 +439,22 @@ def test_one_field_sample_serves_every_transition_and_geometry(monkeypatch,
     e2 = [transition(dm, mp) for mp in (Multipole.E2_DJ1, Multipole.E2_DJ2)
           for dm in range(-mp.delta_j, mp.delta_j + 1)]
     e1 = [transition(dm, Multipole.E1) for dm in (-1, 0, 1)]
-    expected = []
-    for trans in e2 + e1:
-        for geom in geoms:
-            for func in (averaged_strength, averaged_strength_rms):
-                args = (beam, _CENTER_A, _WIDTHS, trans, geom)
-                expected.append(_bits(_fresh(monkeypatch, func, *args)))
-    del field_calls[:]
-    monkeypatch.setattr(coupling, "_held_cloud", None)
-    got = [_bits(func(beam, _CENTER_A, _WIDTHS, trans, geom))
-           for trans in e2 + e1 for geom in geoms
-           for func in (averaged_strength, averaged_strength_rms)]
-    assert got == expected
-    # one sample at the E2 field order, then one at the E1 order
-    assert field_calls == [((15 ** 3, 3), 1), ((15 ** 3, 3), 0)]
+    # E2 first: its order-1 sample serves E1 from its block 0; E1 first:
+    # its order-0 sample has no jacobian, so E2 takes an order-1 sample
+    for seq, orders in ((e2 + e1, [1]), (e1 + e2, [0, 1])):
+        expected = []
+        for trans in seq:
+            for geom in geoms:
+                for func in (averaged_strength, averaged_strength_rms):
+                    args = (beam, _CENTER_A, _WIDTHS, trans, geom)
+                    expected.append(_bits(_fresh(monkeypatch, func, *args)))
+        del field_calls[:]
+        monkeypatch.setattr(coupling, "_held_cloud", None)
+        got = [_bits(func(beam, _CENTER_A, _WIDTHS, trans, geom))
+               for trans in seq for geom in geoms
+               for func in (averaged_strength, averaged_strength_rms)]
+        assert got == expected
+        assert field_calls == [((15 ** 3, 3), k) for k in orders]
 
 
 def test_held_cloud_is_matched_by_beam_and_bits(field_calls):

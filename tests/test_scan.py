@@ -407,6 +407,50 @@ def test_first_observable_to_raise_in_evaluation_order_propagates():
         run_scans(cfgs)
 
 
+def test_each_observable_states_the_field_order_it_samples():
+    e1 = TransitionSpec("1/2", "1/2", "3/2", "1/2", "E1")
+    e2 = quad_transition(1)
+
+    def line(branch, trans):
+        return SidebandObservable(lg_beam(), trap(),
+                                  SidebandRequest("X", 0, branch), trans)
+
+    cases = [(FieldComponentObservable(lg_beam(), "z"), 0),
+             (TransitionObservable(lg_beam(), e1), 0),
+             (TransitionObservable(lg_beam(), e2), 1),
+             (line("carrier", e2), 1), (line("bsb", e2), 2),
+             (line("rsb", e2), 2), (line("bsb", e1), 1)]
+    pts = np.array([[0.1 * W0, -0.2 * W0, 0.0], [0.3 * W0, 0.0, 0.1 * W0]])
+    orders = []
+
+    def sample(beam, points, k):
+        orders.append(k)
+        return field_sample_upto(beam, points, k)
+
+    for obs, order in cases:
+        assert obs.field_order == order, obs.name
+        cache = scan_module._ChunkSampleCache()
+        cache.sample = sample
+        del orders[:]
+        obs.evaluate(pts, cache)
+        # the ground-state red sideband is an exact zero: it samples nothing
+        assert orders == ([] if obs.name == "sideband:rsb:X:n=0"
+                          else [order]), obs.name
+
+
+def test_an_observable_stating_a_deeper_field_order_runs_first():
+    class Fails(TransitionObservable):
+        def evaluate(self, points, cache=None):
+            raise ValueError("order 1")
+
+    deep = _Constant(1.0, ValueError("order 2"))
+    deep.field_order = 2
+    cfgs = [ScanConfig(o, EXTENT, (8, 8))
+            for o in (Fails(lg_beam(), quad_transition(1)), deep)]
+    with pytest.raises(ValueError, match="^order 2$"):
+        run_scans(cfgs)
+
+
 def test_interleaved_beams_raise_in_depth_then_beam_order():
     # one depth: the maps of lg:1 run before those of lg:-1
     first, second = _Constant(1.0), _Constant(1.0, ValueError("lg:-1"))
