@@ -21,7 +21,6 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .jets import Jet
 from .special import hermite, laguerre
 
@@ -165,6 +164,9 @@ class FieldSample:
     electric : (..., 3) complex          E_j
     jacobian : (..., 3, 3) complex       d_i E_j
     hessian  : (..., 3, 3, 3) complex    d_p d_i E_j  (symmetric in p, i)
+
+    The blocks of a `field_sample_upto` sample are read-only, so one sample
+    can be handed to several consumers.
     """
 
     electric: np.ndarray
@@ -437,9 +439,6 @@ def _profile(mode: Mode, waist: float, k: float, order: int,
     if f is not None:
         memo.reused += 1
         return f
-    if not isinstance(mode, (LGMode, HGMode)):
-        raise ConfigurationError(
-            f"unsupported mode type {type(mode).__name__}")
     memo.built += 1
     x, y, z = coords()
     if isinstance(mode, LGMode):
@@ -568,4 +567,6 @@ def field_sample_upto(spec: BeamSpec, point, order: int,
               for k, b in enumerate(zip(*(j.blocks for j in jets)))]
     if single:
         blocks = [b[0] for b in blocks]
+    for b in blocks:
+        b.flags.writeable = False
     return FieldSample(*blocks, *(None,) * (2 - order))

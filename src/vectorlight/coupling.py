@@ -310,8 +310,6 @@ def _cloud_sample(spec: BeamSpec, center, widths: np.ndarray, order: int,
                                for a in range(3)), indexing="ij")
     offs = np.stack([qx.ravel(), qy.ravel(), qz.ravel()], axis=-1)
     fs = field_sample_upto(spec, c + offs, field_order)
-    for k in range(field_order + 1):
-        fs.block(k).flags.writeable = False
     _held_cloud = (spec, key, fs)
     return fs
 

@@ -725,6 +725,19 @@ def test_field_sample_consistency(probe_points):
             assert np.array_equal(low.block(k), single.block(k))
 
 
+def test_field_samples_refuse_writes(probe_points):
+    # one sample may serve several consumers, so none of them can change it
+    beam = make_five_beams()[1][1]
+    for points in (probe_points, probe_points[3]):
+        for order in (0, 1, 2):
+            fs = field_sample_upto(beam, points, order)
+            for k in range(order + 1):
+                block = fs.block(k)
+                assert not block.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    block[...] = 0.0
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_empty_batches_give_empty_blocks(order):
     for beam in _BITWISE_BEAMS:

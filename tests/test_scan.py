@@ -451,6 +451,22 @@ def test_an_observable_stating_a_deeper_field_order_runs_first():
         run_scans(cfgs)
 
 
+def test_an_observable_cannot_change_its_chunks_sample():
+    class Writes:
+        name = "writes"
+        beam = lg_beam()
+
+        def evaluate(self, points, cache=None):
+            fs = cache.sample(self.beam, points, 0)
+            fs.electric[...] = 0.0
+            return fs.electric[:, 0], 1.0
+
+    cfgs = [ScanConfig(o, EXTENT, (8, 8))
+            for o in (Writes(), FieldComponentObservable(Writes.beam, "z"))]
+    with pytest.raises(ValueError, match="read-only"):
+        run_scans(cfgs)
+
+
 def test_interleaved_beams_raise_in_depth_then_beam_order():
     # one depth: the maps of lg:1 run before those of lg:-1
     first, second = _Constant(1.0), _Constant(1.0, ValueError("lg:-1"))
