@@ -3,25 +3,30 @@
 Run from the repository root:
 
     python tests/count_src_lines.py
+    python tests/count_src_lines.py --against REV
 
 For each ``src/vectorlight/*.py`` file it prints the number of lines and of
 code lines: lines that are not blank, not only a comment and not part of a
-docstring (of the module, a class or a function).  A change's net line
-delta is the difference of two such tables.  pytest does not collect this
+docstring (of the module, a class or a function).  With ``--against REV``
+it prints each module's counts at the git revision REV (read through
+``git show``), its counts in the working tree and the deltas; a module
+missing on one side counts as 0 lines there.  pytest does not collect this
 file.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import glob
 import io
 import os
+import subprocess
 import sys
 import tokenize
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "src", "vectorlight")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "vectorlight")
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
@@ -49,15 +54,56 @@ def count(text: str):
     return len(text.splitlines()), len(code - _docstring_lines(ast.parse(text)))
 
 
-def main() -> int:
-    rows = []
+def _tree_counts() -> dict:
+    counts = {}
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            rows.append((os.path.basename(path), *count(fh.read())))
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    print(f"{'file':<14} {'lines':>6} {'code':>6}")
-    for name, lines, code in rows:
-        print(f"{name:<14} {lines:>6} {code:>6}")
+            counts[os.path.basename(path)] = count(fh.read())
+    return counts
+
+
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _rev_counts(rev: str) -> dict:
+    names = _git("ls-tree", "--name-only", rev, "src/vectorlight/").split()
+    return {os.path.basename(n): count(_git("show", f"{rev}:{n}"))
+            for n in names if n.endswith(".py")}
+
+
+def _total(counts: dict):
+    return tuple(map(sum, zip(*counts.values()))) or (0, 0)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also count the modules at git revision REV "
+                             "and print the deltas")
+    args = parser.parse_args(argv)
+    tree = _tree_counts()
+    if args.against is None:
+        print(f"{'file':<14} {'lines':>6} {'code':>6}")
+        for name, (lines, code) in [*tree.items(), ("total", _total(tree))]:
+            print(f"{name:<14} {lines:>6} {code:>6}")
+        return 0
+    try:
+        old = _rev_counts(args.against)
+    except subprocess.CalledProcessError as err:
+        print(f"count_src_lines: {err.stderr.strip()}", file=sys.stderr)
+        return 2
+    rows = [(name, old.get(name, (0, 0)), tree.get(name, (0, 0)))
+            for name in sorted(old.keys() | tree.keys())]
+    rows.append(("total", _total(old), _total(tree)))
+    print(f"against {args.against}: lines and code lines there, in the "
+          "working tree, and the deltas")
+    print(f"{'file':<14} {'lines':>6} {'code':>6} {'lines':>6} {'code':>6} "
+          f"{'dlines':>7} {'dcode':>6}")
+    for name, (l0, c0), (l1, c1) in rows:
+        print(f"{name:<14} {l0:>6} {c0:>6} {l1:>6} {c1:>6} "
+              f"{l1 - l0:>+7} {c1 - c0:>+6}")
     return 0
 
 
