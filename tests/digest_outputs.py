@@ -15,6 +15,8 @@ this file.  Items:
 - ``cli:<label>``: one in-process CLI run in a fresh directory: exit code,
   stdout and stderr, and the name and bytes of every file it left, with the
   directory's path replaced by ``OUT``;
+- ``gnuplot:<label>``: the ``gnuplot-matrix`` file of one map CSV of a
+  ``field-map`` run;
 - ``runfile:<label>``: one in-process CLI run from a run file, digested as a
   ``cli:`` item: the re-run of each sidecar's ``run`` echo of a map run or
   of a point record's, run files that are bad input, and run files with
@@ -42,6 +44,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 
@@ -86,6 +89,16 @@ def panel() -> None:
 # -------------------------------------------------------------------- CLI
 
 
+# map runs of more than one band of rows of text (cli._TEXT_BAND cells): an
+# off-centre map with no mirror symmetry, and a centred one whose values
+# repeat across bands
+_BANDED_MAPS = [
+    ["field-map", "--beam", "hg:1,0", "--resolution", "300,260",
+     "--extent-um=-1.3,2.1,-0.7,1.9", "--z-plane-um", "0.3"],
+    ["field-map", "--beam", "lg:1", "--resolution", "300,260"],
+]
+
+
 def _cli_cases():
     grid = ["--resolution", "48,40"]
     small = ["--resolution", "32,32"]
@@ -111,6 +124,7 @@ def _cli_cases():
         ["field-map", "--beam", "lg:2,1", "--component", "sigma+",
          "--resolution", "37,23", "--extent-um=-1.5,2.5,-0.7,3.1"],
         ["field-map", "--beam", "hg:3,1", "--resolution", "33,17"],
+    ] + _BANDED_MAPS + [
         ["sideband-map", "--beam", "lg:1", "--branch", "rsb", "--n", "2"]
         + small,
         ["sideband-map", "--beam", "azimuthal", "--theta-deg", "45"] + small,
@@ -183,6 +197,22 @@ def cli_runs() -> None:
                 args += ["-o", os.path.join(out, "maps")]
             os.makedirs(out)
             _emit(f"cli:{kind}:{' '.join(argv)}", _sha(*_run_cli(args, out)))
+
+
+def gnuplot_runs() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in _BANDED_MAPS + [["field-map", "--beam", "lg:1"]]:
+            maps = os.path.join(tmp, "maps")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["-o", maps]) == 0
+            out = os.path.join(tmp, "gnuplot")
+            os.makedirs(out)
+            args = ["gnuplot-matrix", os.path.join(maps, "field_Ez.csv"),
+                    os.path.join(out, "field_Ez.mat")]
+            _emit(f"gnuplot:{' '.join(argv)}:field_Ez",
+                  _sha(*_run_cli(args, out)))
+            shutil.rmtree(maps)
+            shutil.rmtree(out)
 
 
 # -------------------------------------------------------------- run files
@@ -382,6 +412,7 @@ def averages() -> None:
 def main() -> int:
     panel()
     cli_runs()
+    gnuplot_runs()
     run_file_runs()
     samples()
     averages()
