@@ -441,6 +441,25 @@ def _atomic_write(path: str, text: str) -> None:
         raise _cannot_write(path, exc) from exc
 
 
+# cells in one band of whole rows of map text: the band's strings, about
+# 76 B each, are all held at once
+_TEXT_BAND = 1 << 16
+
+
+def _float_reprs(values: np.ndarray):
+    """Yield the repr of every float of the 2-D float64 array `values`, one
+    list of strings per row.  A band of rows formats each of its distinct
+    values once, told apart by their bits (so -0.0 and 0.0 are two): a map
+    centred on the beam axis repeats its values across its mirror lines."""
+    rows = max(1, _TEXT_BAND // values.shape[1])
+    for start in range(0, values.shape[0], rows):
+        band = np.ascontiguousarray(values[start:start + rows], np.float64)
+        bits, index = np.unique(band.view(np.uint64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                        dtype=object)
+        yield from text[index.reshape(band.shape)].tolist()
+
+
 def _csv_text(dataset: MapDataset, stem: str) -> str:
     xs = ", ".join(repr(float(v) / UM) for v in dataset.x_centers)
     ys = ", ".join(repr(float(v) / UM) for v in dataset.y_centers)
@@ -457,8 +476,7 @@ def _csv_text(dataset: MapDataset, stem: str) -> str:
         "# rows follow the x index, columns the y index; values are moduli"
         " normalized to a peak of 1",
     ]
-    for row in dataset.values:
-        lines.append(",".join(map(repr, row.tolist())))
+    lines += map(",".join, _float_reprs(dataset.values))
     return "\n".join(lines) + "\n"
 
 
@@ -687,10 +705,8 @@ def cmd_gnuplot_matrix(args) -> int:
     d = load_map_csv(args.input)
     nx = d.x_centers.size
     lines = [" ".join([str(nx)] + [repr(float(v) / UM) for v in d.x_centers])]
-    for iy in range(d.y_centers.size):
-        row = [repr(float(d.y_centers[iy]) / UM)]
-        row += [repr(float(v)) for v in d.values[:, iy]]
-        lines.append(" ".join(row))
+    for y, row in zip(d.y_centers, _float_reprs(d.values.T)):
+        lines.append(" ".join([repr(float(y) / UM)] + row))
     _atomic_write(args.output, "\n".join(lines) + "\n")
     print(args.output)
     return 0

@@ -856,6 +856,66 @@ def test_csv_rows_match_per_element_formula():
     assert text.encode() == "\n".join(header + rows).encode() + b"\n"
 
 
+def _mirrored_two_band_map():
+    # 300 x 260 cells are two bands of rows; row i equals row 299 - i, so
+    # the first band's values repeat in the second
+    half = np.random.default_rng(7).random((150, 260))
+    half[:, 130:] = half[:, 129::-1]
+    return np.vstack([half, half[::-1]])
+
+
+def _signed_zero_map():
+    # -0.0 and 0.0 are two values; each repeats, beside the smallest
+    # subnormal and the float just below 1
+    pool = [-0.0, 0.0, 5e-324, np.nextafter(1.0, 0.0), 0.25]
+    vals = np.random.default_rng(8).choice(pool, (24, 20))
+    vals[0, :5] = pool
+    return vals
+
+
+@pytest.mark.parametrize("make", [_mirrored_two_band_map, _signed_zero_map])
+def test_csv_rows_of_repeated_values_match_per_element_formula(make):
+    vals = make()
+    nx, ny = vals.shape
+    data = MapDataset(vals, 1.0, np.linspace(-2e-6, 2e-6, nx),
+                      np.linspace(-2e-6, 2e-6, ny), 0.0, "field:z", None)
+    text = _csv_text(data, "m")
+    header = text.split("\n")[:9]
+    rows = [",".join(repr(float(v)) for v in row) for row in vals]
+    assert text.encode() == "\n".join(header + rows).encode() + b"\n"
+    assert np.unique(vals.view(np.uint64)).size < vals.size / 2
+
+
+def test_gnuplot_matrix_of_repeated_values_matches_per_element_layout(
+        tmp_path):
+    # 260 x 300 values hold -0.0, 0.0 and repeats; transposed, they are
+    # two bands of rows
+    vals = _mirrored_two_band_map().T.copy()
+    vals[::7, ::3] = 0.0
+    vals[::5, 1::3] = -0.0
+    assert vals.size > cli_module._TEXT_BAND
+    xs = np.linspace(-1.3, 2.1, vals.shape[0])
+    ys = np.linspace(-0.7, 1.9, vals.shape[1])
+    csv = tmp_path / "hand.csv"
+    csv.write_text("\n".join(
+        ["# scale_factor: 1.0", "# z_plane_um: 0.0",
+         "# x_centers_um: " + ", ".join(map(repr, xs.tolist())),
+         "# y_centers_um: " + ", ".join(map(repr, ys.tolist()))]
+        + [",".join(repr(float(v)) for v in row) for row in vals]) + "\n")
+    out = tmp_path / "hand.mat"
+    assert run(["gnuplot-matrix", csv, out]) == 0
+    d = load_map_csv(str(csv))
+    assert d.values.tobytes() == vals.tobytes()
+    lines = [" ".join([str(d.x_centers.size)]
+                      + [repr(float(v) / cli_module.UM) for v in d.x_centers])]
+    for iy in range(d.y_centers.size):
+        row = [repr(float(d.y_centers[iy]) / cli_module.UM)]
+        row += [repr(float(v)) for v in d.values[:, iy]]
+        lines.append(" ".join(row))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert " -0.0 " in out.read_text()
+
+
 def test_loaded_map_matches_written_dataset(tmp_path):
     assert run(["field-map", "--beam", "lg:1,0", "--component", "Ez",
                 "--resolution", "16,16", "-o", tmp_path]) == 0
