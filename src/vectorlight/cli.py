@@ -358,27 +358,25 @@ def _build_beam(doc: dict) -> BeamSpec:
         raise ConfigurationError(f"beam: {exc}") from exc
 
 
-def _transitions(doc: dict, dms=None) -> Dict[int, TransitionSpec]:
-    """The transition at each Delta-m of `dms`, by default at each channel of
-    its multipole, ascending, whose m2 is a projection of J2.  With none, the
-    lowest channel is built, so that TransitionSpec names the fault.  A
-    Delta-m of `dms` that is not a channel of the multipole is rejected once
-    its transition is valid."""
+def _transitions(doc: dict, dm=None) -> Dict[int, TransitionSpec]:
+    """The transition at each channel of its multipole, ascending, whose m2
+    is a projection of J2.  With none, the lowest channel is built, so that
+    TransitionSpec names the fault.  A Delta-m `dm`, if given, is built
+    first, so that its fault is the one named, and is rejected unless it is
+    a channel; it is then one of the result's keys."""
     try:
         j1, m1, j2 = (HalfInt.coerce(doc[key]) for key in ("j1", "m1", "j2"))
         multipole = Multipole.parse(str(doc["multipole"]))
         channels = sorted(coefficients_for(multipole).channels)
-        if dms is None:
-            dms = [dm for dm in channels
-                   if (m1 + dm).is_projection_of(j2)] or channels[:1]
-        specs = {dm: TransitionSpec(j1, m1, j2, m1 + dm, multipole)
-                 for dm in dms}
-        for dm in dms:
+        if dm is not None:
+            TransitionSpec(j1, m1, j2, m1 + dm, multipole)
             if dm not in channels:
                 raise ValueError(
                     f"dm={dm} is not a channel of {multipole.value} "
                     f"({channels[0]:+d} to {channels[-1]:+d})")
-        return specs
+        dms = [d for d in channels
+               if (m1 + d).is_projection_of(j2)] or channels[:1]
+        return {d: TransitionSpec(j1, m1, j2, m1 + d, multipole) for d in dms}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"transition: {exc}") from exc
 
@@ -409,14 +407,15 @@ def _build_trap(doc: dict) -> TrapSpec:
 
 
 def _motion_run(doc: dict):
-    """The beam, geometry, trap, Delta-m, transition at that Delta-m and
-    motional quantum n of a sideband-map or point run document."""
+    """The beam, geometry, trap, Delta-m, transitions at every channel, that
+    Delta-m's among them (`_transitions`), and motional quantum n of a
+    sideband-map or point run document."""
     beam = _build_beam(doc["beam"])
     geom = _build_geometry(doc["geometry"])
     trap = _build_trap(doc["trap"])
     dm = _read(doc, "", "dm", _integer)
-    trans = _transitions(doc["transition"], [dm])[dm]
-    return beam, geom, trap, dm, trans, _read(doc["sideband"], "sideband",
+    specs = _transitions(doc["transition"], dm)
+    return beam, geom, trap, dm, specs, _read(doc["sideband"], "sideband",
                                               "n", _count)
 
 
@@ -592,7 +591,8 @@ def load_map_csv(path: str) -> MapDataset:
 
 
 def _complex_pair(z: complex) -> List[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    c = complex(z)
+    return [c.real, c.imag]
 
 
 # ------------------------------------------------------------ subcommands
@@ -621,16 +621,18 @@ def cmd_transition_map(args) -> int:
     beam = _build_beam(doc["beam"])
     geom = _build_geometry(doc["geometry"])
     tdoc = doc["transition"]
-    dms = None if doc.get("dm") is None else [_read(doc, "", "dm", _integer)]
+    want = None if doc.get("dm") is None else _read(doc, "", "dm", _integer)
     return _write_maps(args, doc, [
         (f"mu_{_dm_stem(dm)}", TransitionObservable(beam, trans, geom),
          dict(doc, dm=dm, transition=dict(tdoc, m2=str(trans.m2))), {"dm": dm})
-        for dm, trans in _transitions(tdoc, dms).items()])
+        for dm, trans in _transitions(tdoc, want).items()
+        if want in (None, dm)])
 
 
 def cmd_sideband_map(args) -> int:
     doc = _resolve(args)
-    beam, geom, trap, _, trans, n = _motion_run(doc)
+    beam, geom, trap, dm, specs, n = _motion_run(doc)
+    trans = specs[dm]
     branch = doc["sideband"]["branch"]
     if branch not in ("bsb", "rsb"):
         raise ConfigurationError("sideband.branch must be 'bsb' or 'rsb'")
@@ -650,7 +652,8 @@ def cmd_point(args) -> int:
     doc = _resolve(args)
     # m2 follows from each Delta-m, so a run file's m2 is not echoed
     doc["transition"].pop("m2", None)
-    beam, geom, trap, dm0, trans0, n = _motion_run(doc)
+    beam, geom, trap, dm0, specs, n = _motion_run(doc)
+    trans0 = specs[dm0]
     pos_um = _read(doc, "", "position_um", _numbers(_coordinate, 3))
     point = np.array([v * UM for v in pos_um])
 
@@ -662,13 +665,13 @@ def cmd_point(args) -> int:
         beam, point, max(_line_order(req, trans0) for _, req in lines))
     comps = _circular(sample.electric)
     mu: Dict[str, List[float]] = {}
-    for dm, trans in _transitions(doc["transition"]).items():
+    for dm, trans in specs.items():
         mu[f"{dm:+d}"] = _complex_pair(relative_strength(sample, trans, geom))
     sidebands = {}
     for key, req in lines:
         val = _line_strength(lambda pts, order: sample, point, trap, req,
                              trans0, geom)[0]
-        sidebands[key] = _complex_pair(complex(val))
+        sidebands[key] = _complex_pair(val)
 
     record = {
         "tool_version": __version__,

@@ -335,7 +335,7 @@ def test_point_sidebands_equal_fresh_line_strengths(capsys, extra):
     trap = cli_module._build_trap(doc["trap"])
     geom = cli_module._build_geometry(doc["geometry"])
     dm = rec["sideband_dm"]
-    trans = cli_module._transitions(doc["transition"], [dm])[dm]
+    trans = cli_module._transitions(doc["transition"], dm)[dm]
     point = np.array(rec["position_um"]) * cli_module.UM
     for mode in ("X", "Y", "Z"):
         for branch in ("carrier", "bsb", "rsb"):
@@ -637,7 +637,7 @@ def test_default_dm_are_the_channels_transition_spec_accepts():
             assert str(default.value).startswith("transition: "), doc
             if not m1.is_projection_of(HalfInt(tj1)):
                 with pytest.raises(ConfigurationError) as at_dm0:
-                    cli_module._transitions(doc, [0])
+                    cli_module._transitions(doc, 0)
                 assert str(default.value) == str(at_dm0.value), doc
 
 
