@@ -407,9 +407,9 @@ def _build_trap(doc: dict) -> TrapSpec:
 
 
 def _motion_run(doc: dict):
-    """The beam, geometry, trap, Delta-m, transitions at every channel, that
-    Delta-m's among them (`_transitions`), and motional quantum n of a
-    sideband-map or point run document."""
+    """The beam, geometry, trap, Delta-m, transitions at each channel (the
+    one at that Delta-m among them, see `_transitions`) and motional
+    quantum n of a sideband-map or point run document."""
     beam = _build_beam(doc["beam"])
     geom = _build_geometry(doc["geometry"])
     trap = _build_trap(doc["trap"])

@@ -56,9 +56,11 @@ ZERO_FLOOR = 1e-13
 # 8192 did, which leaves room for a caller still holding its previous maps
 _CHUNK = 3072
 
-# Largest grid, in cells.  A CLI map run holds about 65 B per cell at its
-# peak: the grid points (24 B), 8 B per map of a same-grid group and the CSV
-# text of one map; so a 4096 x 4096 grid needs about 1.1 GB.
+# Largest grid, in cells.  A CLI map run peaks while it writes a map, at
+# 8 B per cell for each map of the run and about 60 B for one map's CSV text
+# (its rows, the joined text and its encoded bytes): 83 B for a 3-map
+# field-map, 100 B for a 5-map transition-map; so a 4096 x 4096 grid needs
+# 1.4 to 1.7 GB.
 MAX_GRID_CELLS = 4096 * 4096
 
 _log = logging.getLogger(__name__)
