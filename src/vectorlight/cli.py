@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -426,22 +427,24 @@ def _cannot_write(path: str, exc: OSError) -> ConfigurationError:
     return ConfigurationError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write `text` to `path` through a temporary file that never outlives
-    the call; an OSError becomes a ConfigurationError naming `path`."""
+def _atomic_write(path: str, pieces) -> None:
+    """Write the strings of `pieces` to `path` through a temporary file that
+    never outlives the call; an OSError becomes a ConfigurationError naming
+    `path`, any other exception propagates and leaves `path` as it was."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    finally:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise _cannot_write(path, exc) from exc
 
 
-# cells in one band of whole rows of map text: the band's strings, about
-# 76 B each, are all held at once
+# cells in one band of whole rows of map text: a map file is written band by
+# band, so writing one holds at most about 124 B per cell of a band, 8 MB
 _TEXT_BAND = 1 << 16
 
 
@@ -459,24 +462,24 @@ def _float_reprs(values: np.ndarray):
         yield from text[index.reshape(band.shape)].tolist()
 
 
-def _csv_text(dataset: MapDataset, stem: str) -> str:
+def _csv_lines(dataset: MapDataset, stem: str):
+    """Yield the CSV text of `dataset`: its header, then one line per row."""
     xs = ", ".join(repr(float(v) / UM) for v in dataset.x_centers)
     ys = ", ".join(repr(float(v) / UM) for v in dataset.y_centers)
-    nx, ny = dataset.values.shape
-    lines = [
+    yield "\n".join([
         "# vectorlight map v1",
         f"# name: {stem}",
         f"# observable: {dataset.observable_name}",
         f"# scale_factor: {dataset.scale_factor!r}",
         f"# z_plane_um: {dataset.z_plane / UM!r}",
-        f"# shape: {nx},{ny}",
+        "# shape: %d,%d" % dataset.values.shape,
         f"# x_centers_um: {xs}",
         f"# y_centers_um: {ys}",
         "# rows follow the x index, columns the y index; values are moduli"
         " normalized to a peak of 1",
-    ]
-    lines += map(",".join, _float_reprs(dataset.values))
-    return "\n".join(lines) + "\n"
+    ]) + "\n"
+    for row in _float_reprs(dataset.values):
+        yield ",".join(row) + "\n"
 
 
 def _sidecar_text(dataset: MapDataset, run_doc: dict, extra: dict) -> str:
@@ -513,8 +516,8 @@ def _write_maps(args, doc: dict, maps) -> int:
         except OSError as exc:
             raise _cannot_write(args.outdir, exc) from exc
         path = os.path.join(args.outdir, stem)
-        _atomic_write(path + ".csv", _csv_text(dataset, stem))
-        _atomic_write(path + ".json", _sidecar_text(dataset, run_doc, extra))
+        _atomic_write(path + ".csv", _csv_lines(dataset, stem))
+        _atomic_write(path + ".json", (_sidecar_text(dataset, run_doc, extra),))
         written += [path + ".csv", path + ".json"]
     for path in written:
         print(path)
@@ -706,11 +709,10 @@ def cmd_compare(args) -> int:
 
 def cmd_gnuplot_matrix(args) -> int:
     d = load_map_csv(args.input)
-    nx = d.x_centers.size
-    lines = [" ".join([str(nx)] + [repr(float(v) / UM) for v in d.x_centers])]
-    for y, row in zip(d.y_centers, _float_reprs(d.values.T)):
-        lines.append(" ".join([repr(float(y) / UM)] + row))
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+    xs = [str(d.x_centers.size)] + [repr(float(v) / UM) for v in d.x_centers]
+    rows = (" ".join([repr(float(y) / UM)] + row) + "\n"
+            for y, row in zip(d.y_centers, _float_reprs(d.values.T)))
+    _atomic_write(args.output, itertools.chain([" ".join(xs) + "\n"], rows))
     print(args.output)
     return 0
 

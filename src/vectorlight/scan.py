@@ -56,11 +56,9 @@ ZERO_FLOOR = 1e-13
 # 8192 did, which leaves room for a caller still holding its previous maps
 _CHUNK = 3072
 
-# Largest grid, in cells.  A CLI map run peaks while it writes a map, at
-# 8 B per cell for each map of the run and about 60 B for one map's CSV text
-# (its rows, the joined text and its encoded bytes): 83 B for a 3-map
-# field-map, 100 B for a 5-map transition-map; so a 4096 x 4096 grid needs
-# 1.4 to 1.7 GB.
+# Largest grid, in cells.  A scan peaks at max(48, 32 + 8 x maps) B per cell
+# of its grid (tracemalloc at 1024^2 and 2048^2): 56 B for 3 maps and 72 B
+# for 5, so 0.95 to 1.2 GB at this size.
 MAX_GRID_CELLS = 4096 * 4096
 
 _log = logging.getLogger(__name__)

@@ -11,6 +11,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import vectorlight.cli as cli_module
 import vectorlight.scan as scan_module
 from vectorlight import FieldComponentObservable, ScanConfig, run_scans
 from vectorlight.beams import BeamSpec
-from vectorlight.cli import _csv_text, load_map_csv, main
+from vectorlight.cli import _csv_lines, load_map_csv, main
 from vectorlight.coupling import Multipole, TransitionSpec
 from vectorlight.errors import ConfigurationError
 from vectorlight.motion import SidebandRequest, sideband_strength_at
@@ -850,7 +851,7 @@ def test_csv_rows_match_per_element_formula():
     vals[2] = np.nextafter(1.0, 0.0)
     xs = np.linspace(-2e-6, 2e-6, 256)
     data = MapDataset(vals, 1.25, xs, xs, 0.0, "field:z", None)
-    text = _csv_text(data, "m")
+    text = "".join(_csv_lines(data, "m"))
     header = text.split("\n")[:9]
     rows = [",".join(repr(float(v)) for v in row) for row in vals]
     assert text.encode() == "\n".join(header + rows).encode() + b"\n"
@@ -879,7 +880,7 @@ def test_csv_rows_of_repeated_values_match_per_element_formula(make):
     nx, ny = vals.shape
     data = MapDataset(vals, 1.0, np.linspace(-2e-6, 2e-6, nx),
                       np.linspace(-2e-6, 2e-6, ny), 0.0, "field:z", None)
-    text = _csv_text(data, "m")
+    text = "".join(_csv_lines(data, "m"))
     header = text.split("\n")[:9]
     rows = [",".join(repr(float(v)) for v in row) for row in vals]
     assert text.encode() == "\n".join(header + rows).encode() + b"\n"
@@ -914,6 +915,39 @@ def test_gnuplot_matrix_of_repeated_values_matches_per_element_layout(
         lines.append(" ".join(row))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert " -0.0 " in out.read_text()
+
+
+def test_streamed_map_write_holds_about_one_band(tmp_path, monkeypatch):
+    # 512 x 512 values with no repeat, in bands of 4096 cells (8 rows): the
+    # writer holds one band's strings at a time, never the map's text
+    monkeypatch.setattr(cli_module, "_TEXT_BAND", 4096)
+    xs = np.linspace(-2e-6, 2e-6, 512)
+    data = MapDataset(np.random.default_rng(11).random((512, 512)), 1.0, xs,
+                      xs, 0.0, "field:z", None)
+    path = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        cli_module._atomic_write(str(path), _csv_lines(data, "m"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
+def test_failed_stream_keeps_the_target_and_leaves_no_temporary_file(
+        tmp_path):
+    target = tmp_path / "m.csv"
+    target.write_text("# old\n1.0,2.0\n")
+
+    def pieces():
+        yield "# new\n"
+        yield "3.0,4.0\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli_module._atomic_write(str(target), pieces())
+    assert target.read_bytes() == b"# old\n1.0,2.0\n"
+    assert os.listdir(tmp_path) == ["m.csv"]
 
 
 def test_loaded_map_matches_written_dataset(tmp_path):
