@@ -433,7 +433,8 @@ def _atomic_write(path: str, pieces) -> None:
     `path`, any other exception propagates and leaves `path` as it was."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        # one piece per map row: 8 KB writes made a map run about 3% slower
+        with open(tmp, "w", encoding="utf-8", buffering=1 << 16) as fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
     except OSError as exc:

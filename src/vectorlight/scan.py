@@ -57,8 +57,7 @@ ZERO_FLOOR = 1e-13
 _CHUNK = 3072
 
 # Largest grid, in cells.  A scan peaks at max(48, 32 + 8 x maps) B per cell
-# of its grid (tracemalloc at 1024^2 and 2048^2): 56 B for 3 maps and 72 B
-# for 5, so 0.95 to 1.2 GB at this size.
+# (tracemalloc), 56 B for 3 maps and 72 B for 5: 0.95 to 1.2 GB at this size.
 MAX_GRID_CELLS = 4096 * 4096
 
 _log = logging.getLogger(__name__)
