@@ -9,13 +9,16 @@ the focusing parameter 1/(k w0)).
 Scalar profiles are evaluated as truncated Taylor jets (see `jets`), which
 makes analytic spatial derivatives of the full vector field available up to
 the second order needed by gradient-coupled transitions and sidebands.
+Each profile jet is the travelling profile f exp(ikz): on a focal-plane
+batch the factors of z alone, the plane wave among them, are multiplied
+together on one point before any factor of x and y, so no field sample
+multiplies the full batch by the plane wave.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -297,86 +300,90 @@ def _rho2(x: Jet, y: Jet) -> Jet:
 
 
 def _gaussian(waist: float, k: float, order: int, x: Jet, y: Jet, z: Jet,
-              memo: "ProfileMemo") -> Tuple[Jet, Jet, Jet]:
-    """zeta = z/zR, u = 1/(1 + i zeta) and the envelope exp(-rho^2 u / w0^2).
+              memo: "ProfileMemo") -> Tuple[Jet, Jet, Jet, Jet]:
+    """zeta = z/zR, u = 1/(1 + i zeta), the plane wave exp(ikz) and the
+    envelope exp(-rho^2 u / w0^2).
 
     |u| carries the w0/w(z) amplitude decay, arg(u) one unit of axial phase
     slippage, and Re(u/w0^2) the Gaussian envelope with Im supplying
-    wavefront curvature.  LG and HG profiles of one waist and wavenumber
-    share the envelope, which `memo` holds.
+    wavefront curvature.  All but the envelope depend on z alone.  LG and
+    HG profiles of one waist and wavenumber share the envelope, and those
+    of one wavenumber the plane wave, which `memo` holds.
     """
     zr = 0.5 * k * waist**2
     zeta = z * (1.0 / zr)
     u = (zeta * 1.0j + 1.0).reciprocal()
+    plane = memo.jet(("plane", k), order, lambda: (z * (1.0j * k)).exp())
     envelope = memo.jet(("envelope", waist, k), order,
-                        lambda: (_rho2(x, y) * u * (-1.0 / waist**2)).exp())
-    return zeta, u, envelope
+                        lambda: (_rho2(x, y) * (u * (-1.0 / waist**2))).exp())
+    return zeta, u, plane, envelope
 
 
 def _lg_radial(al: int, p: int, waist: float, x: Jet, y: Jet, zeta: Jet,
-               u: Jet, envelope: Jet) -> Jet:
-    """Focused Laguerre-Gaussian profile without its vortex factor.
+               u: Jet, plane: Jet, envelope: Jet) -> Jet:
+    """Focused Laguerre-Gaussian profile, plane wave included, without its
+    vortex factor.
 
     LG(l, p) is this radial part times ((x +/- i y) sqrt(2)/w0)^|l|, so the
     terms LG(+l, p) and LG(-l, p) share it.  Every factor is an entire
     function of the coordinates, so the Taylor jet needs no branch
-    handling.  For p = 0 the Laguerre factor is 1 and is left out.
+    handling.  The factors of z alone multiply before the envelope; for
+    p = 0 the Laguerre factor is 1 and is left out.
     """
+    norm = math.sqrt(2.0 * math.factorial(p)
+                     / (math.pi * math.factorial(p + al)))
     # u^(|l|+1+p) * (1 - i zeta)^p  ==  (w0/w)^(|l|+1) e^{-i(|l|+2p+1) atan}
-    f = u.ipow(al + 1 + p)
+    f = u.ipow(al + 1 + p) * plane * norm
     if p:
         conj = zeta * (-1.0j) + 1.0
         # real-valued Laguerre argument 2 rho^2 / w(z)^2, kept as a complex jet
         arg = _rho2(x, y) * (u * conj.reciprocal()) * (2.0 / waist**2)
         f = _laguerre_jet(p, al, arg) * (f * conj.ipow(p))
-
-    norm = math.sqrt(2.0 * math.factorial(p)
-                     / (math.pi * math.factorial(p + al)))
-    return f * envelope * norm
+    return f * envelope
 
 
 def _vortex(l: int, waist: float, x: Jet, y: Jet) -> Jet:
     # sqrt(2)/w0 goes into the base: its |l|-th power alone overflows a
     # double for large |l| when lengths are in meters
-    base = (x + (1.0j if l >= 0 else -1.0j) * y) * (math.sqrt(2.0) / waist)
-    return base.ipow(abs(l))
+    s = math.sqrt(2.0) / waist
+    return (x * s + y * ((1.0j if l >= 0 else -1.0j) * s)).ipow(abs(l))
 
 
 def _hg_jet(mode: HGMode, waist: float, x: Jet, y: Jet, zeta: Jet, u: Jet,
-            envelope: Jet) -> Jet:
-    """Focused Hermite-Gaussian profile (no plane-wave factor) as a jet.
+            plane: Jet, envelope: Jet) -> Jet:
+    """Focused Hermite-Gaussian profile, plane wave included, as a jet.
 
-    A zero order contributes H_0 = 1, which is left out.
+    The factors of z alone multiply first, then H_m of x, H_n of y and the
+    envelope; a zero order contributes H_0 = 1, which is left out.
     """
     m, n = mode.m, mode.n
-    # u covers w0/w and one unit of axial phase; the remaining m+n units
-    # are a pure phase built from arctan(zeta).
-    factors = [u, envelope]
-    if m + n:
-        # Hermite arguments sqrt(2) x / w(z); w(z)/w0 is a real sqrt jet
-        winv = (zeta * zeta + 1.0).sqrt().reciprocal()
-        scale = math.sqrt(2.0) / waist
-        factors[:0] = [_hermite_jet(order, c * winv * scale)
-                       for order, c in ((m, x), (n, y)) if order]
-    # left to right: H_m H_n u envelope
-    f = functools.reduce(operator.mul, factors)
-    if m + n:
-        f = f * (zeta.arctan() * (-1.0j * (m + n))).exp()
-
     norm = math.sqrt(2.0 / math.pi) / math.sqrt(
         2.0 ** (m + n) * math.factorial(m) * math.factorial(n))
-    return f * norm
+    # u covers w0/w and one unit of axial phase; the remaining m+n units
+    # are a pure phase built from arctan(zeta).
+    f = u * plane * norm
+    if m + n:
+        f = f * (zeta.arctan() * (-1.0j * (m + n))).exp()
+        # s = sqrt(2)/w(z), a real jet: Hermite arguments are sqrt(2) x / w(z)
+        s = (zeta * zeta + 1.0).sqrt().reciprocal() * (math.sqrt(2.0) / waist)
+        # left to right: H_m f H_n
+        if m:
+            f = _hermite_jet(m, x * s) * f
+        if n:
+            f = f * _hermite_jet(n, y * s)
+    return f * envelope
 
 
 class ProfileMemo:
-    """Scalar-profile jets and plane-wave factors built on one point set.
+    """Travelling scalar-profile jets f exp(ikz) built on one point set.
 
     Beams of a figure share modes: radial, azimuthal and lg:+/-1 beams are
     all made of LG(+/-1, 0) terms, and LG and HG profiles of one waist and
     wavelength share the Gaussian envelope.  Passed to every
     `field_sample_upto` call on the same points, a memo builds each
-    profile, LG radial part, envelope and plane-wave factor once, keyed by
-    mode, waist and wavenumber, and serves it to every later term and beam;
+    profile (plane wave included), LG radial part, envelope and plane-wave
+    factor once, keyed by mode, waist and wavenumber, and serves it to
+    every later term and beam;
     jets are never mutated, so sharing one leaves every result bitwise the
     same.  A radial part is dropped once both LG(+l, p) and LG(-l, p) are
     built.
@@ -425,14 +432,19 @@ class ProfileMemo:
 def _profile(mode: Mode, waist: float, k: float, order: int,
              coords: Callable[[], Tuple[Jet, Jet, Jet]],
              memo: ProfileMemo) -> Jet:
-    """Scalar profile (no plane-wave factor) of one mode as an `order` jet.
+    """Travelling scalar profile f exp(ikz) of one mode as an `order` jet.
 
-    `memo` holds the jets already built on these points, keyed by (mode,
-    waist, k), ((|l|, p), waist, k) and ("envelope", waist, k): LG(+l, p)
-    and LG(-l, p) share one radial part, which it holds only while one of
-    the two is still to be built, and every profile of one waist and
-    wavenumber shares the envelope.  A missing jet is built from
-    `coords()`, jets of this order, and added to it.
+    The factors of one coordinate multiply together before the full batch
+    does: the plane wave, the normalisation and the axial and Gouy phases
+    of z alone (one value per focal plane), an HG profile's Hermite
+    factors of x alone and of y alone, and only then the envelope and the
+    vortex of x and y together.  `memo` holds the jets already built on
+    these points, keyed by (mode, waist, k), ((|l|, p), waist, k),
+    ("envelope", waist, k) and ("plane", k): LG(+l, p) and LG(-l, p) share
+    one radial part, which it holds only while one of the two is still to
+    be built, and every profile of one waist and wavenumber shares the
+    envelope.  A missing jet is built from `coords()`, jets of this order,
+    and added to it.
     """
     key = (mode, waist, k)
     f = memo.get(key, order)
@@ -475,19 +487,18 @@ def _field_jets(spec: BeamSpec, points: np.ndarray, order: int,
 
     The longitudinal part consumes one derivative of the scalar profile, so
     profiles are expanded one order deeper than the field jets returned.
-    Profiles and the plane-wave factor come from `memo`, which a scan
-    shares across the beams of one grid chunk: a term or beam with equal
-    mode, waist and wavelength reuses what an earlier one built on these
-    points, and every map is unchanged bit for bit.  The coordinate jets
-    are built only if one of those jets is missing.
+    Each profile F = f exp(ikz) already carries the plane wave, which has no
+    x or y dependence, so d_x F = (d_x f) exp(ikz): the field is F and its
+    transverse gradient times constants, with no product of jets.
+    Profiles come from `memo`, which a scan shares across the beams of one
+    grid chunk: a term or beam with equal mode, waist and wavelength reuses
+    what an earlier one built on these points, and every map is unchanged
+    bit for bit.  The coordinate jets are built only if a profile is
+    missing.
     """
     k = spec.wavenumber
     memo.use(points)
     coords = functools.cache(functools.partial(_coords, points, order + 1))
-    # the traveling-wave factor enters here, once per term, never inside
-    # the scalar profiles
-    plane = memo.jet(("plane", k), order, lambda: (
-        coords()[2].truncate(order) * (1.0j * k)).exp())
 
     ex = ey = ez = None
     for weight, term in spec.terms:
@@ -495,13 +506,10 @@ def _field_jets(spec: BeamSpec, points: np.ndarray, order: int,
         sig = term.sigma
         amp = weight / math.sqrt(2.0)
 
-        fx = f.partial(0)
-        fy = f.partial(1)
-        wave = f.truncate(order) * plane
-
+        wave = f.truncate(order)
         tx = wave * amp
         ty = wave * (amp * 1.0j * sig)
-        tz = (fx + fy * (1.0j * sig)) * plane * (amp * 1.0j / k)
+        tz = (f.partial(0) + f.partial(1) * (1.0j * sig)) * (amp * 1.0j / k)
 
         ex = tx if ex is None else ex + tx
         ey = ty if ey is None else ey + ty

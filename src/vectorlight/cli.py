@@ -544,7 +544,9 @@ def load_map_csv(path: str) -> MapDataset:
                         meta[key.strip()] = val.strip()
                     continue
                 try:
-                    row = [float(v) for v in line.split(",")]
+                    # one float64 array per row: no Python float outlives
+                    # its row
+                    row = np.array([float(v) for v in line.split(",")])
                     if rows and len(row) != len(rows[0]):
                         raise ValueError(f"{len(row)} values, the first row "
                                          f"has {len(rows[0])}")

@@ -376,10 +376,11 @@ def _chunks(n: int, ny: int, chunk_size: int) -> List[Tuple[int, int]]:
             for row in range(0, n, ny) for s in range(0, ny, chunk_size)]
 
 
-def _scan_chunk(configs, evaluation, cached, pts, vals,
+def _scan_chunk(configs, evaluation, cached, axes, vals,
                 bounds) -> Tuple[Dict[int, float], Tuple[int, ...]]:
-    """Evaluate the group members on one chunk into their slices of `vals`,
-    in the order `evaluation` lists their indices.
+    """Evaluate the group members on one chunk of the grid of `axes` (x
+    centres, y centres, z plane) into their slices of `vals`, in the order
+    `evaluation` lists their indices.
 
     Maps that do not store complex values keep only the moduli.  Returns
     each member's reference for this chunk, by its index, and the chunk's
@@ -388,7 +389,12 @@ def _scan_chunk(configs, evaluation, cached, pts, vals,
     disjoint slices of `vals`.
     """
     start, stop = bounds
-    chunk = pts[start:stop]
+    xs, ys, z = axes
+    # the chunk's slice of ScanConfig.grid_points(), bit for bit, built
+    # without the rest of the grid
+    index = np.arange(start, stop)
+    chunk = np.stack([xs[index // ys.size], ys[index % ys.size],
+                      np.full(index.size, z)], axis=-1)
     cache = _ChunkSampleCache()
     refs = {}
     for i in evaluation:
@@ -457,16 +463,17 @@ def run_scans(configs: Sequence[ScanConfig],
         groups.setdefault(key, []).append(i)
     for members in groups.values():
         t0 = time.perf_counter()
-        pts = configs[members[0]].grid_points()
-        n = pts.shape[0]
+        first = configs[members[0]]
+        axes = (first.x_centers(), first.y_centers(), first.z_plane)
+        n = axes[0].size * axes[1].size
         vals = {i: np.empty(n, dtype=complex if configs[i].store_complex
                              else float) for i in members}
         cached = {i: _accepts_cache(configs[i].observable) for i in members}
         evaluation = _evaluation_order(configs, members)
-        chunks = _chunks(n, configs[members[0]].resolution[1], chunk_size)
+        chunks = _chunks(n, axes[1].size, chunk_size)
         workers = min(len(chunks), _usable_cpus())
         body = functools.partial(_scan_chunk, configs, evaluation, cached,
-                                 pts, vals)
+                                 axes, vals)
         chunk_refs, chunk_counts = zip(*_map_chunks(body, chunks, workers))
         for i in members:
             ref = 0.0

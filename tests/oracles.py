@@ -14,6 +14,10 @@
   from a constant-1 jet, rho^2 as x*x + y*y and constants added as constant
   jets.  The package skips those factors and must still match byte for
   byte.
+- Unfused field assembly: the field built from profiles without the plane
+  wave, which multiplies every term's value and gradient afterwards, on the
+  flat batch of the points.  The package carries exp(ikz) inside each
+  profile and must agree to rounding.
 - Frame rotation of sampled fields: vector components and derivative
   indices re-expressed in the atom frame, for the rotated-table path to
   agree with.
@@ -237,37 +241,76 @@ def ipow_from_one(jet, n):
     return out
 
 
-def profile_full(mode, waist, k, coords):
-    """Scalar profile of one LG or HG mode, every factor multiplied in."""
+def profile_full(mode, waist, k, coords, carrier=True):
+    """Travelling scalar profile f exp(ikz) of one LG or HG mode, every
+    factor multiplied in, in the package's order: the factors of z alone
+    first, then H_m, H_n, the envelope and the vortex.  Without `carrier`
+    the plane wave is a constant-1 jet, which leaves the profile f."""
     x, y, z = coords
     zr = 0.5 * k * waist**2
     zeta = z * (1.0 / zr)
     u = _shift(zeta * 1.0j, 1.0).reciprocal()
+    plane = (z * (1.0j * k)).exp() if carrier else _one(z)
     rho2 = x * x + y * y
-    envelope = (rho2 * u * (-1.0 / waist**2)).exp()
+    envelope = (rho2 * (u * (-1.0 / waist**2))).exp()
     if isinstance(mode, LGMode):
         al, p = abs(mode.l), mode.p
         ubar = _shift(zeta * (-1.0j), 1.0).reciprocal()
         arg = rho2 * (u * ubar) * (2.0 / waist**2)
         lag = _laguerre_jet(p, al, arg)
-        axial = ipow_from_one(u, al + 1 + p)
-        if p:
-            axial = axial * ipow_from_one(_shift(zeta * (-1.0j), 1.0), p)
         norm = math.sqrt(2.0 * math.factorial(p)
                          / (math.pi * math.factorial(p + al)))
-        radial = lag * axial * envelope * norm
-        base = (x + (1.0j if mode.l >= 0 else -1.0j) * y) * (
-            math.sqrt(2.0) / waist)
+        axial = ipow_from_one(u, al + 1 + p) * plane * norm
+        if p:
+            axial = axial * ipow_from_one(_shift(zeta * (-1.0j), 1.0), p)
+        radial = lag * axial * envelope
+        s = math.sqrt(2.0) / waist
+        base = x * s + y * ((1.0j if mode.l >= 0 else -1.0j) * s)
         return ipow_from_one(base, al) * radial
     assert isinstance(mode, HGMode)
     m, n = mode.m, mode.n
-    winv = _shift(zeta * zeta, 1.0).sqrt().reciprocal()
-    scale = math.sqrt(2.0) / waist
-    hm = _hermite_jet(m, x * winv * scale)
-    hn = _hermite_jet(n, y * winv * scale)
-    f = hm * hn * u * envelope
-    if m + n:
-        f = f * (zeta.arctan() * (-1.0j * (m + n))).exp()
     norm = math.sqrt(2.0 / math.pi) / math.sqrt(
         2.0 ** (m + n) * math.factorial(m) * math.factorial(n))
-    return f * norm
+    f = u * plane * norm
+    if m + n:
+        f = f * (zeta.arctan() * (-1.0j * (m + n))).exp()
+    s = _shift(zeta * zeta, 1.0).sqrt().reciprocal() * (math.sqrt(2.0) / waist)
+    hm = _hermite_jet(m, x * s)
+    hn = _hermite_jet(n, y * s)
+    return hm * f * hn * envelope
+
+
+# ---------------------------------------------------------------------------
+# field assembly with the plane wave applied after the gradient
+
+
+def field_blocks_unfused(spec, points, order):
+    """Field blocks of `field_sample_upto(spec, points, order)` assembled the
+    way the package did before its profiles carried exp(ikz): every term's
+    profile f without the plane wave, on the flat batch of the points, then
+    E_t = amp f exp(ikz) and E_z = (amp i/k)(f_x + i sigma f_y) exp(ikz)."""
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, 3)
+    k = spec.wavenumber
+    coords = [Jet.coordinate(flat, i, order + 1) for i in range(3)]
+    plane = (coords[2].truncate(order) * (1.0j * k)).exp()
+    ex = ey = ez = None
+    for weight, term in spec.terms:
+        f = profile_full(term.mode, spec.waist, k, coords, carrier=False)
+        sig = term.sigma
+        amp = weight / math.sqrt(2.0)
+        wave = f.truncate(order) * plane
+        tx = wave * amp
+        ty = wave * (amp * 1.0j * sig)
+        tz = (f.partial(0) + f.partial(1) * (1.0j * sig)) * plane * (
+            amp * 1.0j / k)
+        ex = tx if ex is None else ex + tx
+        ey = ty if ey is None else ey + ty
+        ez = tz if ez is None else ez + tz
+    blocks = []
+    for nd, comps in enumerate(zip(ex.blocks, ey.blocks, ez.blocks)):
+        # derivative axes first in a jet, last but one in a sample
+        block = np.stack([np.moveaxis(c, range(nd), range(-nd, 0))
+                          for c in comps], axis=-1)
+        blocks.append(block.reshape(pts.shape[:-1] + block.shape[1:]))
+    return blocks

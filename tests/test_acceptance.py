@@ -413,32 +413,33 @@ def test_criterion_09_literal_nonzero_average_for_dark_channel():
 # ------------------------------------------------------------- criterion 10
 
 
-def panel_configs():
-    """Full four-family panel reproduction at figure scale."""
+def panel_configs(res=None):
+    """Full four-family panel reproduction, on RES unless `res` is given."""
+    res = RES if res is None else res
     beams = [b for _, b in five_beams()]
     trap = TrapSpec.from_lab_units(40.0, (2.0, 2.0, 1.0))
     cfgs = []
     for b in beams:  # family 1: component moduli
         for comp in ("sigma_plus", "sigma_minus", "z"):
             cfgs.append(ScanConfig(FieldComponentObservable(b, comp),
-                                   EXTENT, RES))
+                                   EXTENT, res))
     for b in beams:  # family 2: per-channel strengths, axis-aligned drive
         for dm in range(-2, 3):
             cfgs.append(ScanConfig(TransitionObservable(b, quad_transition(dm)),
-                                   EXTENT, RES))
+                                   EXTENT, res))
     for b in beams:  # family 3: tilted quantization axis, dm = 0
         for theta in (math.pi / 4, math.pi / 2):
             cfgs.append(ScanConfig(
                 TransitionObservable(b, quad_transition(0), Geometry(theta)),
-                EXTENT, RES))
+                EXTENT, res))
     for b in beams:  # family 4: carrier and rescaled sidebands, dm = +1
         cfgs.append(ScanConfig(SidebandObservable(
             b, trap, SidebandRequest("X", 0, "carrier"), quad_transition(1)),
-            EXTENT, RES))
+            EXTENT, res))
         for mode in ("X", "Y", "Z"):
             cfgs.append(ScanConfig(SidebandObservable(
                 b, trap, SidebandRequest(mode, 0, "bsb"), quad_transition(1),
-                eta_rescale=True), EXTENT, RES))
+                eta_rescale=True), EXTENT, res))
     return cfgs
 
 

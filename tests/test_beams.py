@@ -6,7 +6,9 @@ implementation written in the conventional real-beam-radius parametrization
 no code with the complex-parameter form used by the package.  Derivatives are
 checked against 4th-order central finite differences (`oracles`).  Profiles
 that skip factors known to be 1 are checked byte for byte against the
-full-factor formulas in `oracles`.
+full-factor formulas in `oracles`, and fields built from profiles that
+carry the plane wave against the field assembled with the plane wave
+applied after the gradient.
 """
 
 import math
@@ -35,7 +37,8 @@ from vectorlight.beams import (
 )
 
 from conftest import WAIST, WAVELENGTH, make_five_beams, make_probe_points
-from oracles import fd_hessian, fd_jacobian, profile_full
+from oracles import (fd_hessian, fd_jacobian, field_blocks_unfused,
+                     profile_full)
 
 K = 2.0 * math.pi / WAVELENGTH
 ZR = 0.5 * K * WAIST**2
@@ -80,11 +83,13 @@ def hg_reference(m, n, w0, k, x, y, z):
 
 
 def _profile(mode, waist, k, point):
-    """Scalar profile value(s) of one mode, no plane-wave factor."""
-    pts = np.asarray(point, dtype=float)
-    coords = _coords(np.atleast_2d(pts), 0)
+    """Scalar profile value(s) of one mode, the plane wave divided out of
+    the travelling profile the package builds."""
+    pts = np.atleast_2d(np.asarray(point, dtype=float))
+    coords = _coords(pts, 0)
     val = profile_jet(mode, waist, k, 0, lambda: coords, ProfileMemo()).val
-    return val[0] if pts.ndim == 1 else val
+    val = val.reshape(-1) / np.exp(1.0j * k * pts[:, 2])
+    return val[0] if np.ndim(point) == 1 else val
 
 
 def lg_mode(l, p, waist, k, point):
@@ -235,6 +240,26 @@ def test_profiles_are_bytewise_the_full_factor_formulas(order):
             for name in ("val", "g", "h", "t")[:order + 1]:
                 assert getattr(got, name).tobytes() == \
                     getattr(want, name).tobytes(), (term.mode, name)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_carried_plane_wave_matches_the_unfused_assembly(order):
+    # profiles carry exp(ikz) and the field takes their gradient; the
+    # oracle applies the plane wave after the gradient of f, as the field
+    # is written down
+    beams = _panel_beams() + [
+        BeamSpec.lg(2, 1, waist=WAIST, wavelength=WAVELENGTH),
+        BeamSpec.hg(2, 1, waist=WAIST, wavelength=WAVELENGTH)]
+    point = [0.3 * WAIST, -0.2 * WAIST, 0.4 * ZR]
+    for pts in (_grid_rows(), make_probe_points(), point):
+        for beam in beams:
+            got = field_sample_upto(beam, pts, order)
+            for k, want in enumerate(field_blocks_unfused(beam, pts, order)):
+                assert got.block(k).shape == want.shape
+                peak = np.max(np.abs(want))
+                assert peak > 0.0
+                assert np.max(np.abs(got.block(k) - want)) <= 1e-14 * peak, \
+                    (beam, order, k)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])

@@ -934,6 +934,28 @@ def test_streamed_map_write_holds_about_one_band(tmp_path, monkeypatch):
     assert peak < path.stat().st_size / 4
 
 
+def test_loading_a_map_holds_about_two_copies_of_its_values(tmp_path):
+    # rows parsed one at a time into float64 arrays: a load peaks near
+    # the rows plus the stacked map (8 + 8 B per cell), a compare of two
+    # maps near their values and the differences; a list of Python floats
+    # of the whole map would add about 32 B per cell
+    xs = np.linspace(-2e-6, 2e-6, 512)
+    data = MapDataset(np.random.default_rng(11).random((512, 512)), 1.0, xs,
+                      xs, 0.0, "field:z", None)
+    path = str(tmp_path / "m.csv")
+    cli_module._atomic_write(path, _csv_lines(data, "m"))
+    for call, bound in ((lambda: load_map_csv(path), 24),
+                        (lambda: run(["compare", path, path]), 40)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * data.values.size, (bound, peak)
+    assert load_map_csv(path).values.tobytes() == data.values.tobytes()
+
+
 def test_failed_stream_keeps_the_target_and_leaves_no_temporary_file(
         tmp_path):
     target = tmp_path / "m.csv"

@@ -42,6 +42,7 @@ from vectorlight import (
 from vectorlight.motion import lamb_dicke, sideband_strength_at
 
 from oracles import fd_jacobian
+from test_acceptance import panel_configs
 
 W0 = 1.0e-6
 WAVELENGTH = 0.729e-6
@@ -528,6 +529,30 @@ def test_chunks_are_whole_grid_rows_and_build_each_profile_once(caplog):
         assert record.args[5:] == (0, 3 * chunks, 1 * chunks, 2 * chunks)
 
 
+def test_chunk_points_are_bytewise_slices_of_the_grid():
+    class Recorder:
+        name = "recorder"
+
+        def __init__(self):
+            self.seen = set()
+
+        def evaluate(self, points):
+            self.seen.add(points.tobytes())
+            return points[:, 0] + 1.0j * points[:, 1], 1.0
+
+    # whole rows per chunk, and rows cut into pieces; an uneven extent
+    # and a -0.0 plane
+    for chunk in (40, 3):
+        obs = Recorder()
+        cfg = ScanConfig(obs, (-1.3 * W0, 0.7 * W0, -0.2 * W0, 1.1 * W0),
+                         (16, 10), z_plane=-0.0)
+        grid = cfg.grid_points()
+        bounds = scan_module._chunks(len(grid), 10, chunk)
+        assert len(bounds) == (4 if chunk == 40 else 64)
+        run_scans([cfg], chunk_size=chunk)
+        assert obs.seen == {grid[a:b].tobytes() for a, b in bounds}
+
+
 def test_run_scans_keeps_input_order_across_mixed_grids():
     small = (-W0, W0, -W0, W0)
     cfgs = [
@@ -688,6 +713,25 @@ def test_ground_state_red_sideband_scan_is_zero_map():
         EXTENT, (16, 16)))
     assert d.scale_factor == 0.0
     assert np.all(d.values == 0.0)
+
+
+def test_panel_zero_decisions_have_wide_margins():
+    # the structural zeros of the acceptance panel: E_z of azimuthal, and
+    # the channels whose selection rules forbid them
+    cfgs = panel_configs((32, 32))
+    zeros = {1, 4, 7, 14, 15, 20, 25, 37}
+    maps = run_scans(cfgs)
+    assert {i for i, d in enumerate(maps) if d.scale_factor == 0.0} == zeros
+    pts = cfgs[0].grid_points()
+    for i, cfg in enumerate(cfgs):
+        vals, ref = cfg.observable.evaluate(pts)
+        ratio = np.max(np.abs(vals)) / ref
+        # 100 times under ZERO_FLOOR, or far above it (the smallest is
+        # about 0.034), so rounding cannot move a decision
+        if i in zeros:
+            assert ratio <= 1e-15, (i, ratio)
+        else:
+            assert ratio > 1e-3, (i, ratio)
 
 
 def test_map_dataset_names():
