@@ -56,8 +56,10 @@ ZERO_FLOOR = 1e-13
 # 8192 did, which leaves room for a caller still holding its previous maps
 _CHUNK = 3072
 
-# Largest grid, in cells.  A scan peaks at max(48, 32 + 8 x maps) B per cell
-# (tracemalloc), 56 B for 3 maps and 72 B for 5: 0.95 to 1.2 GB at this size.
+# Largest grid, in cells.  A scan holds 8 B per cell per map, its chunks
+# building their own points, and its chunks' working set of a few MB: by
+# tracemalloc 27 B per cell for 3 maps and 47 B for 5 at 1024 x 1024, so
+# about 0.4 to 0.7 GB at this size.
 MAX_GRID_CELLS = 4096 * 4096
 
 _log = logging.getLogger(__name__)
@@ -308,8 +310,8 @@ class MapDataset:
 def _finalize(config: ScanConfig, vals: np.ndarray, reference: float) -> MapDataset:
     """Normalize a map's values (complex for store_complex maps, else moduli).
 
-    `vals` is the scan's own buffer: it is divided in place and becomes the
-    map, so a finished map costs no second copy of the grid.
+    `vals` is the scan's own buffer: it is divided, or zeroed, in place and
+    becomes the map, so a finished map costs no second copy of the grid.
     """
     if not np.all(np.isfinite(vals.view(float))):
         raise NumericalError(
@@ -318,11 +320,11 @@ def _finalize(config: ScanConfig, vals: np.ndarray, reference: float) -> MapData
     peak = float(np.max(moduli))
     if peak <= ZERO_FLOOR * reference or peak == 0.0:
         scale = 0.0
-        out = np.zeros(config.resolution, dtype=vals.dtype)
+        vals.fill(0.0)
     else:
         scale = peak
         vals /= scale
-        out = vals.reshape(config.resolution)
+    out = vals.reshape(config.resolution)
     out.flags.writeable = False
     return MapDataset(
         values=out,
