@@ -337,7 +337,7 @@ def _lg_radial(al: int, p: int, waist: float, x: Jet, y: Jet, zeta: Jet,
     if p:
         conj = zeta * (-1.0j) + 1.0
         # real-valued Laguerre argument 2 rho^2 / w(z)^2, kept as a complex jet
-        arg = _rho2(x, y) * (u * conj.reciprocal()) * (2.0 / waist**2)
+        arg = _rho2(x, y) * (u * conj.reciprocal() * (2.0 / waist**2))
         f = _laguerre_jet(p, al, arg) * (f * conj.ipow(p))
     return f * envelope
 

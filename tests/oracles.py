@@ -256,7 +256,7 @@ def profile_full(mode, waist, k, coords, carrier=True):
     if isinstance(mode, LGMode):
         al, p = abs(mode.l), mode.p
         ubar = _shift(zeta * (-1.0j), 1.0).reciprocal()
-        arg = rho2 * (u * ubar) * (2.0 / waist**2)
+        arg = rho2 * (u * ubar * (2.0 / waist**2))
         lag = _laguerre_jet(p, al, arg)
         norm = math.sqrt(2.0 * math.factorial(p)
                          / (math.pi * math.factorial(p + al)))
