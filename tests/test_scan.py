@@ -716,8 +716,9 @@ def test_ground_state_red_sideband_scan_is_zero_map():
 
 
 def test_panel_zero_decisions_have_wide_margins():
-    # the structural zeros of the acceptance panel: E_z of azimuthal, and
-    # the channels whose selection rules forbid them
+    # the structural zeros of the acceptance panel: the sigma_minus
+    # component of the three sigma = +1 beams, E_z of azimuthal, and the
+    # channels that symmetry forbids
     cfgs = panel_configs((32, 32))
     zeros = {1, 4, 7, 14, 15, 20, 25, 37}
     maps = run_scans(cfgs)
