@@ -306,14 +306,14 @@ def _gaussian(waist: float, k: float, order: int, x: Jet, y: Jet, z: Jet,
 
     |u| carries the w0/w(z) amplitude decay, arg(u) one unit of axial phase
     slippage, and Re(u/w0^2) the Gaussian envelope with Im supplying
-    wavefront curvature.  All but the envelope depend on z alone.  LG and
-    HG profiles of one waist and wavenumber share the envelope, and those
-    of one wavenumber the plane wave, which `memo` holds.
+    wavefront curvature.  All but the envelope depend on z alone, so on a
+    focal plane they are jets of one point.  LG and HG profiles of one
+    waist and wavenumber share the envelope, which `memo` holds.
     """
     zr = 0.5 * k * waist**2
     zeta = z * (1.0 / zr)
     u = (zeta * 1.0j + 1.0).reciprocal()
-    plane = memo.jet(("plane", k), order, lambda: (z * (1.0j * k)).exp())
+    plane = (z * (1.0j * k)).exp()
     envelope = memo.jet(("envelope", waist, k), order,
                         lambda: (_rho2(x, y) * (u * (-1.0 / waist**2))).exp())
     return zeta, u, plane, envelope
@@ -375,42 +375,65 @@ def _hg_jet(mode: HGMode, waist: float, x: Jet, y: Jet, zeta: Jet, u: Jet,
 
 
 class ProfileMemo:
-    """Travelling scalar-profile jets f exp(ikz) built on one point set.
+    """What the evaluations on one point set share: travelling
+    scalar-profile jets f exp(ikz) and the latest field sample.
 
     Beams of a figure share modes: radial, azimuthal and lg:+/-1 beams are
     all made of LG(+/-1, 0) terms, and LG and HG profiles of one waist and
     wavelength share the Gaussian envelope.  Passed to every
     `field_sample_upto` call on the same points, a memo builds each
-    profile (plane wave included), LG radial part, envelope and plane-wave
-    factor once, keyed by mode, waist and wavenumber, and serves it to
-    every later term and beam;
-    jets are never mutated, so sharing one leaves every result bitwise the
-    same.  A radial part is dropped once both LG(+l, p) and LG(-l, p) are
-    built.
+    profile (plane wave included), LG radial part and envelope once, keyed
+    by mode, waist and wavenumber, and serves it to every later term and
+    beam; jets are never mutated, so sharing one leaves every result
+    bitwise the same.  A radial part is dropped once both LG(+l, p) and
+    LG(-l, p) are built.
 
     Each jet is kept at the deepest order built, and a lower field order is
     served its `truncate`: a jet's lower blocks never depend on its higher
     ones, so that is bitwise the jet a direct call builds.  A call needing
     a deeper jet than the memo holds builds it and replaces the shallower
     one, so callers that ask for their deepest order first (as a scan
-    chunk does) build each jet once.  The memo holds the jets of one points
-    object (by identity; the points must not change while it serves them):
-    a call with other points drops them.  A memo serves one thread at a
-    time; a scan gives each chunk its own.  `built` and `reused` count the
-    scalar profiles it built and served again.
+    chunk does) build each jet once.
+
+    `sample` holds the latest field sample and serves it again while the
+    beam object, order and points stay the same: the maps of one beam on a
+    scan chunk (one figure column, many transition channels) share one.
+
+    The memo serves one points object (by identity; the points must not
+    change while it serves them), and `use` with other points drops its
+    jets and its sample.  A memo serves one thread at a time; a scan gives
+    each chunk its own.  `built` and `reused` count the scalar profiles it
+    built and served again, `hits` and `misses` the samples it served again
+    and built.
     """
 
     def __init__(self):
-        self.built = 0
-        self.reused = 0
+        self.built = self.reused = self.hits = self.misses = 0
         self._points = None
+        self._sample = None  # (beam, order, FieldSample)
         self.jets: Dict[tuple, Jet] = {}
 
     def use(self, points: np.ndarray) -> None:
-        """Serve `points`, dropping the jets of any other points."""
+        """Serve `points`, dropping the jets and sample of any other points."""
         if self._points is not points:
             self._points = points
+            self._sample = None
             self.jets = {}
+
+    def sample(self, beam: BeamSpec, points: np.ndarray,
+               order: int) -> FieldSample:
+        """`field_sample_upto(beam, points, order, profiles=self)`, the held
+        sample if it is of this beam object and order on these points."""
+        self.use(points)
+        held = self._sample
+        if held is not None and held[0] is beam and held[1] == order:
+            self.hits += 1
+            return held[2]
+        self.misses += 1
+        self._sample = held = None  # freed before the next is built
+        fs = field_sample_upto(beam, points, order, profiles=self)
+        self._sample = (beam, order, fs)
+        return fs
 
     def get(self, key, order: int, pop: bool = False) -> Optional[Jet]:
         """The jet held under `key` truncated to `order`, or None if none
@@ -439,11 +462,10 @@ def _profile(mode: Mode, waist: float, k: float, order: int,
     of z alone (one value per focal plane), an HG profile's Hermite
     factors of x alone and of y alone, and only then the envelope and the
     vortex of x and y together.  `memo` holds the jets already built on
-    these points, keyed by (mode, waist, k), ((|l|, p), waist, k),
-    ("envelope", waist, k) and ("plane", k): LG(+l, p) and LG(-l, p) share
-    one radial part, which it holds only while one of the two is still to
-    be built, and every profile of one waist and wavenumber shares the
-    envelope.  A missing jet is built from `coords()`, jets of this order,
+    these points, keyed by (mode, waist, k), ((|l|, p), waist, k) and
+    ("envelope", waist, k): LG(+l, p) and LG(-l, p) share one radial part,
+    which it holds only while one of the two is still to be built, and
+    every profile of one waist and wavenumber shares the envelope.  A missing jet is built from `coords()`, jets of this order,
     and added to it.
     """
     key = (mode, waist, k)

@@ -127,9 +127,12 @@ class Geometry:
             raise ValueError("axis must have a finite norm")
         if norm == 0.0:
             raise ValueError("axis must be nonzero")
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise ValueError("theta must be finite")
         a = a / norm
         a.flags.writeable = False
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "axis", a)
 
     def rotation(self) -> np.ndarray:
@@ -322,7 +325,7 @@ def _quadrature_strengths(spec: BeamSpec, center, widths, trans: TransitionSpec,
     w = np.asarray(widths, dtype=float)
     if w.shape != (3,):
         raise ValueError("widths must be a per-axis triple")
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise ValueError("widths must be positive")
     order = int(order)
     fs = _cloud_sample(spec, center, w, order, trans.multipole.field_order)

@@ -48,10 +48,10 @@ class TrapSpec:
     center: np.ndarray = None
 
     def __post_init__(self):
-        if self.mass <= 0.0:
+        if not self.mass > 0.0:
             raise ValueError("mass must be positive")
         freqs = np.asarray(self.frequencies, dtype=float)
-        if freqs.shape != (3,) or np.any(freqs <= 0.0):
+        if freqs.shape != (3,) or not np.all(freqs > 0.0):
             raise ValueError("frequencies must be three positive values")
         axes = np.eye(3) if self.axes is None else np.asarray(self.axes, dtype=float)
         if axes.shape != (3, 3):
@@ -103,7 +103,7 @@ class SidebandRequest:
 
 def zero_point_length(mass: float, omega: float) -> float:
     """Ground-state zero-point extent sqrt(hbar / 2 m omega)."""
-    if mass <= 0.0 or omega <= 0.0:
+    if not (mass > 0.0 and omega > 0.0):
         raise ValueError("mass and omega must be positive")
     return math.sqrt(HBAR / (2.0 * mass * omega))
 
@@ -114,7 +114,7 @@ def lamb_dicke(kind: str, scale: float, mass: float, omega: float) -> float:
     kind 'longitudinal': `scale` is the wavenumber k, eta = k * z0.
     kind 'transverse':  `scale` is the beam waist w0, eta = sqrt(2)/w0 * z0.
     """
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError("length scale must be positive")
     z0 = zero_point_length(mass, omega)
     if kind == "longitudinal":
@@ -140,7 +140,7 @@ def mu_derivative(spec: BeamSpec, center, direction, trans: TransitionSpec,
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,):
         raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:
         raise ValueError("direction must be a unit vector")
     fs = field_sample_upto(spec, center, trans.multipole.field_order + 1)
     return _along(strength_gradient(fs, trans, geom), d)

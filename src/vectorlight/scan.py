@@ -8,10 +8,11 @@ scale factor; a map whose largest modulus is negligible against the reference
 beam) is stored as an exact zero map with scale factor 0.
 
 The maps of one grid are evaluated together chunk by chunk, each chunk whole
-grid rows; within a chunk they share field samples per beam and order, and
-scalar profiles across beams with equal mode, waist and wavelength and
-across field orders.  Maps are the same bit for bit as when each is scanned
-alone.
+grid rows.  Within a chunk they share one `beams.ProfileMemo`: the latest
+field sample, served again to every map of the same beam and order, and
+the scalar profiles, shared across beams with equal mode, waist and
+wavelength and across field orders.  Maps are the same bit for bit as when
+each is scanned alone.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# field_sample_upto is not called here (ProfileMemo.sample calls it), but
+# perfbench/test_perfbench.py checks that its tracer wraps this binding
 from .beams import (LENGTH_RANGE, BeamSpec, ProfileMemo, _circular,
                     field_sample_upto)
 from .coupling import Geometry, TransitionSpec, relative_strength
@@ -67,38 +70,6 @@ _log = logging.getLogger(__name__)
 _COMPONENTS = ("sigma_plus", "sigma_minus", "z")
 
 
-class _ChunkSampleCache:
-    """Field samples shared by observables evaluating one chunk of points.
-
-    Several maps of the same figure column (one beam, many transition
-    channels) consume an identical FieldSample; caching it per chunk removes
-    the dominant cost without changing any computed value.  A scan chunk
-    asks for each (beam, order) pair in one run (see `run_scans`), so the
-    cache keeps only the latest sample.  The samples it does compute share
-    one ProfileMemo, so beams with equal modes, waist and wavelength (the
-    LG(+/-1, 0) terms of lg:+/-1, radial and azimuthal beams) build each
-    scalar profile once per chunk, at the deepest order the chunk asks for
-    first.
-    """
-
-    def __init__(self):
-        self._latest = (None, None, None)  # (id(beam), order), points, sample
-        self.profiles = ProfileMemo()
-        self.hits = 0
-        self.misses = 0
-
-    def sample(self, beam: BeamSpec, pts: np.ndarray, order: int):
-        key, held, fs = self._latest
-        if key == (id(beam), order) and held is pts:
-            self.hits += 1
-            return fs
-        self.misses += 1
-        self._latest = (None, None, None)  # freed before the next is built
-        fs = field_sample_upto(beam, pts, order, profiles=self.profiles)
-        self._latest = ((id(beam), order), pts, fs)
-        return fs
-
-
 def _require(kind: str, *pairs) -> None:
     """Raise ConfigurationError unless each (value, class) pair matches."""
     for value, cls in pairs:
@@ -126,9 +97,9 @@ class FieldComponentObservable:
         return f"field:{self.component}"
 
     def evaluate(self, points: np.ndarray,
-                 cache: Optional[_ChunkSampleCache] = None
+                 cache: Optional[ProfileMemo] = None
                  ) -> Tuple[np.ndarray, float]:
-        fs = (cache or _ChunkSampleCache()).sample(self.beam, points, 0)
+        fs = (cache or ProfileMemo()).sample(self.beam, points, 0)
         return _circular(fs.electric)[self.component], fs.peak(0)
 
 
@@ -155,10 +126,10 @@ class TransitionObservable:
         return self.transition.multipole.field_order
 
     def evaluate(self, points: np.ndarray,
-                 cache: Optional[_ChunkSampleCache] = None
+                 cache: Optional[ProfileMemo] = None
                  ) -> Tuple[np.ndarray, float]:
         order = self.field_order
-        fs = (cache or _ChunkSampleCache()).sample(self.beam, points, order)
+        fs = (cache or ProfileMemo()).sample(self.beam, points, order)
         mu = relative_strength(fs, self.transition, self.geometry)
         # scale of the raw field data entering the contraction; a peak far
         # below it can only be cancellation residue
@@ -206,9 +177,9 @@ class SidebandObservable:
         return lamb_dicke("transverse", self.beam.waist, self.trap.mass, omega)
 
     def evaluate(self, points: np.ndarray,
-                 cache: Optional[_ChunkSampleCache] = None
+                 cache: Optional[ProfileMemo] = None
                  ) -> Tuple[np.ndarray, float]:
-        sample = functools.partial((cache or _ChunkSampleCache()).sample,
+        sample = functools.partial((cache or ProfileMemo()).sample,
                                    self.beam)
         vals, ref = _line_strength(sample, points, self.trap, self.request,
                                    self.transition, self.geometry)
@@ -217,6 +188,11 @@ class SidebandObservable:
             vals = vals / eta
             ref = ref / eta
         return vals, ref
+
+
+def _centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centres of the n equal cells between lo and hi."""
+    return lo + (hi - lo) / n * (np.arange(n) + 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +213,10 @@ class ScanConfig:
     store_complex: bool = False
 
     def __post_init__(self):
-        ext = tuple(float(v) for v in self.extent)
+        try:
+            ext = tuple(float(v) for v in self.extent)
+        except (TypeError, ValueError):
+            ext = ()
         if len(ext) != 4:
             raise ConfigurationError("extent must be (x_min, x_max, y_min, y_max)")
         if not (ext[1] > ext[0] and ext[3] > ext[2]):
@@ -246,7 +225,7 @@ class ScanConfig:
         if not all(abs(v) <= bound for v in ext + (float(self.z_plane),)):
             raise ConfigurationError(
                 f"extent and z_plane must lie within +/-{bound:g} m")
-        res = tuple(self.resolution)
+        res = tuple(self.resolution) if np.iterable(self.resolution) else ()
         if len(res) != 2 or not all(
                 isinstance(v, numbers.Integral) or isinstance(v, numbers.Real)
                 and float(v).is_integer() for v in res) or min(res) < 2:
@@ -263,16 +242,10 @@ class ScanConfig:
         object.__setattr__(self, "z_plane", float(self.z_plane))
 
     def x_centers(self) -> np.ndarray:
-        x0, x1, _, _ = self.extent
-        nx = self.resolution[0]
-        dx = (x1 - x0) / nx
-        return x0 + dx * (np.arange(nx) + 0.5)
+        return _centers(*self.extent[:2], self.resolution[0])
 
     def y_centers(self) -> np.ndarray:
-        _, _, y0, y1 = self.extent
-        ny = self.resolution[1]
-        dy = (y1 - y0) / ny
-        return y0 + dy * (np.arange(ny) + 0.5)
+        return _centers(*self.extent[2:], self.resolution[1])
 
     def grid_points(self) -> np.ndarray:
         xs = self.x_centers()
@@ -313,9 +286,9 @@ def _finalize(config: ScanConfig, vals: np.ndarray, reference: float) -> MapData
     `vals` is the scan's own buffer: it is divided, or zeroed, in place and
     becomes the map, so a finished map costs no second copy of the grid.
     """
+    name = getattr(config.observable, "name", "observable")
     if not np.all(np.isfinite(vals.view(float))):
-        raise NumericalError(
-            f"non-finite values in scan of {getattr(config.observable, 'name', '?')}")
+        raise NumericalError(f"non-finite values in scan of {name}")
     moduli = np.abs(vals) if config.store_complex else vals
     peak = float(np.max(moduli))
     if peak <= ZERO_FLOOR * reference or peak == 0.0:
@@ -332,7 +305,7 @@ def _finalize(config: ScanConfig, vals: np.ndarray, reference: float) -> MapData
         x_centers=config.x_centers(),
         y_centers=config.y_centers(),
         z_plane=config.z_plane,
-        observable_name=getattr(config.observable, "name", "observable"),
+        observable_name=name,
         config=config,
     )
 
@@ -387,7 +360,7 @@ def _scan_chunk(configs, evaluation, cached, axes, vals,
     Maps that do not store complex values keep only the moduli.  Returns
     each member's reference for this chunk, by its index, and the chunk's
     counts of sample hits and misses and of profiles built and reused.
-    Each call has its own sample cache, so concurrent chunks share only
+    Each call has its own ProfileMemo, so concurrent chunks share only
     disjoint slices of `vals`.
     """
     start, stop = bounds
@@ -397,16 +370,15 @@ def _scan_chunk(configs, evaluation, cached, axes, vals,
     index = np.arange(start, stop)
     chunk = np.stack([xs[index // ys.size], ys[index % ys.size],
                       np.full(index.size, z)], axis=-1)
-    cache = _ChunkSampleCache()
+    memo = ProfileMemo()
     refs = {}
     for i in evaluation:
         obs = configs[i].observable
-        v, refs[i] = obs.evaluate(chunk, cache) if cached[i] \
+        v, refs[i] = obs.evaluate(chunk, memo) if cached[i] \
             else obs.evaluate(chunk)
         vals[i][start:stop] = \
             v if configs[i].store_complex else np.abs(v)
-    return refs, (cache.hits, cache.misses, cache.profiles.built,
-                  cache.profiles.reused)
+    return refs, (memo.hits, memo.misses, memo.built, memo.reused)
 
 
 def _map_chunks(body, chunks, workers: int) -> list:
@@ -434,14 +406,15 @@ def run_scans(configs: Sequence[ScanConfig],
     ny.  When a row is longer than `chunk_size`, each row is cut into
     chunks of `chunk_size` points and its rest.  A chunk's points are then
     a tensor grid, so factors of one coordinate are built once per row,
-    column or plane (see `beams._coords`).  Within a chunk the observables
-    run deepest `field_order` first, the order of the field sample each
-    takes (0 for one that states none), then beam by beam (see
-    `_evaluation_order`), so the deepest profiles serve lower orders and
-    one cached sample suffices.  The chunks of a grid run on a thread pool
-    of min(chunks, usable CPUs) workers, usable CPUs taken from the
-    process's CPU affinity; a single chunk or a single CPU runs in the
-    calling thread.  An observable must therefore be safe to call from
+    column or plane (see `beams._coords`).  Each chunk's observables share
+    one `beams.ProfileMemo`, which holds the chunk's scalar profiles and
+    its latest field sample.  They run deepest `field_order` first, the
+    order of the field sample each takes (0 for one that states none),
+    then beam by beam (see `_evaluation_order`), so the deepest profiles
+    serve lower orders and the one held sample suffices.  The chunks of a
+    grid run on a thread pool of min(chunks, usable CPUs) workers, usable
+    CPUs taken from the process's CPU affinity; a single chunk or a single
+    CPU runs in the calling thread.  An observable must therefore be safe to call from
     several threads at once (the built-in ones are pure).  Memory grows
     with workers x chunk_size.  Results are bitwise identical to a serial
     run and to running each scan alone, in the input order.  If chunks
@@ -449,7 +422,7 @@ def run_scans(configs: Sequence[ScanConfig],
     within a chunk, that of the first observable to raise in evaluation
     order.  One debug record per grid on the ``vectorlight.scan`` logger
     reports its maps, points, chunks, workers and elapsed seconds, then,
-    summed over its chunks, field-sample cache hits and misses and scalar
+    summed over its chunks' memos, field-sample hits and misses and scalar
     profiles built and reused.  A `chunk_size` that is not a positive
     integer raises ConfigurationError.
     """
@@ -478,9 +451,7 @@ def run_scans(configs: Sequence[ScanConfig],
                                  axes, vals)
         chunk_refs, chunk_counts = zip(*_map_chunks(body, chunks, workers))
         for i in members:
-            ref = 0.0
-            for refs in chunk_refs:
-                ref = max(ref, refs[i])
+            ref = max([0.0] + [refs[i] for refs in chunk_refs])
             out[i] = _finalize(configs[i], vals.pop(i), ref)
         _log.debug("scanned %d maps on %d points in %d chunks with %d "
                    "workers: %.3f s; field samples %d hits, %d misses; "

@@ -12,6 +12,7 @@ applied after the gradient.
 """
 
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -493,6 +494,51 @@ def test_repeated_points_are_a_grid():
     line = _tensor_points([0.1 * WAIST], [0.2 * WAIST, -0.0, 0.0], [ZR])
     assert [c.val.shape for c in _coords(line, 1)] == \
         [(1, 1, 1), (1, 3, 1), (1, 1, 1)]
+
+
+def test_memo_serves_its_sample_again_only_for_the_same_beam_order_and_points(
+        monkeypatch):
+    pts = make_probe_points()
+    beam = BeamSpec.lg(1, waist=WAIST, wavelength=WAVELENGTH)
+    memo = ProfileMemo()
+    held = memo.sample(beam, pts, 1)
+    _assert_same_bytes(held, field_sample_upto(beam, pts, 1), 1)
+    # the same beam object, order and points object: a hit
+    assert memo.sample(beam, pts, 1) is held
+    assert (memo.hits, memo.misses) == (1, 1)
+    # another order: a miss
+    memo.sample(beam, pts, 0)
+    assert (memo.hits, memo.misses) == (1, 2)
+    # an equal but distinct beam: a miss, as beams are matched by identity
+    twin = BeamSpec.lg(1, waist=WAIST, wavelength=WAVELENGTH)
+    assert twin == beam and twin is not beam
+    memo.sample(twin, pts, 0)
+    assert (memo.hits, memo.misses) == (1, 3)
+    # another points object, even an equal copy: a miss that drops the held
+    # sample and the profiles, so the profile is built again
+    ref = weakref.ref(memo.sample(twin, pts, 0))
+    built = memo.built
+    got = memo.sample(twin, pts.copy(), 0)
+    assert (memo.hits, memo.misses) == (2, 4)
+    assert ref() is None and memo.built == built + 1
+    _assert_same_bytes(got, field_sample_upto(twin, pts, 0), 0)
+    ref = weakref.ref(got)
+    del got
+    memo.use(pts)
+    assert ref() is None and memo.jets == {}
+
+    # the held sample is dropped before the next one is built
+    real = beams.field_sample_upto
+    freed = []
+
+    def check(*args, **kwargs):
+        freed.append(ref() is None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(beams, "field_sample_upto", check)
+    ref = weakref.ref(memo.sample(beam, pts, 0))
+    memo.sample(beam, pts, 1)
+    assert freed == [True, True]
 
 
 def test_lower_orders_served_from_a_deeper_memo_are_bytewise_direct_calls():

@@ -120,6 +120,9 @@ def test_geometry_validation():
         Geometry(0.1, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         Geometry(0.1, (1.0, 0.0))
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            Geometry(theta)
     with pytest.raises(ValueError):
         g.axis[1] = 2.0
 
@@ -371,7 +374,8 @@ def test_averaging_validation():
     trans = transition(1, multipole=Multipole.E2_DJ1)
     bad = [((0.0, 1e-9, 1e-9), 15), ((-1e-9, 1e-9, 1e-9), 15),
            ((1e-9, 1e-9), 15), ((1e-9,) * 4, 15), ((1e-9,) * 3, 0),
-           ((1e-9,) * 3, -3), ((1e-9,) * 3, 2.5)]
+           ((1e-9,) * 3, -3), ((1e-9,) * 3, 2.5),
+           ((math.nan, 1e-9, 1e-9), 15)]
     for widths, order in bad:
         for func in (averaged_strength, averaged_strength_rms):
             func(beam, (0, 0, 0), (1e-9,) * 3, trans)

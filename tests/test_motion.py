@@ -65,6 +65,10 @@ def test_zero_point_scaling():
         zero_point_length(-1.0, OMEGA)
     with pytest.raises(ValueError):
         zero_point_length(MASS, 0.0)
+    with pytest.raises(ValueError):
+        zero_point_length(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        zero_point_length(MASS, math.nan)
 
 
 def test_lamb_dicke_frozen_values():
@@ -84,6 +88,8 @@ def test_lamb_dicke_scaling_and_validation():
         lamb_dicke("diagonal", K, MASS, OMEGA)
     with pytest.raises(ValueError):
         lamb_dicke("transverse", 0.0, MASS, OMEGA)
+    with pytest.raises(ValueError):
+        lamb_dicke("transverse", math.nan, MASS, OMEGA)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +103,10 @@ def test_trap_validation():
         TrapSpec(MASS, (OMEGA, OMEGA))
     with pytest.raises(ValueError):
         TrapSpec(MASS, (OMEGA, -OMEGA, OMEGA))
+    with pytest.raises(ValueError):
+        TrapSpec(math.nan, (OMEGA,) * 3)
+    with pytest.raises(ValueError):
+        TrapSpec(MASS, (OMEGA, math.nan, OMEGA))
     with pytest.raises(ValueError):
         TrapSpec(MASS, (OMEGA,) * 3, axes=[[1, 0, 0], [1, 0, 0], [0, 0, 1]])
     trap = default_trap()
@@ -154,6 +164,8 @@ def test_mu_derivative_direction_decomposition():
     assert abs(d_diag - ref) < 1e-12 * abs(ref)
     with pytest.raises(ValueError):
         mu_derivative(beam, pt, (1.0, 1.0, 0.0), trans)
+    with pytest.raises(ValueError):
+        mu_derivative(beam, pt, (math.nan, 0.0, 0.0), trans)
 
 
 def test_taylor_residual_scaling():

@@ -39,6 +39,7 @@ from vectorlight import (
     run_scan,
     run_scans,
 )
+from vectorlight.beams import ProfileMemo
 from vectorlight.motion import lamb_dicke, sideband_strength_at
 
 from oracles import fd_jacobian
@@ -86,6 +87,10 @@ def test_config_validation():
         ScanConfig(obs, (1.0, -1.0, -1.0, 1.0), (16, 16))  # x_max < x_min
     with pytest.raises(ConfigurationError):
         ScanConfig(obs, (-1.0, 1.0, -1.0), (16, 16))
+    for ext in (("a", 1, 2, 3), 1.0, (None, 1, 2, 3)):
+        with pytest.raises(ConfigurationError,
+                           match=r"^extent must be \(x_min, x_max, y_min, y_max\)$"):
+            ScanConfig(obs, ext, (16, 16))
     with pytest.raises(ConfigurationError):
         ScanConfig(obs, EXTENT, (1, 16))
     with pytest.raises(ConfigurationError):
@@ -98,7 +103,7 @@ def test_config_validation():
     # grid sizes are integers, also when given as floats
     assert ScanConfig(obs, EXTENT, (16.0, np.int64(8))).resolution == (16, 8)
     for res in ((4.7, 4), (16, 2.5), (16, "8"), (16, float("nan")),
-                (float("inf"), 16)):
+                (float("inf"), 16), 8, None):
         with pytest.raises(ConfigurationError, match="two integers >= 2"):
             ScanConfig(obs, EXTENT, res)
     # coordinates within +/- 1e6 m, where their squares stay finite
@@ -430,10 +435,10 @@ def test_each_observable_states_the_field_order_it_samples():
 
     for obs, order in cases:
         assert obs.field_order == order, obs.name
-        cache = scan_module._ChunkSampleCache()
-        cache.sample = sample
+        memo = ProfileMemo()
+        memo.sample = sample
         del orders[:]
-        obs.evaluate(pts, cache)
+        obs.evaluate(pts, memo)
         # the ground-state red sideband is an exact zero: it samples nothing
         assert orders == ([] if obs.name == "sideband:rsb:X:n=0"
                           else [order]), obs.name
@@ -596,8 +601,20 @@ def test_non_finite_values_raise_numerical_error():
                 vals[np.all(points == self.where, axis=1)] = self.bad
             return vals, 1.0
 
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="scan of broken$"):
         run_scan(ScanConfig(Broken(np.nan), EXTENT, (16, 16)))
+    # a nameless observable is "observable" in the error as in the map
+    class Nameless:
+        def __init__(self, value):
+            self.value = value
+
+        def evaluate(self, points):
+            return np.full(points.shape[0], self.value, dtype=complex), 1.0
+
+    with pytest.raises(NumericalError, match="scan of observable$"):
+        run_scan(ScanConfig(Nameless(np.nan), EXTENT, (4, 4)))
+    assert run_scan(ScanConfig(Nameless(2.0), EXTENT, (4, 4))
+                    ).observable_name == "observable"
     # a single bad cell in one chunk of four, in a modulus map (which keeps
     # only float moduli per chunk) and in a complex map
     where = ScanConfig(Broken(0.0), EXTENT, (16, 16)).grid_points()[137]
