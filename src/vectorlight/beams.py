@@ -408,29 +408,30 @@ class ProfileMemo:
     """
 
     def __init__(self):
-        self.built = self.reused = self.hits = self.misses = 0
+        self.built = 0
+        self.reused = 0
+        self.hits = 0
+        self.misses = 0
         self._points = None
-        self._sample = None  # (beam, order, FieldSample)
+        self._sample = (None, None, None)  # beam, order, FieldSample
         self.jets: Dict[tuple, Jet] = {}
 
     def use(self, points: np.ndarray) -> None:
         """Serve `points`, dropping the jets and sample of any other points."""
         if self._points is not points:
             self._points = points
-            self._sample = None
+            self._sample = (None, None, None)
             self.jets = {}
 
-    def sample(self, beam: BeamSpec, points: np.ndarray,
-               order: int) -> FieldSample:
+    def sample(self, beam: BeamSpec, points, order: int) -> FieldSample:
         """`field_sample_upto(beam, points, order, profiles=self)`, the held
         sample if it is of this beam object and order on these points."""
         self.use(points)
-        held = self._sample
-        if held is not None and held[0] is beam and held[1] == order:
+        if self._sample[0] is beam and self._sample[1] == order:
             self.hits += 1
-            return held[2]
+            return self._sample[2]
         self.misses += 1
-        self._sample = held = None  # freed before the next is built
+        self._sample = (None, None, None)  # freed before the next is built
         fs = field_sample_upto(beam, points, order, profiles=self)
         self._sample = (beam, order, fs)
         return fs

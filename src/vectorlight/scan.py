@@ -451,7 +451,9 @@ def run_scans(configs: Sequence[ScanConfig],
                                  axes, vals)
         chunk_refs, chunk_counts = zip(*_map_chunks(body, chunks, workers))
         for i in members:
-            ref = max([0.0] + [refs[i] for refs in chunk_refs])
+            ref = 0.0
+            for refs in chunk_refs:
+                ref = max(ref, refs[i])
             out[i] = _finalize(configs[i], vals.pop(i), ref)
         _log.debug("scanned %d maps on %d points in %d chunks with %d "
                    "workers: %.3f s; field samples %d hits, %d misses; "
