@@ -466,8 +466,9 @@ def _profile(mode: Mode, waist: float, k: float, order: int,
     these points, keyed by (mode, waist, k), ((|l|, p), waist, k) and
     ("envelope", waist, k): LG(+l, p) and LG(-l, p) share one radial part,
     which it holds only while one of the two is still to be built, and
-    every profile of one waist and wavenumber shares the envelope.  A missing jet is built from `coords()`, jets of this order,
-    and added to it.
+    every profile of one waist and wavenumber shares the envelope.  A
+    missing jet is built from `coords()`, jets of this order, and added to
+    it.
     """
     key = (mode, waist, k)
     f = memo.get(key, order)

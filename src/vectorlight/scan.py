@@ -414,17 +414,17 @@ def run_scans(configs: Sequence[ScanConfig],
     serve lower orders and the one held sample suffices.  The chunks of a
     grid run on a thread pool of min(chunks, usable CPUs) workers, usable
     CPUs taken from the process's CPU affinity; a single chunk or a single
-    CPU runs in the calling thread.  An observable must therefore be safe to call from
-    several threads at once (the built-in ones are pure).  Memory grows
-    with workers x chunk_size.  Results are bitwise identical to a serial
-    run and to running each scan alone, in the input order.  If chunks
-    raise, the exception of the earliest one in grid order propagates;
-    within a chunk, that of the first observable to raise in evaluation
-    order.  One debug record per grid on the ``vectorlight.scan`` logger
-    reports its maps, points, chunks, workers and elapsed seconds, then,
-    summed over its chunks' memos, field-sample hits and misses and scalar
-    profiles built and reused.  A `chunk_size` that is not a positive
-    integer raises ConfigurationError.
+    CPU runs in the calling thread.  An observable must therefore be safe
+    to call from several threads at once (the built-in ones are pure).
+    Memory grows with workers x chunk_size.  Results are bitwise identical
+    to a serial run and to running each scan alone, in the input order.  If
+    chunks raise, the exception of the earliest one in grid order
+    propagates; within a chunk, that of the first observable to raise in
+    evaluation order.  One debug record per grid on the
+    ``vectorlight.scan`` logger reports its maps, points, chunks, workers
+    and elapsed seconds, then, summed over its chunks' memos, field-sample
+    hits and misses and scalar profiles built and reused.  A `chunk_size`
+    that is not a positive integer raises ConfigurationError.
     """
     if isinstance(chunk_size, bool) \
             or not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:

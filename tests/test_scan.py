@@ -88,8 +88,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ScanConfig(obs, (-1.0, 1.0, -1.0), (16, 16))
     for ext in (("a", 1, 2, 3), 1.0, (None, 1, 2, 3)):
-        with pytest.raises(ConfigurationError,
-                           match=r"^extent must be \(x_min, x_max, y_min, y_max\)$"):
+        with pytest.raises(ConfigurationError, match=r"^extent must be "
+                           r"\(x_min, x_max, y_min, y_max\)$"):
             ScanConfig(obs, ext, (16, 16))
     with pytest.raises(ConfigurationError):
         ScanConfig(obs, EXTENT, (1, 16))
