@@ -270,11 +270,7 @@ def _resolve(args) -> dict:
         dest = field.flag[2:].replace("-", "_") if field.flag else None
         if dest not in given:
             continue
-        try:
-            value = field.convert(given[dest])
-        except ValueError as exc:
-            raise ConfigurationError(f"{field.flag}: {exc}") from exc
-        _place(doc, path, value)
+        _place(doc, path, _checked(field.flag, field.convert, given[dest]))
     doc["observable"] = args.fields["observable"].default
     _complete_beam(doc["beam"])
     if "grid.extent_um" in args.fields:
@@ -286,14 +282,21 @@ def _resolve(args) -> dict:
 # ------------------------------------------------------ run-document values
 
 
+def _checked(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), which converts a run-document value or builds
+    an object from such values.  A TypeError, ValueError or OverflowError it
+    raises is bad input: a ConfigurationError '<where>: <message>', which
+    the CLI prints and exits 2 on."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 def _read(doc: dict, path: str, key: str, convert):
     """doc[key] through `convert`; a bad value is a ConfigurationError naming
     its field path, e.g. 'beam.l'."""
-    try:
-        return convert(doc.get(key))
-    except (TypeError, ValueError, OverflowError) as exc:
-        where = f"{path}.{key}" if path else key
-        raise ConfigurationError(f"{where}: {exc}") from exc
+    return _checked(f"{path}.{key}" if path else key, convert, doc.get(key))
 
 
 def _finite(value) -> float:
@@ -352,11 +355,8 @@ def _build_beam(doc: dict) -> BeamSpec:
         return make_radial_azimuthal(kind, waist=waist, wavelength=wavelength)
     a, b = (_read(doc, "beam", key, _integer) for key in _MODE_INDICES[kind])
     sigma = _read(doc, "beam", "sigma", _sigma)
-    try:
-        return getattr(BeamSpec, kind)(a, b, sigma=sigma, waist=waist,
-                                       wavelength=wavelength)
-    except ValueError as exc:
-        raise ConfigurationError(f"beam: {exc}") from exc
+    return _checked("beam", getattr(BeamSpec, kind), a, b, sigma=sigma,
+                    waist=waist, wavelength=wavelength)
 
 
 def _transitions(doc: dict, dm=None) -> Dict[int, TransitionSpec]:
@@ -365,21 +365,23 @@ def _transitions(doc: dict, dm=None) -> Dict[int, TransitionSpec]:
     TransitionSpec names the fault.  A Delta-m `dm`, if given, is built
     first, so that its fault is the one named, and is rejected unless it is
     a channel; it is then one of the result's keys."""
-    try:
-        j1, m1, j2 = (HalfInt.coerce(doc[key]) for key in ("j1", "m1", "j2"))
-        multipole = Multipole.parse(str(doc["multipole"]))
-        channels = sorted(coefficients_for(multipole).channels)
-        if dm is not None:
-            TransitionSpec(j1, m1, j2, m1 + dm, multipole)
-            if dm not in channels:
-                raise ValueError(
-                    f"dm={dm} is not a channel of {multipole.value} "
-                    f"({channels[0]:+d} to {channels[-1]:+d})")
-        dms = [d for d in channels
-               if (m1 + d).is_projection_of(j2)] or channels[:1]
-        return {d: TransitionSpec(j1, m1, j2, m1 + d, multipole) for d in dms}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"transition: {exc}") from exc
+    return _checked("transition", _channel_specs, doc, dm)
+
+
+def _channel_specs(doc: dict, dm) -> Dict[int, TransitionSpec]:
+    """The body of `_transitions`, which names the section of its faults."""
+    j1, m1, j2 = (HalfInt.coerce(doc[key]) for key in ("j1", "m1", "j2"))
+    multipole = Multipole.parse(str(doc["multipole"]))
+    channels = sorted(coefficients_for(multipole).channels)
+    if dm is not None:
+        TransitionSpec(j1, m1, j2, m1 + dm, multipole)
+        if dm not in channels:
+            raise ValueError(
+                f"dm={dm} is not a channel of {multipole.value} "
+                f"({channels[0]:+d} to {channels[-1]:+d})")
+    dms = [d for d in channels
+           if (m1 + d).is_projection_of(j2)] or channels[:1]
+    return {d: TransitionSpec(j1, m1, j2, m1 + d, multipole) for d in dms}
 
 
 def _build_geometry(doc: dict) -> Geometry:
@@ -392,19 +394,13 @@ def _build_geometry(doc: dict) -> Geometry:
             raise ConfigurationError(f"geometry.axis: unknown axis {axis!r}")
     else:
         axis = _read(doc, "geometry", "axis", _numbers(_finite, 3))
-    try:
-        return Geometry(theta, axis)
-    except ValueError as exc:
-        raise ConfigurationError(f"geometry: {exc}") from exc
+    return _checked("geometry", Geometry, theta, axis)
 
 
 def _build_trap(doc: dict) -> TrapSpec:
     mass = _read(doc, "trap", "mass_amu", _finite)
     freqs = _read(doc, "trap", "frequencies_mhz", _numbers(_finite, 3))
-    try:
-        return TrapSpec.from_lab_units(mass, freqs)
-    except ValueError as exc:
-        raise ConfigurationError(f"trap: {exc}") from exc
+    return _checked("trap", TrapSpec.from_lab_units, mass, freqs)
 
 
 def _motion_run(doc: dict):

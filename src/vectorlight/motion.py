@@ -53,6 +53,8 @@ class TrapSpec:
         freqs = np.asarray(self.frequencies, dtype=float)
         if freqs.shape != (3,) or not np.all(freqs > 0.0):
             raise ValueError("frequencies must be three positive values")
+        for omega in freqs:  # it raises unless z0 is finite and positive
+            zero_point_length(self.mass, omega)
         axes = np.eye(3) if self.axes is None else np.asarray(self.axes, dtype=float)
         if axes.shape != (3, 3):
             raise ValueError("axes must be a 3x3 matrix of row vectors")
@@ -71,8 +73,12 @@ class TrapSpec:
     @staticmethod
     def from_lab_units(mass_amu: float, frequencies_mhz: Sequence[float],
                        axes=None, center=None) -> "TrapSpec":
-        """Trap from atomic mass units and mode frequencies in MHz (omega/2pi)."""
-        freqs = 2.0 * math.pi * 1e6 * np.asarray(frequencies_mhz, dtype=float)
+        """Trap from atomic mass units and mode frequencies in MHz (omega/2pi).
+        A frequency that overflows in SI units is infinite, which TrapSpec
+        rejects: its zero-point length is 0."""
+        with np.errstate(over="ignore"):
+            freqs = 2.0 * math.pi * 1e6 * np.asarray(frequencies_mhz,
+                                                     dtype=float)
         return TrapSpec(mass_amu * ATOMIC_MASS, freqs, axes, center)
 
     def mode_index(self, mode: str) -> int:
@@ -102,10 +108,18 @@ class SidebandRequest:
 
 
 def zero_point_length(mass: float, omega: float) -> float:
-    """Ground-state zero-point extent sqrt(hbar / 2 m omega)."""
+    """Ground-state zero-point extent sqrt(hbar / 2 m omega), which must be a
+    finite positive double: an infinite omega or mass gives 0, and a product
+    2 m omega that underflows to 0 an infinite extent."""
     if not (mass > 0.0 and omega > 0.0):
         raise ValueError("mass and omega must be positive")
-    return math.sqrt(HBAR / (2.0 * mass * omega))
+    product = 2.0 * float(mass) * float(omega)
+    z0 = math.sqrt(HBAR / product) if product else math.inf
+    if not 0.0 < z0 < math.inf:
+        raise ValueError(f"zero-point length sqrt(hbar / 2 m omega) is {z0!r} "
+                         f"m for m = {mass:g} kg, omega = {omega:g} rad/s; "
+                         "it must be finite and positive")
+    return z0
 
 
 def lamb_dicke(kind: str, scale: float, mass: float, omega: float) -> float:

@@ -166,6 +166,11 @@ def _cli_cases():
         ["sideband-map", "--beam", "lg:1", "--branch", "up"] + small,
         ["sideband-map", "--beam", "lg:1", "--mass-amu=-1"] + small,
         ["transition-map", "--beam", "lg:1", "--dm", "x"] + grid,
+        # zero-point lengths of 0 and of inf
+        ["sideband-map", "--beam", "lg:1", "--frequencies-mhz", "1e308,1,1"]
+        + small,
+        ["point", "--beam", "lg:1", "--mass-amu", "1e-200",
+         "--frequencies-mhz", "1e-300,1,1", "--position-um=0,0,0"],
     ]
     return [("ok", c) for c in cases] + [("error", c) for c in errors]
 

@@ -12,6 +12,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,65 @@ def test_ends_of_the_length_range_are_valid(capsys):
                    "--position-um", "1e12,-1e12,1e12"]):
         assert run(["point", "--beam", "lg:1"] + extra) == 0
         assert "position_um" in json.loads(capsys.readouterr().out)
+
+
+# each place that turns a bad run-document value into exit 2, by the name
+# its message starts with; a `point` run reaches all of them
+_CHECKED_SITES = ("--waist-um", "sideband.n", "beam", "transition",
+                  "geometry", "trap")
+
+
+@pytest.mark.parametrize("exc", [TypeError("t"), OverflowError("o")],
+                         ids=["TypeError", "OverflowError"])
+@pytest.mark.parametrize("where", _CHECKED_SITES)
+def test_every_site_turns_the_same_exceptions_into_exit_2(capsys, monkeypatch,
+                                                          where, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    if where == "--waist-um":
+        # the flag's converter in the table, through a parser built from it
+        field = cli_module._FIELDS["beam.waist_um"]._replace(convert=fail)
+        monkeypatch.setitem(cli_module._FIELDS, "beam.waist_um", field)
+        monkeypatch.setattr(cli_module, "_parser", cli_module.build_parser)
+    elif where == "sideband.n":
+        monkeypatch.setattr(cli_module, "_count", fail)
+    elif where == "beam":
+        monkeypatch.setattr(cli_module.BeamSpec, "lg", fail)
+    elif where == "transition":
+        monkeypatch.setattr(cli_module, "coefficients_for", fail)
+    elif where == "geometry":
+        monkeypatch.setattr(cli_module, "Geometry", fail)
+    else:
+        monkeypatch.setattr(cli_module.TrapSpec, "from_lab_units", fail)
+    assert run(["point", "--beam", "lg:1", "--waist-um", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: {where}: {exc}\n")
+
+
+@pytest.mark.parametrize("trap", [
+    # omega overflows to inf in SI units: its zero-point length is 0
+    ["--frequencies-mhz", "1e308,1,1"],
+    # 2 m omega underflows to 0: the zero-point length is infinite
+    ["--mass-amu", "1e-200", "--frequencies-mhz", "1e-300,1,1"],
+])
+@pytest.mark.parametrize("command", ["sideband-map", "point"])
+def test_trap_outside_the_stated_range_exits_2(tmp_path, capsys, command,
+                                               trap):
+    outdir = tmp_path / "out"
+    argv = [command, "--beam", "lg:1"] + trap
+    if command != "point":
+        argv += ["--resolution", "4,4", "-o", outdir]
+    with warnings.catch_warnings():
+        # nor does the rejected run warn of an overflow
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: trap: zero-point length ")
+    assert err.endswith("; it must be finite and positive\n")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("argv", [

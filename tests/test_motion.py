@@ -8,6 +8,7 @@ defining value of h and the 2018 recommended atomic mass constant:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,12 @@ def test_zero_point_scaling():
         zero_point_length(math.nan, 1.0)
     with pytest.raises(ValueError):
         zero_point_length(MASS, math.nan)
+    # the extent must be a finite positive double: an infinite omega gives
+    # 0, so does 2 m omega = 2e300 (hbar / 2e300 underflows), and a product
+    # that underflows to 0 gives an infinite extent
+    for mass, omega in ((MASS, math.inf), (1e150, 1e150), (1e-227, 1e-293)):
+        with pytest.raises(ValueError, match="zero-point length"):
+            zero_point_length(mass, omega)
 
 
 def test_lamb_dicke_frozen_values():
@@ -97,12 +104,23 @@ def test_lamb_dicke_scaling_and_validation():
 
 
 def test_trap_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mass must be positive"):
         TrapSpec(0.0, (OMEGA,) * 3)
     with pytest.raises(ValueError):
         TrapSpec(MASS, (OMEGA, OMEGA))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="three positive values"):
         TrapSpec(MASS, (OMEGA, -OMEGA, OMEGA))
+    # each mode's zero-point length must be a finite positive double
+    for mass, freqs in ((MASS, (OMEGA, math.inf, OMEGA)),
+                        (1e150, (OMEGA, OMEGA, 1e150)),
+                        (1e-227, (1e-293, OMEGA, OMEGA))):
+        with pytest.raises(ValueError, match="zero-point length"):
+            TrapSpec(mass, freqs)
+    # a frequency that overflows in SI units is rejected without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega = inf"):
+            TrapSpec.from_lab_units(40.0, (1e308, 1.0, 1.0))
     with pytest.raises(ValueError):
         TrapSpec(math.nan, (OMEGA,) * 3)
     with pytest.raises(ValueError):
