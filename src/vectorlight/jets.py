@@ -7,9 +7,15 @@ propagation through arithmetic (Leibniz rule) and smooth unary composition
 mode functions out of these, so every spatial derivative it reports is exact
 rather than numerical.
 
+A Jet supports only what the beams use: `jet + jet`, `jet + c`, `jet * jet`
+and `jet * c` with the jet on the left, `compose` and the compositions
+`exp`, `reciprocal`, `sqrt` and `arctan`, `ipow`, and the builders and views
+`constant`, `coordinate`, `truncate` and `partial`.  A difference is a sum
+with a jet times -1, a quotient a product with a reciprocal.
+
 The value and the derivative blocks form one sequence, `Jet.blocks`, and
-every operation that treats the blocks alike (sums, negation, products with
-a scalar, `truncate`, `partial`) runs over it.  Only products of two jets
+every operation that treats the blocks alike (sums, products with a scalar,
+`truncate`, `partial`) runs over it.  Only products of two jets
 and compositions are written out order by order, since their Leibniz and
 Faa di Bruno terms differ with the order.
 
@@ -153,19 +159,6 @@ class Jet:
         o = self._check(other)
         return Jet(self.order, *(a + b for a, b in zip(self.blocks, o.blocks)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.order, *(-b for b in self.blocks))
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return self + (-np.asarray(other, dtype=complex))
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Jet):  # scalar fast path
             c = complex(other)
@@ -193,13 +186,6 @@ class Jet:
             )
             t = _expand(t, _T_FULL, 3)
         return Jet(n, val, g, h, t)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / complex(other))
 
     # ---------------------------------------------------------- composition
 

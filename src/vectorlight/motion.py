@@ -75,11 +75,15 @@ class TrapSpec:
                        axes=None, center=None) -> "TrapSpec":
         """Trap from atomic mass units and mode frequencies in MHz (omega/2pi).
         A frequency that overflows in SI units is infinite, which TrapSpec
-        rejects: its zero-point length is 0."""
+        rejects: its zero-point length is 0.  A positive mass below about
+        1.5e-297 amu underflows to 0 kg and is rejected here."""
         with np.errstate(over="ignore"):
             freqs = 2.0 * math.pi * 1e6 * np.asarray(frequencies_mhz,
                                                      dtype=float)
-        return TrapSpec(mass_amu * ATOMIC_MASS, freqs, axes, center)
+        mass = mass_amu * ATOMIC_MASS
+        if mass_amu > 0.0 and mass == 0.0:
+            raise ValueError(f"mass {mass_amu!r} amu underflows to 0 kg")
+        return TrapSpec(mass, freqs, axes, center)
 
     def mode_index(self, mode: str) -> int:
         key = str(mode).upper()

@@ -195,6 +195,15 @@ def _centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) / n * (np.arange(n) + 0.5)
 
 
+def _points(axes, start: int, stop: int) -> np.ndarray:
+    """Points start..stop-1, as an (n, 3) array, of the grid of `axes` (x
+    centres, y centres, z plane) in row-major order, y fastest."""
+    xs, ys, z = axes
+    index = np.arange(start, stop)
+    return np.stack([xs[index // ys.size], ys[index % ys.size],
+                     np.full(index.size, z)], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class ScanConfig:
     """Rectangular focal-plane grid plus the observable to map over it.
@@ -248,11 +257,9 @@ class ScanConfig:
         return _centers(*self.extent[2:], self.resolution[1])
 
     def grid_points(self) -> np.ndarray:
-        xs = self.x_centers()
-        ys = self.y_centers()
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(),
-                         np.full(gx.size, self.z_plane)], axis=-1)
+        nx, ny = self.resolution
+        return _points((self.x_centers(), self.y_centers(), self.z_plane),
+                       0, nx * ny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,12 +371,9 @@ def _scan_chunk(configs, evaluation, cached, axes, vals,
     disjoint slices of `vals`.
     """
     start, stop = bounds
-    xs, ys, z = axes
-    # the chunk's slice of ScanConfig.grid_points(), bit for bit, built
-    # without the rest of the grid
-    index = np.arange(start, stop)
-    chunk = np.stack([xs[index // ys.size], ys[index % ys.size],
-                      np.full(index.size, z)], axis=-1)
+    # the chunk's slice of ScanConfig.grid_points(), built without the rest
+    # of the grid
+    chunk = _points(axes, start, stop)
     memo = ProfileMemo()
     refs = {}
     for i in evaluation:

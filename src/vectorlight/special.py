@@ -156,16 +156,17 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
     tj1, tm1 = halfint(j1).twice, halfint(m1).twice
     tj2, tm2 = halfint(j2).twice, halfint(m2).twice
     tj, tm = halfint(j).twice, halfint(m).twice
-    _check_jm(tj1, tm1, "(j1, m1)")
-    _check_jm(tj2, tm2, "(j2, m2)")
-    _check_jm(tj, tm, "(j, m)")
     return _clebsch_gordan_twice(tj1, tm1, tj2, tm2, tj, tm)
 
 
 @functools.lru_cache(maxsize=4096)
 def _clebsch_gordan_twice(tj1: int, tm1: int, tj2: int, tm2: int, tj: int,
                           tm: int) -> float:
-    """The coefficient from valid doubled quantum numbers, computed once."""
+    """The coefficient from doubled quantum numbers, checked and computed
+    once; an invalid pairing raises on every call, as no error is cached."""
+    _check_jm(tj1, tm1, "(j1, m1)")
+    _check_jm(tj2, tm2, "(j2, m2)")
+    _check_jm(tj, tm, "(j, m)")
     if tm1 + tm2 != tm:
         return 0.0
     # Triangle rule, including the requirement that j1 + j2 + j is an integer.

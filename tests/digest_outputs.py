@@ -171,6 +171,9 @@ def _cli_cases():
         + small,
         ["point", "--beam", "lg:1", "--mass-amu", "1e-200",
          "--frequencies-mhz", "1e-300,1,1", "--position-um=0,0,0"],
+        # a positive mass that underflows to 0 kg
+        ["point", "--beam", "lg:1", "--mass-amu", "1e-320",
+         "--position-um=0,0,0"],
     ]
     return [("ok", c) for c in cases] + [("error", c) for c in errors]
 

@@ -46,7 +46,7 @@ from vectorlight import (
 )
 from vectorlight.constants import ATOMIC_MASS
 
-from oracles import fd_hessian, fd_jacobian, wigner_d_matrix
+from oracles import fd_hessian, fd_jacobian, rotated_sample, wigner_d_matrix
 
 W0 = 1.0e-6
 WAVELENGTH = 0.729e-6
@@ -173,13 +173,6 @@ def test_criterion_03_literal_single_channel_at_sigma_zero():
 
 
 # -------------------------------------------------------------- criterion 4
-
-
-def rotated_sample(fs, rot):
-    e = np.einsum("ij,...i->...j", rot, fs.electric)
-    jac = np.einsum("ai,bj,...ab->...ij", rot, rot, fs.jacobian)
-    hes = np.einsum("ap,bi,cj,...abc->...pij", rot, rot, rot, fs.hessian)
-    return FieldSample(e, jac, hes)
 
 
 def test_criterion_04_tensor_rotation_matches_field_rotation():

@@ -367,6 +367,24 @@ def test_trap_outside_the_stated_range_exits_2(tmp_path, capsys, command,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("mass, message", [
+    # positive, but 0 kg once converted from amu
+    (["--mass-amu", "1e-320"], "mass 1e-320 amu underflows to 0 kg"),
+    (["--mass-amu=-1"], "mass must be positive"),
+], ids=["underflow", "negative"])
+@pytest.mark.parametrize("command", ["sideband-map", "point"])
+def test_trap_mass_below_a_double_in_kg_exits_2(tmp_path, capsys, command,
+                                                mass, message):
+    outdir = tmp_path / "out"
+    argv = [command, "--beam", "lg:1"] + mass
+    if command != "point":
+        argv += ["--resolution", "4,4", "-o", outdir]
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: trap: {message}\n")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["point", "--beam", "lg:80,90", "--waist-um", "1e-12", "--wavelength-um",
      "1e12", "--position-um", "0,0,1e12"],

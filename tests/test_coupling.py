@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vectorlight import coupling
@@ -285,6 +285,108 @@ def test_rotated_tables_contract_like_rotated_gradients():
             lhs = np.sum(moved[dm] * grad)
             rhs = np.sum(base[dm] * (rot.T @ grad @ rot))
             assert abs(lhs - rhs) < 1e-12 * max(abs(rhs), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# angular momentum about the beam axis
+#
+# An LG term of charge l and circular polarization sigma carries J_z = l +
+# sigma = j.  Its profile F goes as e^{il phi} about the axis, the rotation
+# R_phi turns e = x + i sigma y into e^{-i sigma phi} e, and E_z, which is
+# (d_x + i sigma d_y) F, goes as e^{ij phi}.  So E(R r) = e^{ij phi} R E(r),
+# the jacobian d_i E_j goes to e^{ij phi} R (dE) R^T, and a dm table, one
+# spherical component, contracts R E (or R (dE) R^T) to e^{-i dm phi} times
+# its contraction of E.  Hence
+#     mu_dm(R r) = e^{i(j - dm) phi} mu_dm(r),
+#     grad mu_dm(R r) = e^{i(j - dm) phi} R grad mu_dm(r).
+# Both terms of the radial and azimuthal beams have j = 0.  An HG(m, n)
+# profile is even or odd in x and in y, H_m(-u) = (-1)^m H_m(u), so under
+# R_pi, (x, y) -> (-x, -y), F picks up (-1)^(m + n), the polarization -1
+# (for sigma = 0 too: e = x), and E_z, a transverse derivative of F, one
+# sign more than F.  So E(R_pi r) = (-1)^(m + n + 1) R_pi E(r), and with
+# e^{-i dm pi} = (-1)^dm the strengths pick up (-1)^(m + n + 1 + dm).
+
+PHASE_TOL = 1e-13
+
+
+def _phase_law_errors(spec, rot, phase, seed, n=8):
+    """For every dm channel of every multipole, the worst deviation from
+    mu(R r) = phase(dm) mu(r) and grad mu(R r) = phase(dm) R grad mu(r)
+    over n random points, relative to the peak of the field block that each
+    contracts.  (A strength can be rounding residue everywhere, as the
+    azimuthal beam's dm = 0 ones are, so its own peak is no scale.)"""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 3)) * (1.5 * WAIST, 1.5 * WAIST, 0.5e-6)
+    fs = field_sample_upto(spec, pts, 2)
+    moved = field_sample_upto(spec, pts @ rot.T, 2)
+    errors = []
+    for multipole in Multipole:
+        order = multipole.field_order
+        for dm in range(-multipole.delta_j, multipole.delta_j + 1):
+            trans = transition(dm, multipole=multipole)
+            mu = relative_strength(fs, trans)
+            grad = strength_gradient(fs, trans)
+            errors.append(max(
+                np.max(np.abs(relative_strength(moved, trans)
+                              - phase(dm) * mu)) / fs.peak(order),
+                np.max(np.abs(strength_gradient(moved, trans)
+                              - phase(dm) * grad @ rot.T)) / fs.peak(order + 1)))
+    return errors
+
+
+def _z_rotation(phi):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+_J_Z_BEAMS = [(f"lg{l},{p},{sigma:+d}", l + sigma,
+               BeamSpec.lg(l, p, sigma, waist=WAIST, wavelength=WAVELENGTH))
+              for l in range(-3, 3) for p in (0, 1) for sigma in (1, -1)]
+_J_Z_BEAMS += [(kind, 0, make_radial_azimuthal(kind, WAIST, WAVELENGTH))
+               for kind in ("radial", "azimuthal")]
+
+
+@pytest.mark.parametrize("j, spec", [b[1:] for b in _J_Z_BEAMS],
+                         ids=[b[0] for b in _J_Z_BEAMS])
+@settings(max_examples=4, deadline=None)
+@given(phi=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+@example(phi=0.7, seed=0)
+def test_strengths_carry_the_beams_angular_momentum(j, spec, phi, seed):
+    def phase(dm):
+        return np.exp(1j * (j - dm) * phi)
+
+    assert max(_phase_law_errors(spec, _z_rotation(phi), phase, seed)) \
+        < PHASE_TOL
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1),
+                                  (3, 0)])
+@pytest.mark.parametrize("sigma", [-1, 0, 1])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hg_strengths_are_even_or_odd_under_a_half_turn(m, n, sigma, seed):
+    spec = BeamSpec.hg(m, n, sigma, waist=WAIST, wavelength=WAVELENGTH)
+
+    def phase(dm):
+        return (-1.0) ** (m + n + 1 + dm)
+
+    # R_pi exactly: cos(pi) and sin(pi) as floats would move the points
+    half_turn = np.diag([-1.0, -1.0, 1.0])
+    assert max(_phase_law_errors(spec, half_turn, phase, seed)) < PHASE_TOL
+
+
+def test_the_opposite_phases_fail_the_angular_momentum_laws():
+    # the laws do not hold by accident: the conjugate phase, and the HG
+    # half turn's other sign, fail wherever a channel is not negligible
+    errors = []
+    for _, j, spec in _J_Z_BEAMS:
+        errors += _phase_law_errors(spec, _z_rotation(0.7),
+                                    lambda dm: np.exp(-1j * (j - dm) * 0.7), 0)
+    assert sum(err > PHASE_TOL for err in errors) > 100
+    spec = BeamSpec.hg(2, 1, 1, waist=WAIST, wavelength=WAVELENGTH)
+    errors = _phase_law_errors(spec, np.diag([-1.0, -1.0, 1.0]),
+                               lambda dm: (-1.0) ** (2 + 1 + dm), 0)
+    assert sum(err > PHASE_TOL for err in errors) > 5
 
 
 # ---------------------------------------------------------------------------

