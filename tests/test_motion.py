@@ -145,7 +145,8 @@ def test_lab_mass_that_underflows_to_0_kg_is_named():
         with pytest.raises(ValueError, match=re.escape(
                 f"mass {mass_amu!r} amu underflows to 0 kg")):
             TrapSpec.from_lab_units(mass_amu, (1.0, 1.0, 1.0))
-    # the smallest mass that is still a positive double in kg is accepted
+    # just above the bound the mass is 5e-324 kg, the smallest positive
+    # double, and is accepted
     assert TrapSpec.from_lab_units(1.5e-297, (1.0, 1.0, 1.0)).mass == 5e-324
     for mass_amu in (0.0, -1.0, -1e-320):
         with pytest.raises(ValueError, match="mass must be positive"):
