@@ -236,14 +236,11 @@ def _merge(doc: dict, over: dict) -> None:
 
 def _complete_beam(beam: dict) -> None:
     """Default the mode indices of the beam's type and an LG/HG sigma."""
-    kind = beam.get("type")
-    if kind is None:
+    if beam.get("type") is None:
         raise ConfigurationError("missing required field 'beam.type' "
                                  "(--beam or run-file beam section)")
-    indices = _MODE_INDICES.get(kind) if isinstance(kind, str) else None
-    if indices is None:
-        raise ConfigurationError(
-            f"beam.type must be lg, hg, radial, or azimuthal, got {kind!r}")
+    indices = _MODE_INDICES[_read(beam, "beam", "type",
+                                  _one_of(_MODE_INDICES))]
     for key in indices:
         beam.setdefault(key, 0)
     if indices:
@@ -313,6 +310,16 @@ def _integer(value) -> int:
     return int(number)
 
 
+def _one_of(options):
+    """Converter of a value that must be one of the strings `options`."""
+    def convert(value) -> str:
+        if not (isinstance(value, str) and value in options):
+            raise ValueError(f"must be one of {', '.join(options)}, "
+                             f"got {value!r}")
+        return value
+    return convert
+
+
 def _count(value) -> int:
     number = _integer(value)
     if number < 0:
@@ -345,6 +352,15 @@ def _numbers(convert, count: int):
             raise ValueError(f"needs {count} values, got {len(value)}")
         return tuple(convert(v) for v in value)
     return parse
+
+
+def _axis(value):
+    """A rotation axis: x, y or z in any case, or three finite numbers."""
+    if isinstance(value, str):
+        if value.lower() not in _AXIS_NAMES:
+            raise ValueError(f"unknown axis {value!r}")
+        return _AXIS_NAMES[value.lower()]
+    return _numbers(_finite, 3)(value)
 
 
 def _build_beam(doc: dict) -> BeamSpec:
@@ -386,14 +402,7 @@ def _channel_specs(doc: dict, dm) -> Dict[int, TransitionSpec]:
 
 def _build_geometry(doc: dict) -> Geometry:
     theta = math.radians(_read(doc, "geometry", "theta_deg", _finite))
-    axis = doc["axis"]
-    if isinstance(axis, str):
-        try:
-            axis = _AXIS_NAMES[axis.lower()]
-        except KeyError:
-            raise ConfigurationError(f"geometry.axis: unknown axis {axis!r}")
-    else:
-        axis = _read(doc, "geometry", "axis", _numbers(_finite, 3))
+    axis = _read(doc, "geometry", "axis", _axis)
     return _checked("geometry", Geometry, theta, axis)
 
 
@@ -603,15 +612,14 @@ def _complex_pair(z: complex) -> List[float]:
 def cmd_field_map(args) -> int:
     doc = _resolve(args)
     beam = _build_beam(doc["beam"])
-    wanted = doc.get("component")
-    if wanted and (not isinstance(wanted, str) or wanted not in _COMPONENTS):
-        raise ConfigurationError(
-            f"component must be one of {sorted(_COMPONENTS)}")
+    # an absent or null component means all three
+    wanted = None if doc.get("component") is None else _read(
+        doc, "", "component", _one_of(_COMPONENTS))
     return _write_maps(args, doc, [
         (stem, FieldComponentObservable(beam, comp),
          dict(doc, component=flag), {"component": comp})
         for flag, (comp, stem) in _COMPONENTS.items()
-        if not wanted or flag == wanted])
+        if wanted in (None, flag)])
 
 
 def _dm_stem(dm: int) -> str:
@@ -635,9 +643,8 @@ def cmd_sideband_map(args) -> int:
     doc = _resolve(args)
     beam, geom, trap, dm, specs, n = _motion_run(doc)
     trans = specs[dm]
-    branch = doc["sideband"]["branch"]
-    if branch not in ("bsb", "rsb"):
-        raise ConfigurationError("sideband.branch must be 'bsb' or 'rsb'")
+    branch = _read(doc["sideband"], "sideband", "branch",
+                   _one_of(("bsb", "rsb")))
     run_doc = dict(doc, transition=dict(doc["transition"], m2=str(trans.m2)))
     requests = [("carrier", SidebandRequest("X", n, "carrier"), False)]
     requests += [(f"{branch}_{mode}", SidebandRequest(mode, n, branch), True)
@@ -796,12 +803,8 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(_attach_flag_values(
+    args = _parser().parse_args(_attach_flag_values(
         sys.argv[1:] if argv is None else argv))
-    if "fields" in args and not args.run_file and "beam" not in args:
-        parser.exit(2, f"{parser.prog}: error: missing required field "
-                       f"'--beam' (or provide --run-file)\n")
     try:
         return args.func(args)
     except ConfigurationError as exc:

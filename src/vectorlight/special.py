@@ -72,14 +72,8 @@ class HalfInt:
     def __sub__(self, other):
         return HalfInt(self.twice - HalfInt.coerce(other).twice)
 
-    def __rsub__(self, other):
-        return HalfInt(HalfInt.coerce(other).twice - self.twice)
-
     def __neg__(self):
         return HalfInt(-self.twice)
-
-    def __abs__(self):
-        return HalfInt(abs(self.twice))
 
     def __float__(self):
         return self.twice / 2.0
@@ -91,10 +85,6 @@ class HalfInt:
 
     def __repr__(self):
         return f"HalfInt({self})"
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
 
     def is_projection_of(self, j: "HalfInt") -> bool:
         """True if self is a valid magnetic quantum number for total j."""

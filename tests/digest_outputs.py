@@ -160,6 +160,8 @@ def _cli_cases():
         ["field-map", "--beam", "lg:1", "--resolution", "4097,4097"],
         ["field-map", "--beam", "lg:1", "--waist-um", "0"] + grid,
         ["field-map", "--beam", "lg:1", "--component", "Ew"] + grid,
+        # only an absent or null component means all three maps
+        ["field-map", "--beam", "lg:1", "--component="] + grid,
         ["field-map", "--beam", "lg:1", "--extent-um=1,-1,0,1"] + grid,
         ["point", "--beam", "lg:1", "--m1", "1/0", "--position-um=0,0,0"],
         ["point", "--beam", "lg:1", "--position-um=0,0"],

@@ -83,9 +83,7 @@ def test_field_map_emits_all_components_by_default(tmp_path):
 
 
 def test_missing_beam_exits_2_and_names_the_field(tmp_path, capsys):
-    with pytest.raises(SystemExit) as info:
-        run(["field-map", "-o", tmp_path])
-    assert info.value.code == 2
+    assert run(["field-map", "-o", tmp_path]) == 2
     assert "--beam" in capsys.readouterr().err
 
 
@@ -270,6 +268,82 @@ def test_bad_flag_value_exits_2_and_names_the_field(tmp_path, capsys,
     assert field in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["field-map", "--run-file", "RUN"], {"beam": 5},
+     "run file: 'beam' must be an object"),
+    (["field-map", "--run-file", "NONE"], None,
+     "cannot read run file: [Errno 2] No such file or directory: 'NONE'"),
+    (["field-map", "--beam", "lg:1", "--sigma", "2"], None,
+     "--sigma: must be -1, 0, or +1, got '2'"),
+    (["field-map", "--beam", "foo:1"], None,
+     "--beam: expected lg:<l>[,<p>], hg:<m>,<n>, radial, or azimuthal; "
+     "got 'foo:1'"),
+    (["field-map", "--beam", "hg:1"], None, "--beam: hg needs m,n"),
+    (["field-map", "--run-file", "RUN"], {"beam": {"l": 1}},
+     "missing required field 'beam.type' (--beam or run-file beam section)"),
+    (["field-map", "--run-file", "RUN"], {"beam": {"type": "LG"}},
+     "beam.type: must be one of lg, hg, radial, azimuthal, got 'LG'"),
+    (["sideband-map", "--beam", "lg:1", "--run-file", "RUN"],
+     {"trap": {"frequencies_mhz": "1,1,1"}},
+     "trap.frequencies_mhz: expected a list of 3 numbers, got '1,1,1'"),
+    (["field-map", "--beam", "lg:1", "--resolution", "32"], None,
+     "grid.resolution: needs 2 values, got 1"),
+    (["transition-map", "--beam", "lg:1", "--axis", "w"], None,
+     "geometry.axis: unknown axis 'w'"),
+    (["field-map", "--beam", "lg:1", "--component", "Ew"], None,
+     "component: must be one of Ez, sigma+, sigma-, got 'Ew'"),
+    (["sideband-map", "--beam", "lg:1", "--branch", "up"], None,
+     "sideband.branch: must be one of bsb, rsb, got 'up'"),
+    # only an absent or null component means all three maps
+    (["field-map", "--beam", "lg:1", "--component="], None,
+     "component: must be one of Ez, sigma+, sigma-, got ''"),
+    (["field-map", "--beam", "lg:1", "--run-file", "RUN"], {"component": ""},
+     "component: must be one of Ez, sigma+, sigma-, got ''"),
+    (["field-map", "--beam", "lg:1", "--run-file", "RUN"], {"component": 0},
+     "component: must be one of Ez, sigma+, sigma-, got 0"),
+    (["field-map", "--beam", "lg:1", "--run-file", "RUN"],
+     {"component": False},
+     "component: must be one of Ez, sigma+, sigma-, got False"),
+    (["compare", "NONE", "GOOD"], None,
+     "cannot read map file: [Errno 2] No such file or directory: 'NONE'"),
+    (["compare", "NO_SCALE", "GOOD"], None,
+     "NO_SCALE: not a map CSV (missing header ['scale_factor'])"),
+    (["compare", "SHORT", "GOOD"], None,
+     "SHORT: data shape (7, 6) does not match axes (8, 6)"),
+])
+def test_each_rejection_exits_2_with_its_message(tmp_path, capsys,
+                                                 monkeypatch, argv, doc,
+                                                 message):
+    paths = {"RUN": tmp_path / "run.json", "NONE": tmp_path / "none",
+             "GOOD": tmp_path / "good" / "field_Ez.csv",
+             "NO_SCALE": tmp_path / "no_scale.csv",
+             "SHORT": tmp_path / "short.csv"}
+    if doc is not None:
+        paths["RUN"].write_text(json.dumps(doc))
+    if argv[0] == "compare":
+        assert run(["field-map", "--beam", "lg:1", "--component", "Ez",
+                    "--resolution", "8,6", "-o", tmp_path / "good"]) == 0
+        lines = paths["GOOD"].read_text().split("\n")
+        paths["NO_SCALE"].write_text("\n".join(
+            line for line in lines if "scale_factor" not in line))
+        # the last row goes, and the file's final newline stays
+        paths["SHORT"].write_text("\n".join(lines[:-2] + lines[-1:]))
+        capsys.readouterr()
+
+    def no_scan(cfgs):
+        raise AssertionError("bad input reached a scan")
+
+    monkeypatch.setattr(cli_module, "run_scans", no_scan)
+    args = [paths.get(a, a) for a in argv]
+    if argv[0] != "compare":
+        args += ["-o", tmp_path / "out"]
+    for name, path in paths.items():
+        message = message.replace(name, str(path))
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -888,6 +962,23 @@ def test_compare_rejects_non_map_file(tmp_path, capsys):
     assert run(["compare", junk, junk]) == 2
 
 
+# the message of each edit of the test below, after its file's path
+_CSV_FAULTS = {
+    "line 11": "line 11: not a map CSV row (must be finite, got nan)",
+    "line 12": "line 12: not a map CSV row (must be finite, got inf)",
+    "line 13": "line 13: not a map CSV row (must be finite, got -inf)",
+    "line 14": "line 14: not a map CSV row (5 values, the first row has 6)",
+    "line 15": "line 15: not a map CSV row (7 values, the first row has 6)",
+    "scale_factor":
+        "malformed map header (scale_factor: must be finite, got nan)",
+    "z_plane_um": "malformed map header (z_plane_um: must be finite, got inf)",
+    "x_centers_um":
+        "malformed map header (x_centers_um: must be finite, got nan)",
+    "y_centers_um":
+        "malformed map header (y_centers_um: must be finite, got -inf)",
+}
+
+
 @pytest.mark.parametrize("line, old, new, where", [
     (11, r"^[^,]*,", "nan,", "line 11"),
     (12, r",[^,]*$", ",inf", "line 12"),
@@ -901,6 +992,8 @@ def test_compare_rejects_non_map_file(tmp_path, capsys):
 ])
 def test_non_finite_or_ragged_map_csv_exits_2(tmp_path, capsys, line, old,
                                               new, where):
+    # a value prints as repr(float), never as, say, np.float64(nan)
+    message = _CSV_FAULTS[where]
     assert run(["field-map", "--beam", "lg:1", "--component", "Ez",
                 "--resolution", "8,6", "-o", tmp_path]) == 0
     good = tmp_path / "field_Ez.csv"
@@ -913,9 +1006,7 @@ def test_non_finite_or_ragged_map_csv_exits_2(tmp_path, capsys, line, old,
                  ["gnuplot-matrix", bad, tmp_path / "bad.mat"]):
         assert run(argv) == 2
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"configuration error: {bad}: ")
-        assert where in err and "Traceback" not in err
+        assert (out, err) == ("", f"configuration error: {bad}: {message}\n")
     assert not (tmp_path / "bad.mat").exists()
 
 

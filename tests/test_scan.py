@@ -752,6 +752,43 @@ def test_panel_zero_decisions_have_wide_margins():
             assert ratio > 1e-3, (i, ratio)
 
 
+def test_untilted_panel_maps_follow_each_beams_rotation_symmetry():
+    # a beam of definite J_z (both LG(1,0) beams, radial, azimuthal) is
+    # covariant under every rotation about its axis, so on the centred square
+    # grid each untilted moduli map is invariant under a quarter turn, which
+    # also takes the bsb_X map to the bsb_Y map (the trap's X and Y
+    # frequencies are equal); HG(1,0) is covariant under a half turn only
+    cfgs = panel_configs((32, 32))
+    by_beam = {}
+    for cfg, d in zip(cfgs, run_scans(cfgs)):
+        geometry = getattr(cfg.observable, "geometry", None)
+        if geometry is None or geometry.theta == 0.0:
+            maps = by_beam.setdefault(id(cfg.observable.beam), {})
+            maps[d.observable_name] = d
+    lg_plus, lg_minus, hg10, radial, azimuthal = by_beam.values()
+
+    def deviation(a, b):
+        return np.max(np.abs(a - b))
+
+    bsb_x, bsb_y = "sideband:bsb:X:n=0", "sideband:bsb:Y:n=0"
+    for maps in (lg_plus, lg_minus, radial, azimuthal):
+        # 3 field, 5 transition, the carrier and bsb_Z
+        turned = [d.values for name, d in maps.items()
+                  if name not in (bsb_x, bsb_y)]
+        assert len(turned) == 10
+        for values in turned:
+            assert deviation(np.rot90(values), values) <= 1e-14
+        x, y = maps[bsb_x], maps[bsb_y]
+        assert deviation(np.rot90(x.values), y.values) <= 1e-14
+        assert abs(x.scale_factor - y.scale_factor) <= 1e-14 * y.scale_factor
+    assert len(hg10) == 12
+    for d in hg10.values():
+        assert deviation(np.rot90(d.values, 2), d.values) <= 1e-14
+    # and the check is not vacuous: HG(1,0) fails the quarter turn
+    field = hg10["field:sigma_plus"].values
+    assert deviation(np.rot90(field), field) > 0.1
+
+
 def test_map_dataset_names():
     d = run_scan(ScanConfig(TransitionObservable(lg_beam(), quad_transition(2)),
                             EXTENT, (8, 8)))
