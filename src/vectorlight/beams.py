@@ -12,7 +12,11 @@ the second order needed by gradient-coupled transitions and sidebands.
 Each profile jet is the travelling profile f exp(ikz): on a focal-plane
 batch the factors of z alone, the plane wave among them, are multiplied
 together on one point before any factor of x and y, so no field sample
-multiplies the full batch by the plane wave.
+multiplies the full batch by the plane wave.  A field sample is written
+straight from the profile jets, term by term, into its batch-first blocks;
+no jet of a field component is built.  A sample keeps what its consumers
+compute from it once (`FieldSample.derived`): its peaks, and the coupling
+contractions that several maps or calls share.
 """
 
 from __future__ import annotations
@@ -169,27 +173,40 @@ class FieldSample:
     hessian  : (..., 3, 3, 3) complex    d_p d_i E_j  (symmetric in p, i)
 
     The blocks of a `field_sample_upto` sample are read-only, so one sample
-    can be handed to several consumers.
+    can be handed to several consumers.  A sample is written straight from
+    the scalar-profile jets; no jet of a field component is built.  What
+    its consumers compute from it, its peaks and the coupling contractions
+    (see `derived`), is computed once per sample and kept with it, so the
+    blocks of a sample built by hand must not change once it is read.
     """
 
     electric: np.ndarray
     jacobian: np.ndarray
     hessian: np.ndarray
-    _peaks: Dict[int, float] = field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
+    _derived: Dict[tuple, object] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     def block(self, order: int) -> np.ndarray:
         """Derivative block of the given order: 0 electric, 1 jacobian, 2 hessian."""
         return (self.electric, self.jacobian, self.hessian)[order]
 
+    def derived(self, key: tuple, build: Callable[[], object]):
+        """build(), computed on the first call with `key` and kept: every
+        later call with an equal key returns the same object.  An array kept
+        is made read-only, since its later callers share it."""
+        value = self._derived.get(key)
+        if value is None:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._derived[key] = value
+        return value
+
     def peak(self, order: int) -> float:
         """Largest modulus in block(order), 0.0 for an empty block, computed
         once per sample."""
-        peak = self._peaks.get(order)
-        if peak is None:
-            peak = float(np.max(np.abs(self.block(order)), initial=0.0))
-            self._peaks[order] = peak
-        return peak
+        return self.derived(("peak", order), lambda: float(
+            np.max(np.abs(self.block(order)), initial=0.0)))
 
 
 def _radial_term(sign: float) -> Tuple[Tuple[complex, ModeTerm], ...]:
@@ -505,42 +522,6 @@ def _as_points(point) -> Tuple[np.ndarray, bool]:
 # vector field assembly
 
 
-def _field_jets(spec: BeamSpec, points: np.ndarray, order: int,
-                memo: ProfileMemo) -> Tuple[Jet, Jet, Jet]:
-    """Jets of (E_x, E_y, E_z) at the requested derivative order.
-
-    The longitudinal part consumes one derivative of the scalar profile, so
-    profiles are expanded one order deeper than the field jets returned.
-    Each profile F = f exp(ikz) already carries the plane wave, which has no
-    x or y dependence, so d_x F = (d_x f) exp(ikz): the field is F and its
-    transverse gradient times constants, with no product of jets.
-    Profiles come from `memo`, which a scan shares across the beams of one
-    grid chunk: a term or beam with equal mode, waist and wavelength reuses
-    what an earlier one built on these points, and every map is unchanged
-    bit for bit.  The coordinate jets are built only if a profile is
-    missing.
-    """
-    k = spec.wavenumber
-    memo.use(points)
-    coords = functools.cache(functools.partial(_coords, points, order + 1))
-
-    ex = ey = ez = None
-    for weight, term in spec.terms:
-        f = _profile(term.mode, spec.waist, k, order + 1, coords, memo)
-        sig = term.sigma
-        amp = weight / math.sqrt(2.0)
-
-        wave = f.truncate(order)
-        tx = wave * amp
-        ty = wave * (amp * 1.0j * sig)
-        tz = (f.partial(0) + f.partial(1) * (1.0j * sig)) * (amp * 1.0j / k)
-
-        ex = tx if ex is None else ex + tx
-        ey = ty if ey is None else ey + ty
-        ez = tz if ez is None else ez + tz
-    return ex, ey, ez
-
-
 def _circular(e: np.ndarray) -> Dict[str, np.ndarray]:
     """Circular projections E_x -/+ i E_y and the longitudinal E_z of E (..., 3)."""
     ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
@@ -561,24 +542,6 @@ def field_components(spec: BeamSpec, point) -> Dict[str, np.ndarray]:
     return _circular(field_sample_upto(spec, point, 0).electric)
 
 
-def _batch_first(blocks, nderiv: int, batch: Tuple[int, ...],
-                 grid: Tuple[int, ...]) -> np.ndarray:
-    """Write E_j derivative blocks (derivative axes first, as jets keep them)
-    into one C-contiguous array, in one copy: batch axes, derivative
-    indices, then j.  `grid` is the blocks' batch shape, the points' grid
-    shape (see `_coords`) or their batch: a view of that shape fills the
-    points in C order, and a block smaller than it broadcasts."""
-    tail = (3,) * nderiv
-    out = np.empty(batch + tail + (3,), dtype=complex)
-    # derivative axes first, as the blocks have them
-    n = len(grid)
-    view = out.reshape(grid + tail + (3,)).transpose(
-        *range(n, n + nderiv), *range(n), n + nderiv)
-    for j, b in enumerate(blocks):
-        view[..., j] = b
-    return out
-
-
 def field_sample_upto(spec: BeamSpec, point, order: int,
                       profiles: Optional[ProfileMemo] = None) -> FieldSample:
     """Field plus derivatives up to `order` (0..2); deeper blocks are None.
@@ -587,18 +550,55 @@ def field_sample_upto(spec: BeamSpec, point, order: int,
     each extra derivative order roughly doubles the work per point.
     `profiles` lets calls on the same points array share scalar-profile
     jets (see ProfileMemo); without it the call builds its own.
+
+    The longitudinal part consumes one derivative of the scalar profile, so
+    profiles are expanded one order deeper than the field.  Each profile
+    F = f exp(ikz) already carries the plane wave, which has no x or y
+    dependence, so d_x F = (d_x f) exp(ikz): each term adds E_x = amp F,
+    E_y = (amp i sigma) F and E_z = (amp i/k)(F_x + i sigma F_y), with
+    amp = weight / sqrt(2), and no product of jets.  Every block is written
+    straight from the profile jets into the sample: derivative axes first,
+    as jets keep them, into a view of the batch-first array (batch axes,
+    derivative indices, then j), the first term by one product and each
+    later term added to it.  A profile of a smaller batch than the points
+    (see `_coords`) broadcasts.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     pts, single = _as_points(point)
-    jets = _field_jets(spec, pts, order,
-                       ProfileMemo() if profiles is None else profiles)
+    memo = ProfileMemo() if profiles is None else profiles
+    memo.use(pts)
+    k = spec.wavenumber
+    # the coordinate jets are built only if a profile is missing
+    coords = functools.cache(functools.partial(_coords, pts, order + 1))
+    terms = []  # profile, i sigma, and the factors of E_x, E_y and E_z
+    for weight, term in spec.terms:
+        amp, isig = weight / math.sqrt(2.0), 1.0j * term.sigma
+        terms.append((_profile(term.mode, spec.waist, k, order + 1, coords,
+                               memo),
+                      isig, (amp, amp * 1.0j * term.sigma, amp * 1.0j / k)))
     batch = pts.shape[:-1]
-    grid = np.broadcast_shapes(*(j.val.shape for j in jets))
-    blocks = [_batch_first(b, k, batch, grid)
-              for k, b in enumerate(zip(*(j.blocks for j in jets)))]
-    if single:
-        blocks = [b[0] for b in blocks]
+    # the profiles' batch is the points' grid shape or their batch: a view
+    # of that shape fills the points in C order
+    grid = np.broadcast_shapes(*(f.val.shape for f, _, _ in terms))
+    n = len(grid)
+    blocks = []
+    for nd in range(order + 1):
+        tail = (3,) * nd
+        out = np.empty(batch + tail + (3,), dtype=complex)
+        view = out.reshape(grid + tail + (3,)).transpose(
+            *range(n, n + nd), *range(n), n + nd)
+        comps = [view[..., j] for j in range(3)]
+        for i, (f, isig, factors) in enumerate(terms):
+            wave, grad = f.blocks[nd], f.blocks[nd + 1]
+            tz = grad[1] * isig
+            np.add(grad[0], tz, out=tz)
+            for comp, block, c in zip(comps, (wave, wave, tz), factors):
+                if i == 0:
+                    np.multiply(block, c, out=comp)
+                else:
+                    comp += block * c
+        blocks.append(out[0] if single else out)
     for b in blocks:
         b.flags.writeable = False
     return FieldSample(*blocks, *(None,) * (2 - order))

@@ -10,10 +10,12 @@ a --run-file, then with the flags given on the command line.  One table,
 `_FIELDS`, declares each field of the document by its path, with its default
 and, if a flag sets it, the flag, its converter and its help; a subcommand
 names the sections it takes and the defaults it replaces, and its flags,
-help, defaults and run-file schema all follow from them.  Exit codes: 0
-success, 2 configuration error, 3 numerical failure.  Every map is written
-as a CSV grid plus a JSON sidecar; re-running the `run` document echoed in a
-sidecar reproduces the CSV bit for bit.
+help, defaults and run-file schema all follow from them.  A name-valued
+field takes its name in any case.  Exit codes: 0 success, 1 standard output
+closed before the output was written, 2 configuration error, 3 numerical
+failure.  Every map is written as a CSV grid plus a JSON sidecar;
+re-running the `run` document echoed in a sidecar reproduces the CSV bit
+for bit.
 """
 
 from __future__ import annotations
@@ -239,8 +241,10 @@ def _complete_beam(beam: dict) -> None:
     if beam.get("type") is None:
         raise ConfigurationError("missing required field 'beam.type' "
                                  "(--beam or run-file beam section)")
-    indices = _MODE_INDICES[_read(beam, "beam", "type",
-                                  _one_of(_MODE_INDICES))]
+    # the run document holds each name as its option spells it, so a
+    # sidecar echoes the same document whatever case was given
+    beam["type"] = _read(beam, "beam", "type", _one_of(_MODE_INDICES))
+    indices = _MODE_INDICES[beam["type"]]
     for key in indices:
         beam.setdefault(key, 0)
     if indices:
@@ -311,12 +315,15 @@ def _integer(value) -> int:
 
 
 def _one_of(options):
-    """Converter of a value that must be one of the strings `options`."""
+    """Converter of a name that must be one of the strings `options`, in
+    any case; it returns the option as `options` spells it."""
+    names = {option.lower(): option for option in options}
+
     def convert(value) -> str:
-        if not (isinstance(value, str) and value in options):
+        if not (isinstance(value, str) and value.lower() in names):
             raise ValueError(f"must be one of {', '.join(options)}, "
                              f"got {value!r}")
-        return value
+        return names[value.lower()]
     return convert
 
 
@@ -643,8 +650,8 @@ def cmd_sideband_map(args) -> int:
     doc = _resolve(args)
     beam, geom, trap, dm, specs, n = _motion_run(doc)
     trans = specs[dm]
-    branch = _read(doc["sideband"], "sideband", "branch",
-                   _one_of(("bsb", "rsb")))
+    branch = doc["sideband"]["branch"] = _read(
+        doc["sideband"], "sideband", "branch", _one_of(("bsb", "rsb")))
     run_doc = dict(doc, transition=dict(doc["transition"], m2=str(trans.m2)))
     requests = [("carrier", SidebandRequest("X", n, "carrier"), False)]
     requests += [(f"{branch}_{mode}", SidebandRequest(mode, n, branch), True)
@@ -806,13 +813,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(_attach_flag_values(
         sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed standard output: what is still buffered goes
+        # to the null device, so the interpreter's flush at exit cannot
+        # fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -235,22 +235,36 @@ def _selection(trans: TransitionSpec):
     return cg, tdm // 2
 
 
-def _contract(block: np.ndarray, trans: TransitionSpec, geom: Geometry,
-              free: str) -> np.ndarray:
-    """CG-weighted contraction of a field block with the dm table.
+def _contract(sample: FieldSample, order: int, trans: TransitionSpec,
+              geom: Geometry, free: str) -> np.ndarray:
+    """CG-weighted contraction of the sample's `order` block with the dm
+    table.
 
-    `free` names the leading derivative slots of `block` left uncontracted:
-    '' for mu itself, 'p' for its gradient.
+    `free` names the leading derivative slots of the block left
+    uncontracted: '' for mu itself, 'p' for its gradient.  The selection
+    rules and the CG weight are looked up on every call; a contraction is
+    computed once per sample and kept with it (`FieldSample.derived`),
+    read-only, keyed by what it depends on: the multipole, the dm channel,
+    the CG weight, the geometry's theta and axis bits and `free`.  So
+    transitions and geometries that give the same tables share it.
     """
+    block = sample.block(order)
     rank = trans.multipole.field_order + 1
     sel = _selection(trans)
     if sel is None:
         shape = block.shape[:block.ndim - len(free) - rank]
         return np.zeros(shape + (3,) * len(free), dtype=complex)
     cg, dmi = sel
-    table = rotate_coefficients(coefficients_for(trans.multipole), geom)[dmi]
-    slots = "ij"[2 - rank:]  # j over E_j, or ij over d_i E_j
-    return cg * np.einsum(f"...{free}{slots},{slots}->...{free}", block, table)
+
+    def contract():
+        table = rotate_coefficients(coefficients_for(trans.multipole),
+                                    geom)[dmi]
+        slots = "ij"[2 - rank:]  # j over E_j, or ij over d_i E_j
+        return cg * np.einsum(f"...{free}{slots},{slots}->...{free}", block,
+                              table)
+
+    key = (trans.multipole, dmi, cg, geom.theta, geom.axis.tobytes(), free)
+    return sample.derived(key, contract)
 
 
 def relative_strength(sample: FieldSample, trans: TransitionSpec,
@@ -259,17 +273,20 @@ def relative_strength(sample: FieldSample, trans: TransitionSpec,
 
     Although formally a sum over all dm channels, the Clebsch-Gordan factor
     restricts it to the single channel dm = m2 - m1; selection-rule failures
-    return exact zeros.
+    return exact zeros.  A nonzero channel's mu is computed once per sample
+    and returned read-only to every later call that shares its tables (see
+    `_contract`).
     """
-    block = sample.block(trans.multipole.field_order)
-    return _contract(block, trans, geom or Geometry(), "")
+    return _contract(sample, trans.multipole.field_order, trans,
+                     geom or Geometry(), "")
 
 
 def strength_gradient(sample: FieldSample, trans: TransitionSpec,
                       geom: Geometry = None) -> np.ndarray:
-    """Spatial gradient of mu, shape (..., 3); needs one extra field order."""
-    block = sample.block(trans.multipole.field_order + 1)
-    return _contract(block, trans, geom or Geometry(), "p")
+    """Spatial gradient of mu, shape (..., 3); needs one extra field order.
+    Kept with the sample and read-only, as mu is."""
+    return _contract(sample, trans.multipole.field_order + 1, trans,
+                     geom or Geometry(), "p")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +373,7 @@ def averaged_strength_rms(spec: BeamSpec, center, widths, trans: TransitionSpec,
     average vanish identically (e.g. at a vortex center) while the cloud
     still overlaps regions of finite strength.  Called after
     `averaged_strength` on the same cloud, or before it, it reuses that
-    call's field sample.
+    call's field sample and the mu contracted from it.
     """
     w3, mu = _quadrature_strengths(spec, center, widths, trans,
                                    geom or Geometry(), quadrature_order)

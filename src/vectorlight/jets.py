@@ -29,6 +29,15 @@ expands each to every index order.  (Complex multiplication is not bitwise
 commutative where it uses fused multiply-adds, so g_i g_j and g_j g_i may
 differ in the last bit; computing each unique entry once avoids that.)
 
+The unique entries come from gathers as well, each forming a product once.
+Gathered rows of g give the 6 products g_i g_j of the unique pairs.  The
+third-order term h_ij g_k + h_ik g_j + h_jk g_i of a product or a
+composition forms the 18 products of h's 6 unique pairs with g's 3 entries
+once, by broadcasting, and each of its three terms gathers its 10 of them
+into the sum.  A composition's g_i g_j g_k gathers the pairs g_i g_j it
+formed for h and multiplies them by g_k.  Sums of terms run in place, left
+to right, so every bit is that of the sum written out.
+
 A jet is never mutated once built, so jets may share blocks: `truncate`,
 `partial` and adding a constant (which moves only the value) return jets
 holding the blocks of the jet they came from.  Work whose result is known is
@@ -67,10 +76,14 @@ _P_FULL = np.array([_PAIRS.index((min(i, j), max(i, j)))
                     for i in range(3) for j in range(3)])
 _T_FULL = np.array([_TRIPLES.index(tuple(sorted((i, j, k))))
                     for i in range(3) for j in range(3) for k in range(3)])
-# h_ij g_k + h_ik g_j + h_jk g_i on the unique triples: row r of _SYM_H picks
-# flattened h entries, row r of _SYM_G the g entries they multiply
-_SYM_H = np.stack([3 * _TI + _TJ, 3 * _TI + _TK, 3 * _TJ + _TK])
-_SYM_G = np.stack([_TK, _TJ, _TI])
+# h_ij g_k + h_ik g_j + h_jk g_i on the unique triples: row r of _SYM_HG
+# picks the r-th term of each triple among the 18 products of a unique h
+# pair p and a g entry k, at 3 p + k
+_SYM_HG = np.stack([3 * _P_FULL[3 * _TI + _TJ] + _TK,
+                    3 * _P_FULL[3 * _TI + _TK] + _TJ,
+                    3 * _P_FULL[3 * _TJ + _TK] + _TI])
+# the unique pair (i, j) of each unique triple (i, j, k)
+_T_PAIR = _P_FULL[3 * _TI + _TJ]
 
 
 def _unique(block, flat, shape):
@@ -87,10 +100,14 @@ def _expand(unique, full, ndim):
 
 def _sym_hg(h, g, shape):
     """Symmetrized h_ij g_k on the unique triples, summed left to right;
-    `shape` is the batch shape of h."""
-    terms = _unique(h, _SYM_H, shape) * g.take(_SYM_G, axis=0)
-    out = terms[0] + terms[1]
-    out += terms[2]
+    `shape` is the batch shape of h.  The 18 products of h's unique pairs
+    with g are formed once, by broadcasting, and each term gathers its 10
+    of them into the sum."""
+    hg = _unique(h, _P_FLAT, shape)[:, None] * g[None]
+    hg = hg.reshape((18,) + hg.shape[2:])
+    out = hg.take(_SYM_HG[0], axis=0)
+    out += hg.take(_SYM_HG[1], axis=0)
+    out += hg.take(_SYM_HG[2], axis=0)
     return out
 
 
@@ -169,21 +186,19 @@ class Jet:
         g = h = t = None
         if n >= 1:
             g = self.g * o.val + o.g * self.val
+        # each term below has the batch of both jets, so the sums run in
+        # place, left to right
         if n >= 2:
-            h = (
-                _unique(self.h, _P_FLAT, self.val.shape) * o.val
-                + _unique(o.h, _P_FLAT, o.val.shape) * self.val
-                + self.g.take(_PI, axis=0) * o.g.take(_PJ, axis=0)
-                + o.g.take(_PI, axis=0) * self.g.take(_PJ, axis=0)
-            )
+            h = _unique(self.h, _P_FLAT, self.val.shape) * o.val
+            h += _unique(o.h, _P_FLAT, o.val.shape) * self.val
+            h += self.g.take(_PI, axis=0) * o.g.take(_PJ, axis=0)
+            h += o.g.take(_PI, axis=0) * self.g.take(_PJ, axis=0)
             h = _expand(h, _P_FULL, 2)
         if n >= 3:
-            t = (
-                _unique(self.t, _T_FLAT, self.val.shape) * o.val
-                + _unique(o.t, _T_FLAT, o.val.shape) * self.val
-                + _sym_hg(self.h, o.g, self.val.shape)
-                + _sym_hg(o.h, self.g, o.val.shape)
-            )
+            t = _unique(self.t, _T_FLAT, self.val.shape) * o.val
+            t += _unique(o.t, _T_FLAT, o.val.shape) * self.val
+            t += _sym_hg(self.h, o.g, self.val.shape)
+            t += _sym_hg(o.h, self.g, o.val.shape)
             t = _expand(t, _T_FULL, 3)
         return Jet(n, val, g, h, t)
 
@@ -201,16 +216,15 @@ class Jet:
         if n >= 2:
             f2 = np.asarray(f2, dtype=complex)
             gg = self.g.take(_PI, axis=0) * self.g.take(_PJ, axis=0)
-            h = _expand(f2 * gg + f1 * _unique(self.h, _P_FLAT, shape), _P_FULL, 2)
+            h = f2 * gg
+            h += f1 * _unique(self.h, _P_FLAT, shape)
+            h = _expand(h, _P_FULL, 2)
         if n >= 3:
             f3 = np.asarray(f3, dtype=complex)
-            ggg = (self.g.take(_TI, axis=0) * self.g.take(_TJ, axis=0)
-                   * self.g.take(_TK, axis=0))
-            t = (
-                f3 * ggg
-                + f2 * _sym_hg(self.h, self.g, shape)
-                + f1 * _unique(self.t, _T_FLAT, shape)
-            )
+            # (g_i g_j) g_k from the pairs of h
+            t = f3 * (gg.take(_T_PAIR, axis=0) * self.g.take(_TK, axis=0))
+            t += f2 * _sym_hg(self.h, self.g, shape)
+            t += f1 * _unique(self.t, _T_FLAT, shape)
             t = _expand(t, _T_FULL, 3)
         return Jet(n, val, g, h, t)
 

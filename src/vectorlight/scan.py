@@ -380,8 +380,10 @@ def _scan_chunk(configs, evaluation, cached, axes, vals,
         obs = configs[i].observable
         v, refs[i] = obs.evaluate(chunk, memo) if cached[i] \
             else obs.evaluate(chunk)
-        vals[i][start:stop] = \
-            v if configs[i].store_complex else np.abs(v)
+        if configs[i].store_complex:
+            vals[i][start:stop] = v
+        else:
+            np.abs(v, out=vals[i][start:stop])
     return refs, (memo.hits, memo.misses, memo.built, memo.reused)
 
 

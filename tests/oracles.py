@@ -21,11 +21,19 @@
 - Frame rotation of sampled fields: vector components and derivative
   indices re-expressed in the atom frame, for the rotated-table path to
   agree with.
+- Gather-based jet kernels and component-jet field assembly: `GatherJet`
+  forms the third-order Leibniz and Faa di Bruno terms from gathered rows
+  of h and g (and g_i g_j g_k from three gathers), with every sum written
+  out, and `field_blocks_from_jets` builds jets of E_x, E_y and E_z from
+  the profiles and copies them batch-first.  The package forms each
+  product once and writes samples straight from the profiles; the
+  arithmetic is the same, so it must agree byte for byte.
 
 Only tests import this module; the package itself has a single analytic
 field path and no Wigner-matrix code.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -34,11 +42,16 @@ from vectorlight.beams import (
     FieldSample,
     HGMode,
     LGMode,
+    ProfileMemo,
+    _as_points,
+    _coords,
     _hermite_jet,
     _laguerre_jet,
+    _profile,
     field_sample_upto,
 )
-from vectorlight.jets import Jet
+from vectorlight.jets import (_P_FLAT, _P_FULL, _PI, _PJ, _T_FLAT, _T_FULL,
+                              _TI, _TJ, _TK, Jet, _expand, _unique)
 from vectorlight.special import HalfInt, halfint, rotation_matrix
 
 # ---------------------------------------------------------------------------
@@ -314,3 +327,134 @@ def field_blocks_unfused(spec, points, order):
                           for c in comps], axis=-1)
         blocks.append(block.reshape(pts.shape[:-1] + block.shape[1:]))
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# gather-based jet kernels
+
+# h_ij g_k + h_ik g_j + h_jk g_i on the unique triples: row r of _SYM_H picks
+# flattened h entries, row r of _SYM_G the g entries they multiply
+_SYM_H = np.stack([3 * _TI + _TJ, 3 * _TI + _TK, 3 * _TJ + _TK])
+_SYM_G = np.stack([_TK, _TJ, _TI])
+
+
+def _sym_hg_gathered(h, g, shape):
+    """Symmetrized h_ij g_k on the unique triples from 30 gathered rows of h
+    and of g, summed left to right; `shape` is the batch shape of h."""
+    terms = _unique(h, _SYM_H, shape) * g.take(_SYM_G, axis=0)
+    out = terms[0] + terms[1]
+    out += terms[2]
+    return out
+
+
+class GatherJet(Jet):
+    """A Jet whose products with jets and whose compositions gather the
+    operands of every third-order term, as the package's kernels once did.
+    Its results are plain Jets; `of` copies nothing."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, jet):
+        return cls(jet.order, *jet.blocks)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return super().__mul__(other)
+        o = self._check(other)
+        n = self.order
+        val = self.val * o.val
+        g = h = t = None
+        if n >= 1:
+            g = self.g * o.val + o.g * self.val
+        if n >= 2:
+            h = (
+                _unique(self.h, _P_FLAT, self.val.shape) * o.val
+                + _unique(o.h, _P_FLAT, o.val.shape) * self.val
+                + self.g.take(_PI, axis=0) * o.g.take(_PJ, axis=0)
+                + o.g.take(_PI, axis=0) * self.g.take(_PJ, axis=0)
+            )
+            h = _expand(h, _P_FULL, 2)
+        if n >= 3:
+            t = (
+                _unique(self.t, _T_FLAT, self.val.shape) * o.val
+                + _unique(o.t, _T_FLAT, o.val.shape) * self.val
+                + _sym_hg_gathered(self.h, o.g, self.val.shape)
+                + _sym_hg_gathered(o.h, self.g, o.val.shape)
+            )
+            t = _expand(t, _T_FULL, 3)
+        return Jet(n, val, g, h, t)
+
+    def compose(self, f0, f1=None, f2=None, f3=None):
+        n = self.order
+        shape = self.val.shape
+        val = np.asarray(f0, dtype=complex)
+        g = h = t = None
+        if n >= 1:
+            f1 = np.asarray(f1, dtype=complex)
+            g = f1 * self.g
+        if n >= 2:
+            f2 = np.asarray(f2, dtype=complex)
+            gg = self.g.take(_PI, axis=0) * self.g.take(_PJ, axis=0)
+            h = _expand(f2 * gg + f1 * _unique(self.h, _P_FLAT, shape),
+                        _P_FULL, 2)
+        if n >= 3:
+            f3 = np.asarray(f3, dtype=complex)
+            ggg = (self.g.take(_TI, axis=0) * self.g.take(_TJ, axis=0)
+                   * self.g.take(_TK, axis=0))
+            t = (
+                f3 * ggg
+                + f2 * _sym_hg_gathered(self.h, self.g, shape)
+                + f1 * _unique(self.t, _T_FLAT, shape)
+            )
+            t = _expand(t, _T_FULL, 3)
+        return Jet(n, val, g, h, t)
+
+
+# ---------------------------------------------------------------------------
+# field assembly from component jets
+
+
+def _field_jets(spec, points, order, memo):
+    """Jets of (E_x, E_y, E_z) at derivative order `order`, summed term by
+    term as jets, from the package's profiles of order `order` + 1."""
+    k = spec.wavenumber
+    memo.use(points)
+    coords = functools.cache(functools.partial(_coords, points, order + 1))
+    ex = ey = ez = None
+    for weight, term in spec.terms:
+        f = _profile(term.mode, spec.waist, k, order + 1, coords, memo)
+        sig = term.sigma
+        amp = weight / math.sqrt(2.0)
+        wave = f.truncate(order)
+        tx = wave * amp
+        ty = wave * (amp * 1.0j * sig)
+        tz = (f.partial(0) + f.partial(1) * (1.0j * sig)) * (amp * 1.0j / k)
+        ex = tx if ex is None else ex + tx
+        ey = ty if ey is None else ey + ty
+        ez = tz if ez is None else ez + tz
+    return ex, ey, ez
+
+
+def _batch_first(blocks, nderiv, batch, grid):
+    """E_j derivative blocks (derivative axes first) copied into one
+    C-contiguous array of batch axes, derivative indices, then j."""
+    tail = (3,) * nderiv
+    out = np.empty(batch + tail + (3,), dtype=complex)
+    n = len(grid)
+    view = out.reshape(grid + tail + (3,)).transpose(
+        *range(n, n + nderiv), *range(n), n + nderiv)
+    for j, b in enumerate(blocks):
+        view[..., j] = b
+    return out
+
+
+def field_blocks_from_jets(spec, points, order):
+    """Blocks of `field_sample_upto(spec, points, order)` assembled from
+    jets of the three field components, each copied batch-first."""
+    pts, single = _as_points(points)
+    jets = _field_jets(spec, pts, order, ProfileMemo())
+    grid = np.broadcast_shapes(*(j.val.shape for j in jets))
+    blocks = [_batch_first(b, k, pts.shape[:-1], grid)
+              for k, b in enumerate(zip(*(j.blocks for j in jets)))]
+    return [b[0] for b in blocks] if single else blocks

@@ -8,7 +8,9 @@ checked against 4th-order central finite differences (`oracles`).  Profiles
 that skip factors known to be 1 are checked byte for byte against the
 full-factor formulas in `oracles`, and fields built from profiles that
 carry the plane wave against the field assembled with the plane wave
-applied after the gradient.
+applied after the gradient.  Samples written straight from the profiles are
+checked byte for byte against samples assembled from jets of the three
+field components (`oracles.field_blocks_from_jets`).
 """
 
 import math
@@ -38,8 +40,8 @@ from vectorlight.beams import (
 )
 
 from conftest import WAIST, WAVELENGTH, make_five_beams, make_probe_points
-from oracles import (fd_hessian, fd_jacobian, field_blocks_unfused,
-                     profile_full)
+from oracles import (fd_hessian, fd_jacobian, field_blocks_from_jets,
+                     field_blocks_unfused, profile_full)
 
 K = 2.0 * math.pi / WAVELENGTH
 ZR = 0.5 * K * WAIST**2
@@ -301,6 +303,29 @@ def _panel_beams(waist=WAIST, wavelength=WAVELENGTH):
             BeamSpec.hg(1, 0, waist=waist, wavelength=wavelength),
             make_radial_azimuthal("radial", waist, wavelength),
             make_radial_azimuthal("azimuthal", waist, wavelength)]
+
+
+# three terms of complex weights and every sigma, so that later terms add
+# to the first and E_z takes sigma = 0
+_MIXED_BEAM = BeamSpec(
+    ((0.6 - 0.2j, ModeTerm(LGMode(1, 1), -1)),
+     (0.3j, ModeTerm(HGMode(2, 1), 0)),
+     (-0.5, ModeTerm(LGMode(-2, 0), 1))), WAVELENGTH, WAIST)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_samples_are_bytewise_the_component_jet_assembly(order):
+    point = [0.3 * WAIST, -0.2 * WAIST, 0.4 * ZR]
+    beams = _panel_beams() + _BITWISE_BEAMS + [_MIXED_BEAM]
+    for pts in (_grid_rows(), make_probe_points(), point):
+        for beam in beams:
+            got = field_sample_upto(beam, pts, order)
+            want = field_blocks_from_jets(beam, pts, order)
+            assert len(want) == order + 1
+            for k, block in enumerate(want):
+                assert got.block(k).shape == block.shape
+                assert got.block(k).tobytes() == block.tobytes(), \
+                    (beam, order, k)
 
 
 def _assert_same_bytes(got, want, order):

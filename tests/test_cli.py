@@ -10,6 +10,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -283,8 +285,9 @@ def test_bad_flag_value_exits_2_and_names_the_field(tmp_path, capsys,
     (["field-map", "--beam", "hg:1"], None, "--beam: hg needs m,n"),
     (["field-map", "--run-file", "RUN"], {"beam": {"l": 1}},
      "missing required field 'beam.type' (--beam or run-file beam section)"),
-    (["field-map", "--run-file", "RUN"], {"beam": {"type": "LG"}},
-     "beam.type: must be one of lg, hg, radial, azimuthal, got 'LG'"),
+    # a name in another case is taken (see test_names_are_taken_in_any_case)
+    (["field-map", "--run-file", "RUN"], {"beam": {"type": "Laguerre"}},
+     "beam.type: must be one of lg, hg, radial, azimuthal, got 'Laguerre'"),
     (["sideband-map", "--beam", "lg:1", "--run-file", "RUN"],
      {"trap": {"frequencies_mhz": "1,1,1"}},
      "trap.frequencies_mhz: expected a list of 3 numbers, got '1,1,1'"),
@@ -631,6 +634,94 @@ def test_rerunning_any_flag_runs_echo_reproduces_its_files(data, command, beam):
                 with open(os.path.join(first, stem), "rb") as fa, \
                         open(os.path.join(again, stem), "rb") as fb:
                     assert fa.read() == fb.read()
+
+
+# each name-valued field: a command, its other flags, the field's path and
+# its name as spelled and in another case; the run document holds the first
+# three fields as spelled
+_NAMES = [
+    ("field-map", ["--component", "Ez"], "beam.type", "lg", "LG", True),
+    ("field-map", ["--beam", "lg:1"], "component", "Ez", "eZ", True),
+    ("sideband-map", ["--beam", "lg:1"], "sideband.branch", "bsb", "BSB",
+     True),
+    ("transition-map", ["--beam", "lg:1", "--dm", "0", "--theta-deg", "30"],
+     "geometry.axis", "x", "X", False),
+    ("transition-map", ["--beam", "lg:1", "--dm", "0"],
+     "transition.multipole", "E1", "e1", False),
+]
+
+
+def _name_run(tmp_path, label, command, extra, path, name, from_flag):
+    """Every file of one run that sets `path` to `name`, by a flag or a run
+    file, by its file name."""
+    out = tmp_path / label
+    args = [command, *extra, "--resolution", "4,3", "-o", out]
+    if path == "beam.type":
+        # the --beam flag carries the mode indices; the run file's default
+        args += ["--beam", f"{name}:1"] if from_flag else []
+        doc = {"beam": {"type": name, "l": 1}}
+    else:
+        args += [_FIELDS_BY_PATH[path], name] if from_flag else []
+        doc = {}
+        cli_module._place(doc, path, name)
+    if not from_flag:
+        run_file = tmp_path / f"{label}.json"
+        run_file.write_text(json.dumps(doc))
+        args += ["--run-file", run_file]
+    assert run(args) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+_FIELDS_BY_PATH = {path: field.flag for path, field in cli_module._FIELDS.items()
+                   if field.flag}
+
+
+@pytest.mark.parametrize("command, extra, path, name, other, canonical",
+                         _NAMES, ids=[case[2] for case in _NAMES])
+def test_names_are_taken_in_any_case(tmp_path, capsys, command, extra, path,
+                                     name, other, canonical):
+    for from_flag in (True, False):
+        kind = "flag" if from_flag else "file"
+        want = _name_run(tmp_path, f"{kind}-as-spelled", command, extra, path,
+                         name, from_flag)
+        got = _name_run(tmp_path, f"{kind}-other-case", command, extra, path,
+                        other, from_flag)
+        assert sorted(got) == sorted(want)
+        for file_name, data in got.items():
+            if file_name.endswith(".csv") or canonical:
+                # the same maps, and the same echo where the document holds
+                # the name as spelled
+                assert data == want[file_name], (kind, file_name)
+        # the echo of the other case re-runs to the same files
+        for file_name in got:
+            if file_name.endswith(".json"):
+                echo = tmp_path / f"{kind}-echo.json"
+                echo.write_text(json.dumps(json.loads(got[file_name])["run"]))
+                again = tmp_path / f"{kind}-again"
+                assert run([command, "--run-file", echo, "-o", again]) == 0
+                assert (again / file_name).read_bytes() == got[file_name]
+                stem = file_name[:-5] + ".csv"
+                assert (again / stem).read_bytes() == got[stem]
+    capsys.readouterr()
+
+
+def test_closed_standard_output_exits_1_without_a_traceback():
+    # the pipe's read end is closed before the command starts, so its
+    # first write or flush of standard output fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli_module.__file__))]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vectorlight.cli", "point", "--beam",
+             "LG:1", "--position-um=0,0,0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("m2", ["99/2", "3/2", "-1/2"])

@@ -642,3 +642,68 @@ def test_held_arrays_are_read_only():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# contractions kept with their sample
+
+
+def test_a_sample_keeps_each_contraction_it_serves(monkeypatch):
+    beam = BeamSpec.lg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
+    pts = make_probe_points()
+    fs = field_sample_upto(beam, pts, 2)
+    trans = transition(1)
+    # the same channel with another Clebsch-Gordan weight
+    other_cg = transition(1, m1=HalfInt(-1))
+    assert coupling._selection(other_cg)[0] != coupling._selection(trans)[0]
+    for func in (relative_strength, strength_gradient):
+        first = func(fs, trans)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        # a repeat, an equal transition and an equal geometry share it
+        assert func(fs, trans) is first
+        assert func(fs, transition(1), Geometry(0.0)) is first
+        # another geometry or another weight does not
+        for other in (func(fs, trans, Geometry(0.4)),
+                      func(fs, trans, Geometry(0.4, (1.0, 0.0, 0.0))),
+                      func(fs, other_cg)):
+            assert other is not first
+            assert other.tobytes() != first.tobytes()
+        # each equals a contraction on a sample that has kept nothing
+        for t, geom in ((trans, Geometry(0.4)), (other_cg, None)):
+            fresh = field_sample_upto(beam, pts, 2)
+            assert func(fs, t, geom).tobytes() == func(fresh, t, geom).tobytes()
+    # the selection rules and weight are still looked up on every call
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return cg(*args)
+
+    cg = coupling.clebsch_gordan
+    monkeypatch.setattr(coupling, "clebsch_gordan", counting)
+    for _ in range(3):
+        relative_strength(fs, trans)
+        strength_gradient(fs, trans)
+    assert len(calls) == 6
+
+
+def test_rms_after_average_on_one_cloud_runs_no_new_contraction(monkeypatch):
+    beam = make_radial_azimuthal("radial", WAIST, WAVELENGTH)
+    trans = transition(1)
+    einsums = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        einsums.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "_held_cloud", None)
+    want = _bits(averaged_strength_rms(beam, _CENTER_A, _WIDTHS, trans))
+    monkeypatch.setattr(coupling, "_held_cloud", None)
+    monkeypatch.setattr(np, "einsum", counting)
+    averaged_strength(beam, _CENTER_A, _WIDTHS, trans)
+    assert len(einsums) == 1
+    assert _bits(averaged_strength_rms(beam, _CENTER_A, _WIDTHS, trans)) == want
+    assert len(einsums) == 1

@@ -3,8 +3,9 @@
 The oracle differentiates plain scalar evaluations of the same composite
 functions with 4th-order central stencils, so jet propagation (Leibniz and
 chain rules up to third order) is checked independently.  The third-order
-kernels are also checked against the full-tensor formulas in `oracles`, and
-the shortcuts for powers and constant shifts against the full products.
+kernels are also checked against the full-tensor formulas in `oracles` and,
+byte for byte, against the gather-based kernels there, and the shortcuts
+for powers and constant shifts against the full products.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import ipow_from_one, jet_compose, jet_mul
+from oracles import GatherJet, ipow_from_one, jet_compose, jet_mul
 from vectorlight.jets import Jet
 
 STEP = 1e-6
@@ -333,3 +334,27 @@ def test_batch_one_jets_broadcast_bytewise_as_copied_out(shape, order):
             got = op(small)
             assert got.val.shape == small.val.shape, name
             assert _bitwise_equal(_copied_out(got, shape), op(wide)), name
+
+
+# the operands' batch shapes: scalar, one point, a flat batch, two axes
+# broadcasting against each other, and a full batch against a batch of 1
+_KERNEL_SHAPES = [((), ()), ((1,), (1,)), ((7,), (7,)),
+                  ((4, 1, 1), (1, 5, 1)), ((7,), (1,))]
+
+
+@pytest.mark.parametrize("shapes", _KERNEL_SHAPES, ids=str)
+@pytest.mark.parametrize("order", [2, 3])
+def test_kernels_are_bytewise_the_gather_kernels(order, shapes):
+    # the package forms each product of a third-order term once and sums in
+    # place; the oracle gathers the operands of every term and sums them
+    # written out, in the same order
+    rng = np.random.default_rng(29 + order)
+    a, b = (random_jet(rng, shape).truncate(order) for shape in shapes)
+    pairs = [(a * b, GatherJet.of(a) * b), (b * a, GatherJet.of(b) * a)]
+    for name in ("exp", "reciprocal", "sqrt", "arctan"):
+        for jet in (a, b):
+            pairs.append((getattr(jet, name)(),
+                          getattr(GatherJet.of(jet), name)()))
+    for got, want in pairs:
+        assert type(got) is type(want) is Jet
+        assert _same_blocks(got, want.blocks)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vectorlight.coupling as coupling_module
 import vectorlight.scan as scan_module
 from vectorlight import (
     BeamSpec,
@@ -501,6 +502,33 @@ def test_one_sample_per_beam_and_order_per_chunk(caplog):
     assert record.args[5:7] == (7, 7)
     for cfg, d in zip(cfgs, grouped):
         assert run_scan(cfg).values.tobytes() == d.values.tobytes()
+
+
+def test_sideband_maps_share_the_contractions_of_their_sample(monkeypatch):
+    # one chunk: the dm = +1 map and the carrier contract mu once, and the
+    # three sideband maps contract its gradient once
+    builds = []
+    rotate = coupling_module.rotate_coefficients
+
+    def counting(coeffs, geom):
+        builds.append(coeffs.multipole)
+        return rotate(coeffs, geom)
+
+    beam = lg_beam()
+    trap = TrapSpec.from_lab_units(40.0, (2.0, 2.0, 1.0))
+    trans = quad_transition(1)
+    obs = [TransitionObservable(beam, trans)]
+    obs += [SidebandObservable(beam, trap, SidebandRequest(mode, 0, branch),
+                               trans, eta_rescale=branch != "carrier")
+            for mode, branch in (("X", "carrier"), ("X", "bsb"), ("Y", "bsb"),
+                                 ("Z", "bsb"))]
+    cfgs = [ScanConfig(o, EXTENT, (6, 5)) for o in obs]
+    want = [(m.values.tobytes(), m.scale_factor)
+            for m in (run_scan(cfg) for cfg in cfgs)]
+    monkeypatch.setattr(coupling_module, "rotate_coefficients", counting)
+    got = run_scans(cfgs)
+    assert len(builds) == 2
+    assert [(m.values.tobytes(), m.scale_factor) for m in got] == want
 
 
 def test_chunk_size_must_be_a_positive_integer():

@@ -5,6 +5,7 @@ for example the parent commit exported with ``git archive`` and this one:
 
     python tests/time_field_samples.py PARENT/src src [--repeats 5]
     python tests/time_field_samples.py PARENT/src src --processes 8
+    python tests/time_field_samples.py PARENT/src src --stages [--repeats 20]
 
 In-process mode (the default) imports both trees' ``vectorlight`` packages
 side by side under the names ``tree_a`` and ``tree_b`` and interleaves them:
@@ -20,7 +21,18 @@ one process puts them under the same load.
 running the panel ``--repeats`` times, for what in-process runs share (the
 heap, numpy's caches and the interpreter's warm-up).  It prints each
 process's best and median and its user and system CPU seconds, then the
-median of each tree's bests.  pytest does not collect this file.
+median of each tree's bests.
+
+``--stages`` splits one scan chunk of the panel (its first ``--chunk``
+points, whole grid rows) into three stages, timed in the calling thread and
+interleaved between the trees as above.  The 15 field samples of the
+chunk's (beam, order) pairs are built in the scan's evaluation order with a
+fresh ``ProfileMemo`` and then built again from the profiles the memo holds:
+the second pass is the sample assembly, and the first minus the second the
+profiles.  The contractions are the 70 observables evaluated on the second
+pass's samples, with the moduli taken as a scan stores them.  It prints,
+per tree and stage, the best and the median milliseconds per chunk.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -108,6 +120,60 @@ def time_points(vl, beams, calls: int) -> float:
     return best / len(beams)
 
 
+class _HeldSamples:
+    """Serves each (beam, order) pair's sample from a dict, as a memo would."""
+
+    def __init__(self, samples):
+        self.samples = samples
+
+    def sample(self, beam, points, order):
+        return self.samples[id(beam), order]
+
+
+def time_stages(vl, cfgs, points):
+    """Seconds of one chunk's profiles, sample assembly and contractions."""
+    scan = sys.modules[vl.__name__ + ".scan"]
+    beams = sys.modules[vl.__name__ + ".beams"]
+    order = scan._evaluation_order(cfgs, range(len(cfgs)))
+    pairs = {}
+    for i in order:
+        obs = cfgs[i].observable
+        pairs[id(obs.beam), obs.field_order] = (obs.beam, obs.field_order)
+    memo = beams.ProfileMemo()
+    t0 = time.perf_counter()
+    for beam, o in pairs.values():
+        beams.field_sample_upto(beam, points, o, profiles=memo)
+    t1 = time.perf_counter()
+    samples = {key: beams.field_sample_upto(beam, points, o, profiles=memo)
+               for key, (beam, o) in pairs.items()}
+    t2 = time.perf_counter()
+    held = _HeldSamples(samples)
+    for i in order:
+        v, _ = cfgs[i].observable.evaluate(points, held)
+        abs(v)
+    t3 = time.perf_counter()
+    return {"profiles": (t1 - t0) - (t2 - t1), "assembly": t2 - t1,
+            "contractions": t3 - t2}
+
+
+def stages(args) -> None:
+    trees = {"a": load_tree(args.a, "tree_a"), "b": load_tree(args.b, "tree_b")}
+    cfgs = {k: panel_configs(vl, args.res) for k, vl in trees.items()}
+    points = {k: cfgs[k][0].grid_points()[:args.chunk] for k in trees}
+    times = {k: [] for k in trees}
+    for r in range(args.repeats):
+        for k in ("ab" if r % 2 == 0 else "ba"):
+            times[k].append(time_stages(trees[k], cfgs[k], points[k]))
+    for k, src in (("a", args.a), ("b", args.b)):
+        parts = []
+        for stage in ("profiles", "assembly", "contractions"):
+            ms = [t[stage] * 1e3 for t in times[k]]
+            parts.append(f"{stage} best {min(ms):.2f} ms, median "
+                         f"{statistics.median(ms):.2f} ms")
+        print(f"{k} {src}: {len(points[k])} points, {args.repeats} repeats; "
+              + "; ".join(parts))
+
+
 def in_process(args) -> None:
     trees = {"a": load_tree(args.a, "tree_a"), "b": load_tree(args.b, "tree_b")}
     cfgs = {k: panel_configs(vl, args.res) for k, vl in trees.items()}
@@ -167,12 +233,19 @@ def main(argv=None) -> int:
                         help="rounds of single-point samples per repeat")
     parser.add_argument("--processes", type=int, default=0,
                         help="alternate this many fresh processes per tree")
+    parser.add_argument("--stages", action="store_true",
+                        help="time one chunk's profiles, sample assembly "
+                        "and contractions")
+    parser.add_argument("--chunk", type=int, default=3072,
+                        help="points of the chunk --stages times")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         worker(args)
     elif not (args.a and args.b):
         parser.error("two src directories are needed")
+    elif args.stages:
+        stages(args)
     elif args.processes:
         processes(args)
     else:
