@@ -651,17 +651,21 @@ _NAMES = [
 ]
 
 
+_FLAG_OF = {path: field.flag for path, field in cli_module._FIELDS.items()
+            if field.flag}
+
+
 def _name_run(tmp_path, label, command, extra, path, name, from_flag):
     """Every file of one run that sets `path` to `name`, by a flag or a run
     file, by its file name."""
     out = tmp_path / label
     args = [command, *extra, "--resolution", "4,3", "-o", out]
     if path == "beam.type":
-        # the --beam flag carries the mode indices; the run file's default
+        # --beam names the type with its mode indices, a run file apart
         args += ["--beam", f"{name}:1"] if from_flag else []
         doc = {"beam": {"type": name, "l": 1}}
     else:
-        args += [_FIELDS_BY_PATH[path], name] if from_flag else []
+        args += [_FLAG_OF[path], name] if from_flag else []
         doc = {}
         cli_module._place(doc, path, name)
     if not from_flag:
@@ -670,10 +674,6 @@ def _name_run(tmp_path, label, command, extra, path, name, from_flag):
         args += ["--run-file", run_file]
     assert run(args) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-
-_FIELDS_BY_PATH = {path: field.flag for path, field in cli_module._FIELDS.items()
-                   if field.flag}
 
 
 @pytest.mark.parametrize("command, extra, path, name, other, canonical",
