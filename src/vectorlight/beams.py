@@ -14,15 +14,16 @@ batch the factors of z alone, the plane wave among them, are multiplied
 together on one point before any factor of x and y, so no field sample
 multiplies the full batch by the plane wave.  A field sample is written
 straight from the profile jets, term by term, into its batch-first blocks;
-no jet of a field component is built.  A sample keeps what its consumers
-compute from it once (`FieldSample.derived`): its peaks, and the coupling
-contractions that several maps or calls share.
+no jet of a field component is built.  A sample keeps the last few values
+its consumers computed from it (`FieldSample.derived`): its peaks, and the
+coupling contractions that several maps or calls share.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -164,6 +165,15 @@ class BeamSpec:
         return BeamSpec(((1.0 + 0.0j, term),), wavelength, waist)
 
 
+# derived values a sample keeps (see `FieldSample.derived`): enough for the
+# contractions one chunk's maps share, and a bound on what a sample held
+# across many calls (the averaging cloud) can grow to
+_KEPT = 8
+# serializes the writers of a sample's kept values (readers need no lock);
+# a value is built outside it
+_kept_lock = threading.Lock()
+
+
 @dataclass(frozen=True)
 class FieldSample:
     """Field and its spatial derivatives at a set of points.
@@ -176,8 +186,8 @@ class FieldSample:
     can be handed to several consumers.  A sample is written straight from
     the scalar-profile jets; no jet of a field component is built.  What
     its consumers compute from it, its peaks and the coupling contractions
-    (see `derived`), is computed once per sample and kept with it, so the
-    blocks of a sample built by hand must not change once it is read.
+    (see `derived`), is kept with it, the last `_KEPT` values built, so
+    the blocks of a sample built by hand must not change once it is read.
     """
 
     electric: np.ndarray
@@ -191,20 +201,25 @@ class FieldSample:
         return (self.electric, self.jacobian, self.hessian)[order]
 
     def derived(self, key: tuple, build: Callable[[], object]):
-        """build(), computed on the first call with `key` and kept: every
-        later call with an equal key returns the same object.  An array kept
-        is made read-only, since its later callers share it."""
+        """build(), computed on the first call with `key` and kept: a later
+        call with an equal key returns the same object while it is among the
+        `_KEPT` values last built; the oldest is dropped first.  An array
+        kept is made read-only, since its later callers share it."""
         value = self._derived.get(key)
         if value is None:
             value = build()
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            self._derived[key] = value
+            kept = self._derived
+            with _kept_lock:
+                kept[key] = value
+                while len(kept) > _KEPT:
+                    del kept[next(iter(kept))]
         return value
 
     def peak(self, order: int) -> float:
-        """Largest modulus in block(order), 0.0 for an empty block, computed
-        once per sample."""
+        """Largest modulus in block(order), 0.0 for an empty block, kept
+        with the sample (see `derived`)."""
         return self.derived(("peak", order), lambda: float(
             np.max(np.abs(self.block(order)), initial=0.0)))
 

@@ -456,6 +456,20 @@ def _atomic_write(path: str, pieces) -> None:
             os.remove(tmp)
 
 
+class _StdoutClosed(Exception):
+    """Standard output's reader went away before the output was written."""
+
+
+@contextlib.contextmanager
+def _to_stdout():
+    """Standard output, for writes that tell a broken pipe there (status 1)
+    from one on any other file."""
+    try:
+        yield sys.stdout
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
+
+
 # cells in one band of whole rows of map text: a map file is written band by
 # band, so writing one holds at most about 125 B per cell of a band, 8 MB
 _TEXT_BAND = 1 << 16
@@ -532,8 +546,9 @@ def _write_maps(args, doc: dict, maps) -> int:
         _atomic_write(path + ".csv", _csv_lines(dataset, stem))
         _atomic_write(path + ".json", (_sidecar_text(dataset, run_doc, extra),))
         written += [path + ".csv", path + ".json"]
-    for path in written:
-        print(path)
+    with _to_stdout() as out:
+        for path in written:
+            print(path, file=out)
     return 0
 
 
@@ -705,7 +720,8 @@ def cmd_point(args) -> int:
         text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise NumericalError("non-finite values in point record") from None
-    sys.stdout.write(text + "\n")
+    with _to_stdout() as out:
+        out.write(text + "\n")
     return 0
 
 
@@ -715,8 +731,9 @@ def cmd_compare(args) -> int:
     stats = compare_maps(a, b)
     stats["scale_factor_a"] = a.scale_factor
     stats["scale_factor_b"] = b.scale_factor
-    json.dump(stats, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    with _to_stdout() as out:
+        json.dump(stats, out, indent=2, sort_keys=True)
+        out.write("\n")
     return 0
 
 
@@ -726,7 +743,8 @@ def cmd_gnuplot_matrix(args) -> int:
     rows = (" ".join([repr(float(y) / UM)] + row) + "\n"
             for y, row in zip(d.y_centers, _float_reprs(d.values.T)))
     _atomic_write(args.output, itertools.chain([" ".join(xs) + "\n"], rows))
-    print(args.output)
+    with _to_stdout() as out:
+        print(args.output, file=out)
     return 0
 
 
@@ -814,7 +832,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.argv[1:] if argv is None else argv))
     try:
         status = args.func(args)
-        sys.stdout.flush()
+        with _to_stdout() as out:
+            out.flush()
         return status
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -822,15 +841,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except _StdoutClosed:
+        return 1
+
+
+def console_main() -> int:
+    """Process entry point (`python -m vectorlight.cli`, the `vectorlight`
+    script): main(), and if standard output is closed, what is still
+    buffered for it goes to the null device, so the interpreter's flush at
+    exit does not fail again.  Only here is the process's stdout replaced;
+    main() itself leaves it alone for callers in the same process."""
+    status = main()
+    try:
+        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed standard output: what is still buffered goes
-        # to the null device, so the interpreter's flush at exit cannot
-        # fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    return status
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

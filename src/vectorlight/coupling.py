@@ -243,17 +243,18 @@ def _contract(sample: FieldSample, order: int, trans: TransitionSpec,
     `free` names the leading derivative slots of the block left
     uncontracted: '' for mu itself, 'p' for its gradient.  The selection
     rules and the CG weight are looked up on every call; a contraction is
-    computed once per sample and kept with it (`FieldSample.derived`),
-    read-only, keyed by what it depends on: the multipole, the dm channel,
-    the CG weight, the geometry's theta and axis bits and `free`.  So
-    transitions and geometries that give the same tables share it.
+    kept with the sample (`FieldSample.derived`, the last few built), keyed
+    by what it depends on: the multipole, the dm channel, the CG weight, the
+    geometry's theta and axis bits and `free`.  So transitions and
+    geometries that give the same tables share it.  Every result is
+    read-only, the zeros of a forbidden channel too.
     """
     block = sample.block(order)
     rank = trans.multipole.field_order + 1
     sel = _selection(trans)
     if sel is None:
         shape = block.shape[:block.ndim - len(free) - rank]
-        return np.zeros(shape + (3,) * len(free), dtype=complex)
+        return _readonly(np.zeros(shape + (3,) * len(free), dtype=complex))
     cg, dmi = sel
 
     def contract():
@@ -273,9 +274,9 @@ def relative_strength(sample: FieldSample, trans: TransitionSpec,
 
     Although formally a sum over all dm channels, the Clebsch-Gordan factor
     restricts it to the single channel dm = m2 - m1; selection-rule failures
-    return exact zeros.  A nonzero channel's mu is computed once per sample
-    and returned read-only to every later call that shares its tables (see
-    `_contract`).
+    return exact zeros.  The array returned is read-only: a nonzero
+    channel's mu is kept with the sample and returned again to a later call
+    that shares its tables (see `_contract`).
     """
     return _contract(sample, trans.multipole.field_order, trans,
                      geom or Geometry(), "")
@@ -284,7 +285,7 @@ def relative_strength(sample: FieldSample, trans: TransitionSpec,
 def strength_gradient(sample: FieldSample, trans: TransitionSpec,
                       geom: Geometry = None) -> np.ndarray:
     """Spatial gradient of mu, shape (..., 3); needs one extra field order.
-    Kept with the sample and read-only, as mu is."""
+    Read-only and kept with the sample, as mu is."""
     return _contract(sample, trans.multipole.field_order + 1, trans,
                      geom or Geometry(), "p")
 

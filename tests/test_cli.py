@@ -724,6 +724,31 @@ def test_closed_standard_output_exits_1_without_a_traceback():
     assert proc.stderr == b""
 
 
+class _ClosedStdout(io.StringIO):
+    """Standard output whose reader has gone: every flush fails."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_main_in_process_returns_1_for_a_closed_stdout_and_keeps_fd_1():
+    before = os.fstat(1)
+    with contextlib.redirect_stdout(_ClosedStdout()):
+        assert main(["point", "--beam", "LG:1", "--position-um=0,0,0"]) == 1
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+def test_a_broken_pipe_other_than_stdout_is_not_status_1(monkeypatch):
+    def broken(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli_module, "field_sample_upto", broken)
+    with contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises(BrokenPipeError):
+            main(["point", "--beam", "LG:1", "--position-um=0,0,0"])
+
+
 @pytest.mark.parametrize("m2", ["99/2", "3/2", "-1/2"])
 def test_point_record_does_not_echo_a_run_files_m2(tmp_path, m2):
     # point derives m2 from each Delta-m, so a run file's m2 is not echoed,

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vectorlight import beams as beams_module
 from vectorlight import coupling
 from vectorlight.beams import (
     BeamSpec,
@@ -687,6 +688,48 @@ def test_a_sample_keeps_each_contraction_it_serves(monkeypatch):
         relative_strength(fs, trans)
         strength_gradient(fs, trans)
     assert len(calls) == 6
+
+
+def test_every_contraction_returned_is_read_only():
+    fs = field_sample_upto(BeamSpec.lg(1, 0, +1, waist=WAIST,
+                                       wavelength=WAVELENGTH),
+                           make_probe_points(), 1)
+    forbidden = transition(2, Multipole.E1, m1=HalfInt(-1))
+    assert coupling._selection(forbidden) is None
+    for func in (relative_strength, strength_gradient):
+        for trans in (transition(1, Multipole.E1), forbidden):
+            mu = func(fs, trans)
+            assert not mu.flags.writeable
+            with pytest.raises(ValueError):
+                mu *= 2.0
+    assert not np.any(relative_strength(fs, forbidden))
+
+
+def test_a_sample_keeps_a_bounded_number_of_contractions(monkeypatch):
+    # a theta sweep over one held cloud, and over one sample held by the
+    # caller, keeps at most _KEPT values, and the last one is still shared
+    beam = BeamSpec.lg(1, 0, +1, waist=WAIST, wavelength=WAVELENGTH)
+    trans = transition(1)
+    thetas = np.linspace(0.0, math.pi, 40)
+    monkeypatch.setattr(coupling, "_held_cloud", None)
+    for theta in thetas:
+        averaged_strength(beam, _CENTER_A, _WIDTHS, trans, Geometry(theta),
+                          quadrature_order=3)
+    cloud = coupling._held_cloud[2]
+    fs = field_sample_upto(beam, make_probe_points(), 2)
+    for theta in thetas:
+        relative_strength(fs, trans, Geometry(theta))
+        strength_gradient(fs, trans, Geometry(theta))
+    for sample in (cloud, fs):
+        assert 0 < len(sample._derived) <= beams_module._KEPT
+    last = Geometry(thetas[-1])
+    assert relative_strength(fs, trans, last) is \
+        relative_strength(fs, trans, last)
+    # a value dropped is built again with the same bits
+    first = Geometry(thetas[0])
+    assert relative_strength(fs, trans, first).tobytes() == relative_strength(
+        field_sample_upto(beam, make_probe_points(), 2), trans,
+        first).tobytes()
 
 
 def test_rms_after_average_on_one_cloud_runs_no_new_contraction(monkeypatch):

@@ -23,13 +23,13 @@ heap, numpy's caches and the interpreter's warm-up).  It prints each
 process's best and median and its user and system CPU seconds, then the
 median of each tree's bests.
 
-``--stages`` splits one scan chunk of the panel (its first ``--chunk``
-points, whole grid rows) into three stages, timed in the calling thread and
-interleaved between the trees as above.  The 15 field samples of the
-chunk's (beam, order) pairs are built in the scan's evaluation order with a
-fresh ``ProfileMemo`` and then built again from the profiles the memo holds:
-the second pass is the sample assembly, and the first minus the second the
-profiles.  The contractions are the 70 observables evaluated on the second
+``--stages`` splits one scan chunk of the panel (its first grid points, as
+many as each tree's scan puts in a chunk) into three stages, timed in the
+calling thread and interleaved between the trees as above.  The 15 field
+samples of the chunk's (beam, order) pairs are built in the scan's
+evaluation order with a fresh ``ProfileMemo`` and then built again from the
+profiles the memo holds: the second pass is the sample assembly, and the
+first minus the second the profiles.  The contractions are the 70 observables evaluated on the second
 pass's samples, with the moduli taken as a scan stores them.  It prints,
 per tree and stage, the best and the median milliseconds per chunk.
 pytest does not collect this file.
@@ -159,7 +159,8 @@ def time_stages(vl, cfgs, points):
 def stages(args) -> None:
     trees = {"a": load_tree(args.a, "tree_a"), "b": load_tree(args.b, "tree_b")}
     cfgs = {k: panel_configs(vl, args.res) for k, vl in trees.items()}
-    points = {k: cfgs[k][0].grid_points()[:args.chunk] for k in trees}
+    points = {k: cfgs[k][0].grid_points()[
+        :sys.modules[vl.__name__ + ".scan"]._CHUNK] for k, vl in trees.items()}
     times = {k: [] for k in trees}
     for r in range(args.repeats):
         for k in ("ab" if r % 2 == 0 else "ba"):
@@ -236,8 +237,6 @@ def main(argv=None) -> int:
     parser.add_argument("--stages", action="store_true",
                         help="time one chunk's profiles, sample assembly "
                         "and contractions")
-    parser.add_argument("--chunk", type=int, default=3072,
-                        help="points of the chunk --stages times")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
