@@ -7,13 +7,18 @@ Conventions at this interface: lengths in micrometers, trap frequencies in
 MHz (as omega / 2 pi), mass in atomic mass units, angles in degrees.  A run
 is one document: the subcommand's defaults, deep-merged with the sections of
 a --run-file, then with the flags given on the command line.  One table,
-`_FIELDS`, declares each field of the document by its path, with its default
-and, if a flag sets it, the flag, its converter and its help; a subcommand
-names the sections it takes and the defaults it replaces, and its flags,
-help, defaults and run-file schema all follow from them.  A name-valued
-field takes its name in any case.  Exit codes: 0 success, 1 standard output
-closed before the output was written, 2 configuration error, 3 numerical
-failure.  Every map is written as a CSV grid plus a JSON sidecar;
+`_FIELDS`, declares each field of the document by its path, with its default,
+the one reader of its value and, if a flag sets it, the flag and its help; a
+subcommand names the sections it takes and the defaults it replaces, and its
+flags, help, defaults and run-file schema all follow from them.  A flag's
+text (a list flag's split on commas) and a run file's value pass through the
+same reader, so a flag accepts what its field accepts, and every rejected
+value is named by its field path; only --beam, which sets several fields, is
+named by its flag.  The run document is typed: floats for lengths, angles,
+mass and frequencies, ints for counts and indices, and each name in one
+spelling, whatever case it was given in.  Exit codes: 0 success, 1 standard
+output closed before the output was written, 2 configuration error, 3
+numerical failure.  Every map is written as a CSV grid plus a JSON sidecar;
 re-running the `run` document echoed in a sidecar reproduces the CSV bit
 for bit.
 """
@@ -109,10 +114,92 @@ def load_run_file(path: str, fields: dict) -> dict:
     return doc
 
 
+def _finite(value) -> float:
+    # float() would take a bool as 0 or 1
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    number = _finite(value)
+    if not number.is_integer():
+        raise ValueError(f"must be an integer, got {number!r}")
+    return int(number)
+
+
+def _count(value) -> int:
+    number = _integer(value)
+    if number < 0:
+        raise ValueError(f"must be a non-negative integer, got {number}")
+    return number
+
+
 def _sigma(value) -> int:
     if str(value) not in ("-1", "0", "1", "+1"):
-        raise ValueError(f"must be -1, 0, or +1, got {value!r}")
+        raise ValueError(f"must be -1, 0, or +1, got {str(value)!r}")
     return int(str(value))
+
+
+def _half_integer(value) -> str:
+    """An angular momentum or its projection, spelled as HalfInt spells it.
+    A number is read from its text, as a flag's is: 0.5 as '0.5'."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"cannot interpret {value!r} as a half-integer")
+    return str(HalfInt.coerce(str(value)))
+
+
+def _one_of(options):
+    """Reader of a name that must be one of the strings `options`, in any
+    case; it returns the option as `options` spells it."""
+    names = {option.lower(): option for option in options}
+
+    def read(value) -> str:
+        if not (isinstance(value, str) and value.lower() in names):
+            raise ValueError(f"must be one of {', '.join(options)}, "
+                             f"got {value!r}")
+        return names[value.lower()]
+    return read
+
+
+def _within(lo: float, hi: float):
+    """Reader of a length in um whose value in meters lies in [lo, hi]."""
+    def read(value) -> float:
+        value = _finite(value)
+        if not lo <= value * UM <= hi:
+            raise ValueError(f"must lie in [{lo / UM:g}, {hi / UM:g}] um, "
+                             f"got {value!r}")
+        return value
+    return read
+
+
+# waists and wavelengths; coordinates of the grid and of a point
+_length = _within(*LENGTH_RANGE)
+_coordinate = _within(-LENGTH_RANGE[1], LENGTH_RANGE[1])
+
+
+def _numbers(read, count: int):
+    """Reader of a list of exactly `count` values, each through `read`."""
+    def read_all(value) -> tuple:
+        if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
+            raise TypeError(f"expected a list of {count} numbers, got {value!r}")
+        if len(value) != count:
+            raise ValueError(f"needs {count} values, got {len(value)}")
+        return tuple(read(v) for v in value)
+    return read_all
+
+
+def _axis(value):
+    """A rotation axis: x, y or z in any case, kept as its lower-case name,
+    or three finite numbers."""
+    if isinstance(value, str):
+        if value.lower() not in _AXIS_NAMES:
+            raise ValueError(f"unknown axis {value!r}")
+        return value.lower()
+    return _numbers(_finite, 3)(value)
 
 
 def _beam_flag(text: str) -> dict:
@@ -130,73 +217,69 @@ def _beam_flag(text: str) -> dict:
     return {"type": kind, **dict(zip(_MODE_INDICES[kind], nums))}
 
 
-def _comma_list(convert):
-    """Converter of a comma-separated flag value into a list; its length is
-    checked on the run document, as for run files."""
-    def parse(text: str) -> list:
-        return [convert(p) for p in text.replace(" ", "").split(",") if p]
-    return parse
-
-
-def _whole(text: str):
-    """A number that is an int when whole: '8' reads as 8, while '8.5' stays
-    a float for the run document's integer check to reject."""
-    value = float(text)
-    return int(value) if value.is_integer() else value
+def _split(text: str) -> list:
+    """The items of a comma-separated flag value, as a run file lists them."""
+    return [p for p in text.replace(" ", "").split(",") if p]
 
 
 class _Field(NamedTuple):
     """A run-document field: its default (None: none; a list default is a
-    tuple, which every run document can share) and, if a flag sets the
-    field, the flag, the converter of the flag's text and its help."""
+    tuple, which every run document can share), the reader that turns a
+    value into its typed form or raises, and, if a flag sets the field, the
+    flag, its help and the parser of its text into a run-file value."""
     default: object = None
+    read: Optional[Callable] = None
     flag: Optional[str] = None
-    convert: Optional[Callable] = None
     help: str = ""
+    parse: Callable = str
 
 
 # Every run-document field, by its path; a subcommand's flags appear in this
 # order.  Only flags given on the command line enter the document.
 _FIELDS = {
     "observable": _Field(),
-    "beam": _Field(None, "--beam", _beam_flag,
-                   "lg:<l>[,<p>] | hg:<m>,<n> | radial | azimuthal"),
-    **{f"beam.{key}": _Field() for key in ("type", "l", "p", "m", "n")},
-    "beam.sigma": _Field(None, "--sigma", _sigma,
+    "beam": _Field(None, None, "--beam",
+                   "lg:<l>[,<p>] | hg:<m>,<n> | radial | azimuthal",
+                   _beam_flag),
+    "beam.type": _Field(None, _one_of(_MODE_INDICES)),
+    **{f"beam.{key}": _Field(None, _integer) for key in ("l", "p", "m", "n")},
+    "beam.sigma": _Field(None, _sigma, "--sigma",
                          "polarization of LG and HG beams: -1, 0, or +1"),
-    "beam.waist_um": _Field(1.0, "--waist-um", float, "beam waist"),
-    "beam.wavelength_um": _Field(0.729, "--wavelength-um", float,
+    "beam.waist_um": _Field(1.0, _length, "--waist-um", "beam waist"),
+    "beam.wavelength_um": _Field(0.729, _length, "--wavelength-um",
                                  "wavelength"),
     # the extent defaults to +/- 2 waists of the merged beam
-    "grid.extent_um": _Field(None, "--extent-um", _comma_list(float),
+    "grid.extent_um": _Field(None, _numbers(_coordinate, 4), "--extent-um",
                              "x_min,x_max,y_min,y_max "
-                             "(default: +/- 2 waists)"),
-    "grid.resolution": _Field((256, 256), "--resolution", _comma_list(_whole),
-                              f"nx,ny with nx*ny <= {MAX_GRID_CELLS}"),
-    "grid.z_plane_um": _Field(0.0, "--z-plane-um", float,
+                             "(default: +/- 2 waists)", _split),
+    "grid.resolution": _Field((256, 256), _numbers(_integer, 2),
+                              "--resolution",
+                              f"nx,ny with nx*ny <= {MAX_GRID_CELLS}", _split),
+    "grid.z_plane_um": _Field(0.0, _coordinate, "--z-plane-um",
                               "focal-plane offset"),
-    "component": _Field(None, "--component", str,
+    "component": _Field(None, _one_of(_COMPONENTS), "--component",
                         f"one of {', '.join(_COMPONENTS)} (default: all three)"),
-    "transition.j1": _Field("1/2", "--j1", str, "lower-level J"),
-    "transition.m1": _Field("1/2", "--m1", str, "lower-level m"),
-    "transition.j2": _Field("5/2", "--j2", str, "upper-level J"),
+    "transition.j1": _Field("1/2", _half_integer, "--j1", "lower-level J"),
+    "transition.m1": _Field("1/2", _half_integer, "--m1", "lower-level m"),
+    "transition.j2": _Field("5/2", _half_integer, "--j2", "upper-level J"),
     "transition.m2": _Field(),
-    "transition.multipole": _Field("E2_dJ2", "--multipole", str,
-                                   "E1 | E2_dJ1 | E2_dJ2"),
-    "dm": _Field(None, "--dm", int, "Delta-m channel"),
-    "geometry.theta_deg": _Field(0.0, "--theta-deg", float,
+    "transition.multipole": _Field(
+        "E2_dJ2", lambda value: Multipole.parse(str(value)).value,
+        "--multipole", "E1 | E2_dJ1 | E2_dJ2"),
+    "dm": _Field(None, _integer, "--dm", "Delta-m channel"),
+    "geometry.theta_deg": _Field(0.0, _finite, "--theta-deg",
                                  "quantization-axis tilt"),
-    "geometry.axis": _Field("y", "--axis", str, "rotation axis: x, y, or z"),
-    "trap.mass_amu": _Field(40.0, "--mass-amu", float, "ion mass"),
-    "trap.frequencies_mhz": _Field((1.0, 1.0, 1.0), "--frequencies-mhz",
-                                   _comma_list(float),
+    "geometry.axis": _Field("y", _axis, "--axis", "rotation axis: x, y, or z"),
+    "trap.mass_amu": _Field(40.0, _finite, "--mass-amu", "ion mass"),
+    "trap.frequencies_mhz": _Field((1.0, 1.0, 1.0), _numbers(_finite, 3),
+                                   "--frequencies-mhz",
                                    "trap frequencies omega/2pi for X,Y,Z "
-                                   "in MHz"),
-    "sideband.n": _Field(0, "--n", int, "initial motional quantum"),
-    "sideband.branch": _Field("bsb", "--branch", str,
+                                   "in MHz", _split),
+    "sideband.n": _Field(0, _count, "--n", "initial motional quantum"),
+    "sideband.branch": _Field("bsb", _one_of(("bsb", "rsb")), "--branch",
                               "sideband branch of the mode maps: bsb or rsb"),
-    "position_um": _Field((0.0, 0.0, 0.0), "--position-um",
-                          _comma_list(float), "x,y,z"),
+    "position_um": _Field((0.0, 0.0, 0.0), _numbers(_coordinate, 3),
+                          "--position-um", "x,y,z", _split),
 }
 
 _FLAGS = {field.flag for field in _FIELDS.values() if field.flag}
@@ -236,26 +319,24 @@ def _merge(doc: dict, over: dict) -> None:
             doc[key] = value
 
 
-def _complete_beam(beam: dict) -> None:
-    """Default the mode indices of the beam's type and an LG/HG sigma."""
-    if beam.get("type") is None:
-        raise ConfigurationError("missing required field 'beam.type' "
-                                 "(--beam or run-file beam section)")
-    # the run document holds each name as its option spells it, so a
-    # sidecar echoes the same document whatever case was given
-    beam["type"] = _read(beam, "beam", "type", _one_of(_MODE_INDICES))
-    indices = _MODE_INDICES[beam["type"]]
-    for key in indices:
-        beam.setdefault(key, 0)
-    if indices:
-        beam.setdefault("sigma", 1)
-    else:
-        beam.pop("sigma", None)
+_BAD_INPUT = (TypeError, ValueError, OverflowError)
+
+
+def _checked(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), which reads a run-document value or builds an
+    object from such values.  A TypeError, ValueError or OverflowError it
+    raises is bad input: a ConfigurationError '<where>: <message>', which
+    the CLI prints and exits 2 on."""
+    try:
+        return build(*args, **kwargs)
+    except _BAD_INPUT as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _resolve(args) -> dict:
-    """The run document: the subcommand's defaults, then the run file's
-    sections, then the flags given explicitly."""
+    """The typed run document: the subcommand's defaults, then the run
+    file's sections, then the flags given explicitly, and each field's value
+    through its reader, which names the field's path if it rejects it."""
     doc: dict = {}
     for path, field in args.fields.items():
         if field.default is not None:
@@ -269,116 +350,44 @@ def _resolve(args) -> dict:
             doc["beam"].pop(key, None)
     for path, field in args.fields.items():
         dest = field.flag[2:].replace("-", "_") if field.flag else None
-        if dest not in given:
-            continue
-        _place(doc, path, _checked(field.flag, field.convert, given[dest]))
+        if dest in given:
+            _place(doc, path, _checked(field.flag, field.parse, given[dest]))
     doc["observable"] = args.fields["observable"].default
-    _complete_beam(doc["beam"])
-    if "grid.extent_um" in args.fields:
-        w = 2.0 * _read(doc["beam"], "beam", "waist_um", _length)
-        doc["grid"].setdefault("extent_um", [-w, w, -w, w])
+    beam = doc["beam"]
+    if beam.get("type") is None:
+        raise ConfigurationError("missing required field 'beam.type' "
+                                 "(--beam or run-file beam section)")
+    for path, field in args.fields.items():
+        section, _, key = path.rpartition(".")
+        values = doc[section] if section else doc
+        if path == "grid.extent_um":
+            w = 2.0 * beam["waist_um"]
+            values.setdefault(key, [-w, w, -w, w])
+        if field.read is None or key not in values:
+            continue
+        # a null top-level field with no default, a component or
+        # transition-map's dm, is absent: every map is written
+        if values[key] is not None or field.default is not None or section:
+            values[key] = _checked(path, field.read, values[key])
+    indices = _MODE_INDICES[beam["type"]]
+    beam.update({key: beam.get(key, 0) for key in indices})
+    if indices:
+        beam.setdefault("sigma", 1)
+    else:
+        beam.pop("sigma", None)
     return doc
 
 
-# ------------------------------------------------------ run-document values
-
-
-def _checked(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), which converts a run-document value or builds
-    an object from such values.  A TypeError, ValueError or OverflowError it
-    raises is bad input: a ConfigurationError '<where>: <message>', which
-    the CLI prints and exits 2 on."""
-    try:
-        return build(*args, **kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{where}: {exc}") from exc
-
-
-def _read(doc: dict, path: str, key: str, convert):
-    """doc[key] through `convert`; a bad value is a ConfigurationError naming
-    its field path, e.g. 'beam.l'."""
-    return _checked(f"{path}.{key}" if path else key, convert, doc.get(key))
-
-
-def _finite(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(number)
-
-
-def _one_of(options):
-    """Converter of a name that must be one of the strings `options`, in
-    any case; it returns the option as `options` spells it."""
-    names = {option.lower(): option for option in options}
-
-    def convert(value) -> str:
-        if not (isinstance(value, str) and value.lower() in names):
-            raise ValueError(f"must be one of {', '.join(options)}, "
-                             f"got {value!r}")
-        return names[value.lower()]
-    return convert
-
-
-def _count(value) -> int:
-    number = _integer(value)
-    if number < 0:
-        raise ValueError(f"must be a non-negative integer, got {value!r}")
-    return number
-
-
-def _within(lo: float, hi: float):
-    """Converter of a length in um whose value in meters lies in [lo, hi]."""
-    def convert(value) -> float:
-        value = _finite(value)
-        if not lo <= value * UM <= hi:
-            raise ValueError(f"must lie in [{lo / UM:g}, {hi / UM:g}] um, "
-                             f"got {value!r}")
-        return value
-    return convert
-
-
-# waists and wavelengths; coordinates of the grid and of a point
-_length = _within(*LENGTH_RANGE)
-_coordinate = _within(-LENGTH_RANGE[1], LENGTH_RANGE[1])
-
-
-def _numbers(convert, count: int):
-    """Converter of a list of exactly `count` values, each through `convert`."""
-    def parse(value):
-        if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
-            raise TypeError(f"expected a list of {count} numbers, got {value!r}")
-        if len(value) != count:
-            raise ValueError(f"needs {count} values, got {len(value)}")
-        return tuple(convert(v) for v in value)
-    return parse
-
-
-def _axis(value):
-    """A rotation axis: x, y or z in any case, or three finite numbers."""
-    if isinstance(value, str):
-        if value.lower() not in _AXIS_NAMES:
-            raise ValueError(f"unknown axis {value!r}")
-        return _AXIS_NAMES[value.lower()]
-    return _numbers(_finite, 3)(value)
+# -------------------------------------------- objects of typed run documents
 
 
 def _build_beam(doc: dict) -> BeamSpec:
-    waist = _read(doc, "beam", "waist_um", _length) * UM
-    wavelength = _read(doc, "beam", "wavelength_um", _length) * UM
+    waist, wavelength = doc["waist_um"] * UM, doc["wavelength_um"] * UM
     kind = doc["type"]
     if kind in ("radial", "azimuthal"):
         return make_radial_azimuthal(kind, waist=waist, wavelength=wavelength)
-    a, b = (_read(doc, "beam", key, _integer) for key in _MODE_INDICES[kind])
-    sigma = _read(doc, "beam", "sigma", _sigma)
-    return _checked("beam", getattr(BeamSpec, kind), a, b, sigma=sigma,
+    a, b = (doc[key] for key in _MODE_INDICES[kind])
+    return _checked("beam", getattr(BeamSpec, kind), a, b, sigma=doc["sigma"],
                     waist=waist, wavelength=wavelength)
 
 
@@ -387,49 +396,34 @@ def _transitions(doc: dict, dm=None) -> Dict[int, TransitionSpec]:
     is a projection of J2.  With none, the lowest channel is built, so that
     TransitionSpec names the fault.  A Delta-m `dm`, if given, is built
     first, so that its fault is the one named, and is rejected unless it is
-    a channel; it is then one of the result's keys."""
-    return _checked("transition", _channel_specs, doc, dm)
-
-
-def _channel_specs(doc: dict, dm) -> Dict[int, TransitionSpec]:
-    """The body of `_transitions`, which names the section of its faults."""
-    j1, m1, j2 = (HalfInt.coerce(doc[key]) for key in ("j1", "m1", "j2"))
-    multipole = Multipole.parse(str(doc["multipole"]))
-    channels = sorted(coefficients_for(multipole).channels)
-    if dm is not None:
-        TransitionSpec(j1, m1, j2, m1 + dm, multipole)
-        if dm not in channels:
-            raise ValueError(
-                f"dm={dm} is not a channel of {multipole.value} "
-                f"({channels[0]:+d} to {channels[-1]:+d})")
-    dms = [d for d in channels
-           if (m1 + d).is_projection_of(j2)] or channels[:1]
-    return {d: TransitionSpec(j1, m1, j2, m1 + d, multipole) for d in dms}
+    a channel; it is then one of the result's keys.  A fault is named by
+    the section, 'transition'."""
+    try:
+        j1, m1, j2 = (HalfInt.coerce(doc[key]) for key in ("j1", "m1", "j2"))
+        multipole = Multipole(doc["multipole"])
+        channels = sorted(coefficients_for(multipole).channels)
+        if dm is not None:
+            TransitionSpec(j1, m1, j2, m1 + dm, multipole)
+            if dm not in channels:
+                raise ValueError(
+                    f"dm={dm} is not a channel of {multipole.value} "
+                    f"({channels[0]:+d} to {channels[-1]:+d})")
+        dms = [d for d in channels
+               if (m1 + d).is_projection_of(j2)] or channels[:1]
+        return {d: TransitionSpec(j1, m1, j2, m1 + d, multipole) for d in dms}
+    except _BAD_INPUT as exc:
+        raise ConfigurationError(f"transition: {exc}") from exc
 
 
 def _build_geometry(doc: dict) -> Geometry:
-    theta = math.radians(_read(doc, "geometry", "theta_deg", _finite))
-    axis = _read(doc, "geometry", "axis", _axis)
-    return _checked("geometry", Geometry, theta, axis)
+    axis = doc["axis"]
+    return _checked("geometry", Geometry, math.radians(doc["theta_deg"]),
+                    _AXIS_NAMES[axis] if isinstance(axis, str) else axis)
 
 
 def _build_trap(doc: dict) -> TrapSpec:
-    mass = _read(doc, "trap", "mass_amu", _finite)
-    freqs = _read(doc, "trap", "frequencies_mhz", _numbers(_finite, 3))
-    return _checked("trap", TrapSpec.from_lab_units, mass, freqs)
-
-
-def _motion_run(doc: dict):
-    """The beam, geometry, trap, Delta-m, transitions at each channel (the
-    one at that Delta-m among them, see `_transitions`) and motional
-    quantum n of a sideband-map or point run document."""
-    beam = _build_beam(doc["beam"])
-    geom = _build_geometry(doc["geometry"])
-    trap = _build_trap(doc["trap"])
-    dm = _read(doc, "", "dm", _integer)
-    specs = _transitions(doc["transition"], dm)
-    return beam, geom, trap, dm, specs, _read(doc["sideband"], "sideband",
-                                              "n", _count)
+    return _checked("trap", TrapSpec.from_lab_units, doc["mass_amu"],
+                    doc["frequencies_mhz"])
 
 
 # ------------------------------------------------------------ file output
@@ -530,12 +524,11 @@ def _write_maps(args, doc: dict, maps) -> int:
     extras), on the grid of `doc`; write each map's CSV and sidecar into
     args.outdir, then print the paths written, one per line."""
     grid = doc["grid"]
-    extent = _read(grid, "grid", "extent_um", _numbers(_coordinate, 4))
-    res = _read(grid, "grid", "resolution", _numbers(_integer, 2))
-    z_plane = _read(grid, "grid", "z_plane_um", _coordinate) * UM
-    extent = tuple(v * UM for v in extent)
-    datasets = run_scans([ScanConfig(obs, extent, res, z_plane=z_plane)
-                          for _, obs, _, _ in maps])
+    extent = tuple(v * UM for v in grid["extent_um"])
+    datasets = run_scans([
+        ScanConfig(obs, extent, grid["resolution"],
+                   z_plane=grid["z_plane_um"] * UM)
+        for _, obs, _, _ in maps])
     written = []
     for (stem, _, run_doc, extra), dataset in zip(maps, datasets):
         try:
@@ -602,10 +595,10 @@ def load_map_csv(path: str) -> MapDataset:
         return np.array([_finite(v) for v in text.split(",")]) * UM
 
     try:
-        xs = _read(meta, "", "x_centers_um", centers)
-        ys = _read(meta, "", "y_centers_um", centers)
-        scale = _read(meta, "", "scale_factor", _finite)
-        z_plane = _read(meta, "", "z_plane_um", _finite) * UM
+        xs, ys = (_checked(key, centers, meta[key])
+                  for key in ("x_centers_um", "y_centers_um"))
+        scale = _checked("scale_factor", _finite, meta["scale_factor"])
+        z_plane = _checked("z_plane_um", _finite, meta["z_plane_um"]) * UM
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: malformed map header ({exc})") from exc
     if values.ndim != 2 or values.shape != (xs.size, ys.size):
@@ -635,8 +628,7 @@ def cmd_field_map(args) -> int:
     doc = _resolve(args)
     beam = _build_beam(doc["beam"])
     # an absent or null component means all three
-    wanted = None if doc.get("component") is None else _read(
-        doc, "", "component", _one_of(_COMPONENTS))
+    wanted = doc.get("component")
     return _write_maps(args, doc, [
         (stem, FieldComponentObservable(beam, comp),
          dict(doc, component=flag), {"component": comp})
@@ -652,8 +644,7 @@ def cmd_transition_map(args) -> int:
     doc = _resolve(args)
     beam = _build_beam(doc["beam"])
     geom = _build_geometry(doc["geometry"])
-    tdoc = doc["transition"]
-    want = None if doc.get("dm") is None else _read(doc, "", "dm", _integer)
+    tdoc, want = doc["transition"], doc.get("dm")
     return _write_maps(args, doc, [
         (f"mu_{_dm_stem(dm)}", TransitionObservable(beam, trans, geom),
          dict(doc, dm=dm, transition=dict(tdoc, m2=str(trans.m2))), {"dm": dm})
@@ -663,10 +654,11 @@ def cmd_transition_map(args) -> int:
 
 def cmd_sideband_map(args) -> int:
     doc = _resolve(args)
-    beam, geom, trap, dm, specs, n = _motion_run(doc)
-    trans = specs[dm]
-    branch = doc["sideband"]["branch"] = _read(
-        doc["sideband"], "sideband", "branch", _one_of(("bsb", "rsb")))
+    beam = _build_beam(doc["beam"])
+    geom = _build_geometry(doc["geometry"])
+    trap = _build_trap(doc["trap"])
+    dm, n, branch = doc["dm"], doc["sideband"]["n"], doc["sideband"]["branch"]
+    trans = _transitions(doc["transition"], dm)[dm]
     run_doc = dict(doc, transition=dict(doc["transition"], m2=str(trans.m2)))
     requests = [("carrier", SidebandRequest("X", n, "carrier"), False)]
     requests += [(f"{branch}_{mode}", SidebandRequest(mode, n, branch), True)
@@ -683,9 +675,12 @@ def cmd_point(args) -> int:
     doc = _resolve(args)
     # m2 follows from each Delta-m, so a run file's m2 is not echoed
     doc["transition"].pop("m2", None)
-    beam, geom, trap, dm0, specs, n = _motion_run(doc)
+    beam = _build_beam(doc["beam"])
+    geom = _build_geometry(doc["geometry"])
+    trap = _build_trap(doc["trap"])
+    dm0, n, pos_um = doc["dm"], doc["sideband"]["n"], doc["position_um"]
+    specs = _transitions(doc["transition"], dm0)
     trans0 = specs[dm0]
-    pos_um = _read(doc, "", "position_um", _numbers(_coordinate, 3))
     point = np.array([v * UM for v in pos_um])
 
     lines = [(b if b == "carrier" else f"{b}_{m}", SidebandRequest(m, n, b))

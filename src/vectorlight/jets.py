@@ -9,15 +9,15 @@ rather than numerical.
 
 A Jet supports only what the beams use: `jet + jet`, `jet + c`, `jet * jet`
 and `jet * c` with the jet on the left, `compose` and the compositions
-`exp`, `reciprocal`, `sqrt` and `arctan`, `ipow`, and the builders and views
-`constant`, `coordinate`, `truncate` and `partial`.  A difference is a sum
-with a jet times -1, a quotient a product with a reciprocal.
+`exp`, `reciprocal`, `sqrt` and `arctan`, `ipow`, and the builders and view
+`constant`, `coordinate` and `truncate`.  A difference is a sum with a jet
+times -1, a quotient a product with a reciprocal.
 
 The value and the derivative blocks form one sequence, `Jet.blocks`, and
 every operation that treats the blocks alike (sums, products with a scalar,
-`truncate`, `partial`) runs over it.  Only products of two jets
-and compositions are written out order by order, since their Leibniz and
-Faa di Bruno terms differ with the order.
+`truncate`) runs over it.  Only products of two jets and compositions are
+written out order by order, since their Leibniz and Faa di Bruno terms
+differ with the order.
 
 Derivative blocks are stored components-first, with the batch axes last:
 for values of shape B, g[i] = d_i f is (3, *B), h[i, j] = d_i d_j f is
@@ -38,9 +38,9 @@ into the sum.  A composition's g_i g_j g_k gathers the pairs g_i g_j it
 formed for h and multiplies them by g_k.  Sums of terms run in place, left
 to right, so every bit is that of the sum written out.
 
-A jet is never mutated once built, so jets may share blocks: `truncate`,
-`partial` and adding a constant (which moves only the value) return jets
-holding the blocks of the jet they came from.  Work whose result is known is
+A jet is never mutated once built, so jets may share blocks: `truncate`
+and adding a constant (which moves only the value) return jets holding the
+blocks of the jet they came from.  Work whose result is known is
 skipped: a constant is not expanded into zero blocks and `ipow` does not
 multiply by 1.  Both keep every bit of the full computation except the sign
 of an exact zero, which a sum with 0.0 or a product with 1 would turn to
@@ -272,9 +272,3 @@ class Jet:
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
         return Jet(order, self.val, *self.blocks[1:order + 1])
-
-    def partial(self, index: int) -> "Jet":
-        """Jet (one order lower) of the derivative d_index f."""
-        if self.order < 1:
-            raise ValueError("cannot take a derivative of an order-0 jet")
-        return Jet(self.order - 1, *(b[index] for b in self.blocks[1:]))

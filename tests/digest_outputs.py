@@ -142,6 +142,12 @@ def _cli_cases():
         ["point", "--beam", "radial", "--position-um=0,0,0"],
         ["point", "--beam", "lg:1", "--multipole", "E1", "--j2", "3/2",
          "--position-um=0.3,-0.2,0.1"],
+        # other spellings of values: whole numbers as floats, names in
+        # another case
+        ["point", "--beam", "lg:1", "--dm", "1.0", "--n", "2.0",
+         "--position-um=0.1,0.2,0"],
+        ["transition-map", "--beam", "lg:1", "--axis", "X", "--multipole",
+         "e2_dj2", "--theta-deg", "30"] + grid,
     ]
     errors = [
         ["transition-map", "--beam", "lg:1", "--j1", "5/2", "--m1", "1/2",
@@ -248,6 +254,9 @@ _RUN_FILES = [
      json.dumps({"beam": {"type": "lg", "l": 1, "waste_um": 1.0}})),
     ("invalid-json", "field-map", '{\n  "beam": {,}\n}\n'),
     ("beam-not-an-object", "field-map", json.dumps({"beam": 5})),
+    ("boolean-waist", "transition-map",
+     json.dumps({"beam": {"type": "lg", "l": 1, "waist_um": True},
+                 "grid": {"resolution": [8, 8]}})),
     ("field-map-with-transition-and-trap", "field-map",
      json.dumps({"beam": {"type": "lg", "l": 1},
                  "grid": {"resolution": [8, 8]},

@@ -243,6 +243,14 @@ def _shift(jet, c):
     return jet + Jet.constant(c, jet.order, jet.val.shape)
 
 
+def partial(jet, index):
+    """Jet (one order lower) of the derivative d_index f: views of the
+    jet's derivative blocks."""
+    if jet.order < 1:
+        raise ValueError("cannot take a derivative of an order-0 jet")
+    return Jet(jet.order - 1, *(b[index] for b in jet.blocks[1:]))
+
+
 def ipow_from_one(jet, n):
     """jet**n by squaring, starting from a constant-1 jet."""
     out, base = _one(jet), jet
@@ -315,7 +323,7 @@ def field_blocks_unfused(spec, points, order):
         wave = f.truncate(order) * plane
         tx = wave * amp
         ty = wave * (amp * 1.0j * sig)
-        tz = (f.partial(0) + f.partial(1) * (1.0j * sig)) * plane * (
+        tz = (partial(f, 0) + partial(f, 1) * (1.0j * sig)) * plane * (
             amp * 1.0j / k)
         ex = tx if ex is None else ex + tx
         ey = ty if ey is None else ey + ty
@@ -429,7 +437,7 @@ def _field_jets(spec, points, order, memo):
         wave = f.truncate(order)
         tx = wave * amp
         ty = wave * (amp * 1.0j * sig)
-        tz = (f.partial(0) + f.partial(1) * (1.0j * sig)) * (amp * 1.0j / k)
+        tz = (partial(f, 0) + partial(f, 1) * (1.0j * sig)) * (amp * 1.0j / k)
         ex = tx if ex is None else ex + tx
         ey = ty if ey is None else ey + ty
         ez = tz if ez is None else ez + tz

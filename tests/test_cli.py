@@ -278,7 +278,7 @@ def test_bad_flag_value_exits_2_and_names_the_field(tmp_path, capsys,
     (["field-map", "--run-file", "NONE"], None,
      "cannot read run file: [Errno 2] No such file or directory: 'NONE'"),
     (["field-map", "--beam", "lg:1", "--sigma", "2"], None,
-     "--sigma: must be -1, 0, or +1, got '2'"),
+     "beam.sigma: must be -1, 0, or +1, got '2'"),
     (["field-map", "--beam", "foo:1"], None,
      "--beam: expected lg:<l>[,<p>], hg:<m>,<n>, radial, or azimuthal; "
      "got 'foo:1'"),
@@ -387,7 +387,7 @@ def test_ends_of_the_length_range_are_valid(capsys):
 
 # each place that turns a bad run-document value into exit 2, by the name
 # its message starts with; a `point` run reaches all of them
-_CHECKED_SITES = ("--waist-um", "sideband.n", "beam", "transition",
+_CHECKED_SITES = ("beam.waist_um", "sideband.n", "beam", "transition",
                   "geometry", "trap")
 
 
@@ -399,13 +399,11 @@ def test_every_site_turns_the_same_exceptions_into_exit_2(capsys, monkeypatch,
     def fail(*args, **kwargs):
         raise exc
 
-    if where == "--waist-um":
-        # the flag's converter in the table, through a parser built from it
-        field = cli_module._FIELDS["beam.waist_um"]._replace(convert=fail)
-        monkeypatch.setitem(cli_module._FIELDS, "beam.waist_um", field)
+    if where in ("beam.waist_um", "sideband.n"):
+        # the field's reader in the table, through a parser built from it
+        field = cli_module._FIELDS[where]._replace(read=fail)
+        monkeypatch.setitem(cli_module._FIELDS, where, field)
         monkeypatch.setattr(cli_module, "_parser", cli_module.build_parser)
-    elif where == "sideband.n":
-        monkeypatch.setattr(cli_module, "_count", fail)
     elif where == "beam":
         monkeypatch.setattr(cli_module.BeamSpec, "lg", fail)
     elif where == "transition":
@@ -637,17 +635,16 @@ def test_rerunning_any_flag_runs_echo_reproduces_its_files(data, command, beam):
 
 
 # each name-valued field: a command, its other flags, the field's path and
-# its name as spelled and in another case; the run document holds the first
-# three fields as spelled
+# its name as spelled and in another case; the run document holds each name
+# as spelled
 _NAMES = [
-    ("field-map", ["--component", "Ez"], "beam.type", "lg", "LG", True),
-    ("field-map", ["--beam", "lg:1"], "component", "Ez", "eZ", True),
-    ("sideband-map", ["--beam", "lg:1"], "sideband.branch", "bsb", "BSB",
-     True),
+    ("field-map", ["--component", "Ez"], "beam.type", "lg", "LG"),
+    ("field-map", ["--beam", "lg:1"], "component", "Ez", "eZ"),
+    ("sideband-map", ["--beam", "lg:1"], "sideband.branch", "bsb", "BSB"),
     ("transition-map", ["--beam", "lg:1", "--dm", "0", "--theta-deg", "30"],
-     "geometry.axis", "x", "X", False),
+     "geometry.axis", "x", "X"),
     ("transition-map", ["--beam", "lg:1", "--dm", "0"],
-     "transition.multipole", "E1", "e1", False),
+     "transition.multipole", "E1", "e1"),
 ]
 
 
@@ -676,22 +673,19 @@ def _name_run(tmp_path, label, command, extra, path, name, from_flag):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("command, extra, path, name, other, canonical",
-                         _NAMES, ids=[case[2] for case in _NAMES])
+@pytest.mark.parametrize("command, extra, path, name, other", _NAMES,
+                         ids=[case[2] for case in _NAMES])
 def test_names_are_taken_in_any_case(tmp_path, capsys, command, extra, path,
-                                     name, other, canonical):
+                                     name, other):
     for from_flag in (True, False):
         kind = "flag" if from_flag else "file"
         want = _name_run(tmp_path, f"{kind}-as-spelled", command, extra, path,
                          name, from_flag)
         got = _name_run(tmp_path, f"{kind}-other-case", command, extra, path,
                         other, from_flag)
-        assert sorted(got) == sorted(want)
-        for file_name, data in got.items():
-            if file_name.endswith(".csv") or canonical:
-                # the same maps, and the same echo where the document holds
-                # the name as spelled
-                assert data == want[file_name], (kind, file_name)
+        # the same maps, and the same echo: the document holds the name as
+        # spelled
+        assert got == want, kind
         # the echo of the other case re-runs to the same files
         for file_name in got:
             if file_name.endswith(".json"):
@@ -703,6 +697,133 @@ def test_names_are_taken_in_any_case(tmp_path, capsys, command, extra, path,
                 stem = file_name[:-5] + ".csv"
                 assert (again / stem).read_bytes() == got[stem]
     capsys.readouterr()
+
+
+# a bad value of each field that a flag sets but --beam, as the flag's text
+# and as a run file's value
+_INVALID_FIELDS = {
+    "beam.sigma": ("2", 2), "beam.waist_um": ("0", 0),
+    "beam.wavelength_um": ("inf", float("inf")),
+    "grid.extent_um": ("-1,1,-1", [-1, 1, -1]),
+    "grid.resolution": ("8.5,8", [8.5, 8]),
+    "grid.z_plane_um": ("nan", float("nan")),
+    "component": ("Ew", "Ew"),
+    "transition.j1": ("0.3", 0.3), "transition.m1": ("0.25", 0.25),
+    "transition.j2": ("1.2", 1.2), "transition.multipole": ("E3", "E3"),
+    "dm": ("1.5", 1.5),
+    "geometry.theta_deg": ("nan", float("nan")), "geometry.axis": ("w", "w"),
+    "trap.mass_amu": ("inf", float("inf")),
+    "trap.frequencies_mhz": ("1,1", [1, 1]),
+    "sideband.n": ("-1", -1), "sideband.branch": ("up", "up"),
+    "position_um": ("0,0", [0, 0]),
+}
+
+# more spellings of one value, as flag texts and as run-file values
+_SPELLINGS = {
+    "beam.waist_um": (["1", "1.0"], [1, 1.0, "1"]),
+    "dm": (["1", "1.0"], [1, 1.0]),
+    "sideband.n": (["2", "2.0"], [2, 2.0]),
+    "geometry.axis": (["x", "X"], ["x", "X"]),
+    "transition.multipole": (["E2_dJ2", "e2_dj2"], ["E2_dJ2", "e2_dj2"]),
+}
+
+
+def _flag_text(path, value):
+    if path == "beam":
+        return "hg:1,0"
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _set_by(tmp_path, capsys, command, path, label, flag=None, value=None):
+    """Exit code, stdout, stderr and every file of a run of `command` that
+    sets `path` by the flag's text `flag` or, if it is None, by a run file's
+    `value`; the run file names an LG beam unless `path` is the beam."""
+    out = tmp_path / label
+    doc = {} if path == "beam" else {"beam": {"type": "lg", "l": 1}}
+    args = [command]
+    if flag is None:
+        cli_module._place(doc, path, value)
+    else:
+        args += [_FLAG_OF[path], flag]
+    if doc:
+        run_file = tmp_path / f"{label}.json"
+        run_file.write_text(json.dumps(doc))
+        args += ["--run-file", run_file]
+    if command != "point":
+        args += ["-o", out]
+        if path != "grid.resolution":
+            args += ["--resolution", "4,3"]
+    code = run(args)
+    stdout, stderr = capsys.readouterr()
+    files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+             if out.exists() else {})
+    return code, stdout.replace(str(out), "OUT"), stderr, files
+
+
+@pytest.mark.parametrize("path", sorted(_FLAG_OF))
+def test_a_flag_and_a_run_file_read_a_value_alike(tmp_path, capsys, path):
+    # the flag's text and the run file's value pass through one reader: the
+    # same value gives the same files or record, bytes and echo, and a bad
+    # one the same rejection, which names the field
+    command = next(c for c in ("point", "field-map", "transition-map",
+                               "sideband-map")
+                   if path in _TAKES[c] or path.split(".")[0] in _TAKES[c])
+    value = _VALID_FIELDS[path]
+    groups = [([_flag_text(path, value)], [value])]
+    groups += [_SPELLINGS[path]] if path in _SPELLINGS else []
+    for g, (texts, values) in enumerate(groups):
+        got = [_set_by(tmp_path, capsys, command, path, f"{g}-flag{k}", flag=t)
+               for k, t in enumerate(texts)]
+        got += [_set_by(tmp_path, capsys, command, path, f"{g}-file{k}",
+                        value=v) for k, v in enumerate(values)]
+        assert got[0][0] == 0 and got[0][2] == "", got[0][2]
+        for k, result in enumerate(got[1:], start=1):
+            assert result == got[0], (texts + values)[k]
+    if path == "beam":
+        return
+    text, bad = _INVALID_FIELDS[path]
+    flag = _set_by(tmp_path, capsys, command, path, "bad-flag", flag=text)
+    file = _set_by(tmp_path, capsys, command, path, "bad-file", value=bad)
+    assert flag == file
+    code, out, err, files = flag
+    assert (code, out, files) == (2, "", {})
+    assert err.startswith(f"configuration error: {path}: "), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("transition-map", {"beam": {"type": "lg", "l": True}},
+     "beam.l: expected a number, got True"),
+    ("transition-map", {"beam": {"type": "lg", "l": 1, "waist_um": True}},
+     "beam.waist_um: expected a number, got True"),
+    ("transition-map", {"beam": {"type": "lg", "l": 1}, "dm": True},
+     "dm: expected a number, got True"),
+    ("field-map", {"beam": {"type": "lg", "l": 1},
+                   "grid": {"resolution": [8, False]}},
+     "grid.resolution: expected a number, got False"),
+    ("sideband-map", {"beam": {"type": "lg", "l": 1},
+                      "sideband": {"n": False}},
+     "sideband.n: expected a number, got False"),
+    ("point", {"beam": {"type": "radial"}, "position_um": [True, 0, 0]},
+     "position_um: expected a number, got True"),
+    ("point", {"beam": {"type": "radial"}, "transition": {"j1": True}},
+     "transition.j1: cannot interpret True as a half-integer"),
+    ("point", {"beam": {"type": "radial"}, "geometry": {"axis": [0, True, 0]}},
+     "geometry.axis: expected a number, got True"),
+])
+def test_a_json_boolean_is_not_a_number(tmp_path, capsys, command, doc,
+                                        message):
+    # float(True) is 1.0, but a run file's true or false is rejected
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps(doc))
+    args = [command, "--run-file", run_file]
+    if command != "point":
+        args += ["-o", tmp_path / "out"]
+    if "grid" not in doc and command != "point":
+        args += ["--resolution", "4,3"]
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_closed_standard_output_exits_1_without_a_traceback():
