@@ -54,6 +54,9 @@ class HalfInt:
                 num, den = map(int, text.split("/"))
                 if den == 0:
                     raise ValueError(f"{text} has a zero denominator")
+                if den in (1, 2):
+                    # twice num / den, exactly, without a Fraction
+                    return HalfInt(num * (2 // den))
                 return HalfInt.coerce(Fraction(num, den))
             return HalfInt.coerce(Fraction(text))
         if isinstance(value, (float, np.floating)):

@@ -9,6 +9,8 @@
   on batch-first (..., 3), (..., 3, 3), (..., 3, 3, 3) blocks, written with
   broadcast outer products over every index instead of the package's
   unique-component gathers.
+- The derivative of a jet, `partial`: the jet, one order lower, of
+  d_i f, which the oracle field assemblies below take of each profile.
 - Full-factor scalar profiles: the LG and HG profile formulas with every
   factor multiplied in: the constant-1 Laguerre and H_0 jets, powers raised
   from a constant-1 jet, rho^2 as x*x + y*y and constants added as constant

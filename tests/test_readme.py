@@ -1,24 +1,35 @@
 """Contracts stated in the README, checked rather than read.
 
 - The library quick-start block runs unchanged against the package.
+- The CLI section's `run` echo is the echo of the command it names, and
+  re-running it as a run file echoes it again.
 - The test-only dependencies (`mpmath`, the `oracles` module) are never
   imported by the package itself, neither on import nor by a CLI run.
 """
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 
+from vectorlight.cli import main
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
-def quick_start_source() -> str:
+def readme_section(heading: str) -> str:
     with open(os.path.join(ROOT, "README.md"), "r", encoding="utf-8") as fh:
         text = fh.read()
-    section = text[text.index("## Library quick start"):]
+    return text[text.index(heading):]
+
+
+def quick_start_source() -> str:
+    section = readme_section("## Library quick start")
     start = section.index("```python\n") + len("```python\n")
     return section[start:section.index("```", start)]
 
@@ -33,6 +44,24 @@ def test_quick_start_runs_unchanged(capsys):
     assert np.ndim(namespace["mu"]) == 0
     printed = capsys.readouterr().out.split()
     assert float(printed[1]) == 1.0
+
+
+def test_cli_run_echo_is_the_echo_of_its_command(tmp_path):
+    # the JSON block of the CLI section, and the last `vectorlight ...`
+    # command before it
+    section = readme_section("## CLI")
+    start = section.index("```json\n") + len("```json\n")
+    echo = json.loads(section[start:section.index("```", start)])
+    argv = section[:start].rsplit("`vectorlight ", 1)[1].split("`")[0].split()
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps(echo))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["-o", str(tmp_path / "flags")]) == 0
+        assert main([argv[0], "--run-file", str(run_file),
+                     "-o", str(tmp_path / "file")]) == 0
+    for out in ("flags", "file"):
+        side = json.loads((tmp_path / out / "mu_dm_0.json").read_text())
+        assert side["run"] == echo, out
 
 
 def test_package_never_imports_test_dependencies():
