@@ -54,10 +54,10 @@ class HalfInt:
                 num, den = map(int, text.split("/"))
                 if den == 0:
                     raise ValueError(f"{text} has a zero denominator")
-                if den in (1, 2):
-                    # twice num / den, exactly, without a Fraction
-                    return HalfInt(num * (2 // den))
-                return HalfInt.coerce(Fraction(num, den))
+                twice, rem = divmod(2 * num, den)
+                if rem:
+                    raise ValueError(f"{text} is not an integer or half-integer")
+                return HalfInt(twice)
             return HalfInt.coerce(Fraction(text))
         if isinstance(value, (float, np.floating)):
             doubled = 2.0 * float(value)

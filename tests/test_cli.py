@@ -315,6 +315,13 @@ def test_bad_flag_value_exits_2_and_names_the_field(tmp_path, capsys,
      "NO_SCALE: not a map CSV (missing header ['scale_factor'])"),
     (["compare", "SHORT", "GOOD"], None,
      "SHORT: data shape (7, 6) does not match axes (8, 6)"),
+    # a value the beam does not use is still read through its field's reader
+    (["field-map", "--run-file", "RUN"], {"beam": {"type": "radial",
+                                                   "sigma": 2}},
+     "beam.sigma: must be -1, 0, or +1, got '2'"),
+    (["field-map", "--run-file", "RUN"], {"beam": {"type": "lg", "l": 1,
+                                                   "m": "x"}},
+     "beam.m: could not convert string to float: 'x'"),
 ])
 def test_each_rejection_exits_2_with_its_message(tmp_path, capsys,
                                                  monkeypatch, argv, doc,

@@ -89,6 +89,13 @@ def test_halfint_coercion_and_arithmetic():
     assert not halfint(1).is_projection_of(halfint("5/2"))  # parity mismatch
     with pytest.raises(ValueError):
         halfint(0.3)
+    # any denominator: the value, not its spelling, must be a half-integer
+    assert halfint("2/4").twice == 1
+    assert halfint("-9/6").twice == -3
+    assert halfint("3/-2").twice == -3
+    assert halfint("6/3").twice == 4
+    with pytest.raises(ValueError, match="1/3 is not an integer or half"):
+        halfint("1/3")
     with pytest.raises(ValueError, match="zero denominator"):
         halfint("1/0")
     with pytest.raises(TypeError):
