@@ -74,6 +74,8 @@ class LGMode:
     def __post_init__(self):
         if self.l != int(self.l) or self.p != int(self.p):
             raise ValueError("mode indices must be integers")
+        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "p", int(self.p))
         if self.p < 0:
             raise ValueError("radial index p must be >= 0")
         if abs(self.l) > _LG_MAX_L or self.p > _LG_MAX_P:
@@ -91,6 +93,8 @@ class HGMode:
     def __post_init__(self):
         if self.m != int(self.m) or self.n != int(self.n):
             raise ValueError("mode indices must be integers")
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "n", int(self.n))
         if self.m < 0 or self.n < 0:
             raise ValueError("mode orders must be >= 0")
         if self.m + self.n > _HG_MAX_ORDER:

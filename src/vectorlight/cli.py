@@ -15,7 +15,8 @@ text (a list flag's split on commas) and a run file's value pass through the
 same reader, so a flag accepts what its field accepts, and every rejected
 value is named by its field path; only --beam, which sets several fields, is
 named by its flag.  The run document is typed: floats for lengths, angles,
-mass and frequencies, ints for counts and indices, and each name in one
+mass and frequencies, ints for counts and indices, J and m read exactly by
+HalfInt.coerce and spelled as HalfInt spells them, and each name in one
 spelling, whatever case it was given in.  Exit codes: 0 success, 1 standard
 output closed before the output was written, 2 configuration error, 3
 numerical failure.  Every map is written as a CSV grid plus a JSON sidecar;
@@ -145,11 +146,9 @@ def _sigma(value) -> int:
 
 
 def _half_integer(value) -> str:
-    """An angular momentum or its projection, spelled as HalfInt spells it.
-    A number is read from its text, as a flag's is: 0.5 as '0.5'."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
-    return str(HalfInt.coerce(str(value)))
+    """An angular momentum or its projection, read exactly by
+    HalfInt.coerce and spelled as HalfInt spells it."""
+    return str(HalfInt.coerce(value))
 
 
 def _one_of(options):
@@ -550,7 +549,7 @@ def load_map_csv(path: str) -> MapDataset:
     non-finite number or a ragged row is a ConfigurationError naming its
     line or header."""
     meta: Dict[str, str] = {}
-    rows, linenos = [], []
+    rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -567,6 +566,10 @@ def load_map_csv(path: str) -> MapDataset:
                     # one float64 array per row: no Python float outlives
                     # its row
                     row = np.array([float(v) for v in line.split(",")])
+                    finite = np.isfinite(row)
+                    if not finite.all():
+                        raise ValueError(f"must be finite, got "
+                                         f"{float(row[~finite][0])!r}")
                     if rows and len(row) != len(rows[0]):
                         raise ValueError(f"{len(row)} values, the first row "
                                          f"has {len(rows[0])}")
@@ -575,7 +578,6 @@ def load_map_csv(path: str) -> MapDataset:
                         f"{path}: line {lineno}: not a map CSV row ({exc})"
                     ) from exc
                 rows.append(row)
-                linenos.append(lineno)
     except OSError as exc:
         raise ConfigurationError(f"cannot read map file: {exc}") from exc
     required = {"scale_factor", "z_plane_um", "x_centers_um", "y_centers_um"}
@@ -584,12 +586,6 @@ def load_map_csv(path: str) -> MapDataset:
         raise ConfigurationError(
             f"{path}: not a map CSV (missing header {sorted(missing)})")
     values = np.array(rows, dtype=float)
-    finite = np.isfinite(values)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ConfigurationError(
-            f"{path}: line {linenos[i]}: not a map CSV row (must be finite, "
-            f"got {float(values[i, j])!r})")
 
     def centers(text: str) -> np.ndarray:
         return np.array([_finite(v) for v in text.split(",")]) * UM

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,16 +39,15 @@ class HalfInt:
 
     @staticmethod
     def coerce(value) -> "HalfInt":
-        """Accept HalfInt, int, Fraction, float or strings like '3/2'."""
+        """Read an integer or half-integer exactly: a HalfInt, an int, any
+        other real (float, Fraction, numpy scalar) whose double is an exact
+        integer, or text, either 'n/d' or a number as float() reads it.  A
+        bool is not a number; a non-finite value or one off the half-integer
+        grid is a ValueError."""
         if isinstance(value, HalfInt):
             return value
-        if isinstance(value, (int, np.integer)):
-            return HalfInt(2 * int(value))
-        if isinstance(value, Fraction):
-            doubled = 2 * value
-            if doubled.denominator != 1:
-                raise ValueError(f"{value} is not an integer or half-integer")
-            return HalfInt(int(doubled))
+        if type(value) is int:
+            return HalfInt(2 * value)
         if isinstance(value, str):
             text = value.strip()
             if "/" in text:
@@ -58,14 +58,13 @@ class HalfInt:
                 if rem:
                     raise ValueError(f"{text} is not an integer or half-integer")
                 return HalfInt(twice)
-            return HalfInt.coerce(Fraction(text))
-        if isinstance(value, (float, np.floating)):
-            doubled = 2.0 * float(value)
-            rounded = round(doubled)
-            if abs(doubled - rounded) > 1e-9:
-                raise ValueError(f"{value} is not an integer or half-integer")
-            return HalfInt(int(rounded))
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
+            value = float(text)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"cannot interpret {value!r} as a half-integer")
+        doubled = 2 * value
+        if not math.isfinite(doubled) or doubled != int(doubled):
+            raise ValueError(f"{value} is not an integer or half-integer")
+        return HalfInt(int(doubled))
 
     def __add__(self, other):
         return HalfInt(self.twice + HalfInt.coerce(other).twice)

@@ -218,6 +218,29 @@ def test_mode_validation():
         BeamSpec.lg(0, waist=WAIST, wavelength=0.0)
 
 
+@pytest.mark.parametrize("build, indices, whole", [
+    (BeamSpec.lg, (1.0,), (1,)),
+    (BeamSpec.lg, (1, 1.0), (1, 1)),
+    (BeamSpec.lg, (np.int64(-2), np.float64(1.0)), (-2, 1)),
+    (BeamSpec.hg, (1.0, 0), (1, 0)),
+    (BeamSpec.hg, (2, 1.0), (2, 1)),
+])
+def test_whole_float_mode_indices_are_stored_as_ints(build, indices, whole):
+    # a float equal to an integer is a valid index; the mode keeps the int,
+    # so its samples are those of the int beam byte for byte
+    beam = build(*indices, waist=WAIST, wavelength=WAVELENGTH)
+    mode = beam.terms[0][1].mode
+    assert all(type(getattr(mode, name)) is int
+               for name in mode.__dataclass_fields__)
+    ref = build(*whole, waist=WAIST, wavelength=WAVELENGTH)
+    assert mode == ref.terms[0][1].mode
+    for order in (0, 1, 2):
+        got = field_sample_upto(beam, make_probe_points(), order)
+        want = field_sample_upto(ref, make_probe_points(), order)
+        for k in range(order + 1):
+            assert got.block(k).tobytes() == want.block(k).tobytes(), order
+
+
 # LG with p = 0 and p > 0 and l = 0, HG with zero and nonzero orders, and
 # the two-term cylindrical beams
 _BITWISE_BEAMS = [BeamSpec.lg(l, p, waist=WAIST, wavelength=WAVELENGTH)

@@ -322,6 +322,14 @@ def test_bad_flag_value_exits_2_and_names_the_field(tmp_path, capsys,
     (["field-map", "--run-file", "RUN"], {"beam": {"type": "lg", "l": 1,
                                                    "m": "x"}},
      "beam.m: could not convert string to float: 'x'"),
+    # J and m are read exactly, by HalfInt.coerce, from a flag as from a file
+    (["transition-map", "--beam", "lg:1", "--m1", "1/0"], None,
+     "transition.m1: 1/0 has a zero denominator"),
+    (["transition-map", "--beam", "lg:1", "--j1", "0.3"], None,
+     "transition.j1: 0.3 is not an integer or half-integer"),
+    (["transition-map", "--beam", "lg:1", "--run-file", "RUN"],
+     {"transition": {"m1": 0.4999999999}},
+     "transition.m1: 0.4999999999 is not an integer or half-integer"),
 ])
 def test_each_rejection_exits_2_with_its_message(tmp_path, capsys,
                                                  monkeypatch, argv, doc,
@@ -732,6 +740,8 @@ _SPELLINGS = {
     "sideband.n": (["2", "2.0"], [2, 2.0]),
     "geometry.axis": (["x", "X"], ["x", "X"]),
     "transition.multipole": (["E2_dJ2", "e2_dj2"], ["E2_dJ2", "e2_dj2"]),
+    "transition.m1": (["1/2", "0.5", "0.5000000000000000001"],
+                      [0.5, "1/2", 0.5000000000000000001]),
 }
 
 
@@ -1252,6 +1262,23 @@ def test_non_finite_or_ragged_map_csv_exits_2(tmp_path, capsys, line, old,
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"configuration error: {bad}: {message}\n")
     assert not (tmp_path / "bad.mat").exists()
+
+
+def test_a_map_csv_with_several_faults_names_the_first(tmp_path, capsys):
+    # each row is checked as it is read, so the earliest faulty line is named
+    assert run(["field-map", "--beam", "lg:1", "--component", "Ez",
+                "--resolution", "8,6", "-o", tmp_path]) == 0
+    lines = (tmp_path / "field_Ez.csv").read_text().split("\n")
+    lines[10] = re.sub(r"^[^,]*,", "inf,", lines[10])
+    lines[11] = re.sub(r",[^,]*$", "", lines[11])
+    lines[12] = re.sub(r"^[^,]*,", "nan,", lines[12])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert run(["gnuplot-matrix", bad, tmp_path / "bad.mat"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {bad}: line 11: not a map CSV row "
+        "(must be finite, got inf)\n")
 
 
 def test_csv_rows_match_per_element_formula():

@@ -110,6 +110,13 @@ def test_transition_validation():
     t = TransitionSpec("1/2", "-1/2", "5/2", "3/2", "e2_dj2")
     assert t.multipole is Multipole.E2_DJ2
     assert float(t.delta_m) == 2.0
+    # a bool is not a quantum number, and a float must be exactly on the grid
+    with pytest.raises(TypeError, match="cannot interpret True"):
+        TransitionSpec(True, "1/2", "5/2", "1/2", "E2_dJ2")
+    with pytest.raises(TypeError):
+        TransitionSpec(True, True, 2, 1, "E2_dJ1")
+    with pytest.raises(ValueError, match="not an integer or half-integer"):
+        TransitionSpec(0.4999999999, "1/2", "5/2", "1/2", "E2_dJ2")
 
 
 def test_geometry_validation():

@@ -5,12 +5,14 @@
   re-running it as a run file echoes it again.
 - The test-only dependencies (`mpmath`, the `oracles` module) are never
   imported by the package itself, neither on import nor by a CLI run.
+- Every test the contract ledger names is collected by pytest.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -80,3 +82,21 @@ def test_package_never_imports_test_dependencies():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert '"mu_by_dm"' in proc.stdout
+
+
+def test_every_test_the_ledger_names_is_collected():
+    section = readme_section("## Contract ledger")
+    table = section[:section.index("\n## ")]
+    rows = [line for line in table.splitlines() if line.startswith("| ")][1:]
+    named = [re.findall(r"`(tests/\w+\.py::\w+)`", row) for row in rows]
+    assert rows and all(named), rows
+    ids = sorted({node for row in named for node in row})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), HERE])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", *ids],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    collected = {line.split("[")[0] for line in proc.stdout.splitlines()}
+    assert set(ids) <= collected, sorted(set(ids) - collected)

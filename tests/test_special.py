@@ -11,6 +11,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vectorlight.special import (
     HalfInt,
@@ -100,6 +102,37 @@ def test_halfint_coercion_and_arithmetic():
         halfint("1/0")
     with pytest.raises(TypeError):
         halfint(object())
+    # no tolerance: a float a rounding error off the grid is off it
+    for value in (1e-10, 0.4999999999, "1e-10", np.float64(0.3)):
+        with pytest.raises(ValueError, match="is not an integer or half"):
+            halfint(value)
+    assert str(halfint("0.5000000000000000001")) == "1/2"   # float("...") is 0.5
+    assert halfint(np.int64(-3)).twice == -6
+    for value in (np.bool_(True), None, b"1"):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            halfint(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-400, 400))
+def test_halfint_reads_every_spelling_of_a_half_integer_exactly(t):
+    # t/2 as a whole int, a float, a numpy float, a Fraction, its repr and
+    # 't/2' text; the doubles next to t/2 and the non-finite values raise
+    half = t / 2
+    spellings = [float(half), np.float64(half), Fraction(t, 2), repr(half),
+                 f"{t}/2"] + ([t // 2] if t % 2 == 0 else [])
+    for value in spellings:
+        assert halfint(value).twice == t, value
+    for off in (np.nextafter(half, -math.inf), np.nextafter(half, math.inf)):
+        for value in (float(off), off, repr(float(off))):
+            with pytest.raises(ValueError):
+                halfint(value)
+    for value in (math.nan, math.inf, -math.inf, "nan", "-inf"):
+        with pytest.raises(ValueError):
+            halfint(value)
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            halfint(value)
 
 
 # ------------------------------------------------------------ polynomials
